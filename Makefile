@@ -2,45 +2,15 @@
 
 PY = PYTHONPATH=src python
 
-.PHONY: check test faults lifecycle ingest serve serve-smoke chaos chaos-smoke placement placement-smoke bench bench-refresh bench-ingest bench-scale clean
+.PHONY: check test faults lifecycle ingest serve serve-smoke chaos chaos-smoke placement placement-smoke bench bench-refresh bench-ingest bench-scale bench-ledger bench-ledger-trace clean
 
-# The pre-merge gate: the full tier-1 suite (which includes the
-# checkpoint kill-and-resume round-trip in tests/test_core_checkpoint.py)
-# plus the zero-drift canary replay, which must be a strict no-op —
-# a refresh over an empty period may never mint a new knowledge version —
-# the ingest clean-feed no-op: a single in-order clean source pushed
-# through the resilient front-end must be byte-identical to the direct
-# path — the hot-path identity gate: the compiled per-message path
-# (indexed matching, memoized augmentation, cached dictionary queries)
-# must digest byte-identically to the reference path, serial and with
-# 4 workers, and the streaming executor lanes (serial | threads |
-# worker processes) must be byte-identical to each other — and the
-# shard-retry determinism gate: a mid-list shard fault must recover by
-# resuming at the failed message, never by replaying applied state —
-# and the serve-smoke crash gate: a real `repro serve` daemon SIGKILLed
-# mid-stream must, on restart under a different PYTHONHASHSEED, finish
-# byte-identical to an uninterrupted run (serial + process lanes), and
-# SIGTERM must drain to exit 0 with a final checkpoint — and the
-# chaos-smoke gate: a live two-tenant daemon tailing its logs through
-# scripted rotation, in-place truncation, disk-full-during-checkpoint,
-# and SIGKILL-mid-tail must finish byte-identical to an unfaulted run,
-# and the clean no-fault run must be a strict operational no-op — and
-# the placement-smoke partial-failure gate: with both tenants in
-# worker processes, SIGKILLing one tenant's worker mid-stream must
-# leave the survivor a strict no-op (zero quarantine, zero degraded or
-# restart transitions, byte-identical fingerprint) while the killed
-# tenant resumes byte-identical from its checkpoint, on the serial and
-# process stream-executor lanes alike.
+# The pre-merge gate: one pass of the full tier-1 suite.  Every
+# byte-identity gate (checkpoint kill-and-resume, zero-drift canary,
+# ingest clean-feed no-op, hot-path and executor-lane identity,
+# shard-retry determinism, serve / chaos / placement smokes) is a test
+# in it; the named targets below re-run single gates on demand.
 check:
 	$(PY) -m pytest -x -q
-	$(PY) -m pytest -q tests/test_core_checkpoint.py
-	$(PY) -m pytest -q tests/test_core_promotion.py -k zero_drift
-	$(PY) -m pytest -q tests/test_syslog_ingest.py -k byte_identical
-	$(PY) -m pytest -q tests/test_hotpath_identity.py
-	$(PY) -m pytest -q tests/test_stream_workers.py
-	$(PY) -m pytest -q tests/test_serve_smoke.py
-	$(PY) -m pytest -q tests/test_chaos_smoke.py
-	$(PY) -m pytest -q tests/test_placement_smoke.py
 
 # Tier-1 without the heavier fault-injection tests.
 test:
@@ -65,7 +35,7 @@ ingest:
 serve:
 	$(PY) -m pytest -q -m serve
 
-# Just the end-to-end crash-recovery smoke gate (also part of `check`):
+# Just the end-to-end crash-recovery smoke gate (part of tier-1):
 # kill -9 a live two-tenant daemon mid-stream, restart it, and require
 # a byte-identical digest; SIGTERM must drain to exit 0.
 serve-smoke:
@@ -76,7 +46,7 @@ serve-smoke:
 chaos:
 	$(PY) -m pytest -q -m chaos
 
-# The deterministic chaos gate (also part of `check`): drive a live
+# The deterministic chaos gate (part of tier-1): drive a live
 # two-tenant daemon through scripted rotate-while-reading, truncate,
 # disk-full-during-checkpoint, and SIGKILL-mid-tail, requiring a
 # byte-identical digest against an unfaulted run each time; the clean
@@ -92,7 +62,7 @@ chaos-smoke:
 placement:
 	$(PY) -m pytest -q -m placement tests/test_serve_rpc.py tests/test_serve_placement.py tests/test_placement_smoke.py
 
-# The partial-failure chaos gate (also part of `check`): a live
+# The partial-failure chaos gate (part of tier-1): a live
 # two-tenant daemon with per-tenant worker processes has one tenant's
 # worker SIGKILLed mid-stream; the survivor must be a strict no-op and
 # the victim must resume byte-identical, with the budget metric series
@@ -122,6 +92,17 @@ bench-ingest:
 # and benchmarks/results/throughput_streaming_lanes.txt).
 bench-scale:
 	REPRO_SCALE_MESSAGES=1000000 $(PY) -m pytest -q benchmarks/bench_throughput.py -k "scale_trajectory or streaming_lanes"
+
+# The ledger (BENCHMARK.json; benchmarks/ledger/README.md): all five
+# workloads end to end, each in a fresh child process, from a bare
+# checkout — run.py puts src/ on sys.path itself.
+bench-ledger:
+	python3 benchmarks/ledger/run.py --seed 7
+
+# The separate traced run: per-layer numbers and the ranked list,
+# including the per-lane core.stream.lane.* rows.
+bench-ledger-trace:
+	python3 benchmarks/ledger/run.py --seed 7 --trace 1
 
 clean:
 	rm -rf .pytest_cache $$(find . -name __pycache__ -type d)

@@ -183,7 +183,7 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
         raise SystemExit("need --log or at least one --source")
     config = DigestConfig(
         n_workers=args.workers,
-        stream_workers=getattr(args, "stream_workers", "threads"),
+        stream_workers=getattr(args, "stream_workers", "serial"),
     )
     ingest_config = IngestConfig(
         max_reorder_delay=args.max_reorder_delay,
@@ -804,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream-workers",
         choices=["serial", "threads", "processes"],
-        default="threads",
+        default="serial",
         help="streaming executor lane for the sharded steps (with "
         "--ingest/--source): 'processes' keeps one persistent worker "
         "process per shard; all lanes group identically",
@@ -935,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream-workers",
         choices=["serial", "threads", "processes"],
-        default="threads",
+        default="serial",
         help="with --stream: executor lane for the sharded steps "
         "('processes' = one persistent worker process per shard)",
     )
@@ -993,7 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard grouping by router over N threads",
+        help="shard the stream's grouping by router over N shards "
+        "(0 = all cores)",
     )
     p.add_argument(
         "--max-reorder-delay",
@@ -1045,7 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard grouping by router over N threads",
+        help="shard the stream's grouping by router over N shards "
+        "(0 = all cores)",
     )
     p.add_argument(
         "--keep",

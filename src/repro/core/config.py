@@ -47,23 +47,23 @@ class DigestConfig:
     # jittery UDP collector path cannot kill a live digest.
     skew_tolerance: float = 2.0
 
-    # Sharded parallel engine: number of workers the grouping passes are
-    # spread over (1 = serial, 0 = one per CPU core) and whether the
-    # stream is partitioned by router (the only sound shard axis for the
-    # temporal and rule passes, which never relate messages on different
-    # routers).
+    # Sharded engines: number of shards the grouping passes are spread
+    # over (1 = serial, 0 = one per CPU core), in batch and streaming
+    # alike.  The stream is always partitioned by router — the only
+    # sound shard axis for the temporal and rule passes, which never
+    # relate messages on different routers.
     n_workers: int = 1
-    shard_by_router: bool = True
 
-    # Streaming executor lane (DESIGN.md §12): how DigestStream runs its
-    # per-shard grouping steps.  "serial" steps shards inline, "threads"
-    # uses a thread pool (GIL-bound, cheap to start), "processes" spawns
-    # one persistent worker process per shard that owns its ShardState
-    # across batches — shared-nothing, knowledge broadcast once and
-    # re-broadcast only on an epoch-boundary hot swap.  All three lanes
-    # group byte-identically (gated in ``make check``); the shard count
-    # itself still comes from ``n_workers``.
-    stream_workers: str = "threads"
+    # Streaming executor lane (DESIGN.md §12): the transport that
+    # delivers DigestStream's per-shard steps.  "serial" (the default)
+    # steps shards inline, "threads" uses a thread pool (GIL-bound),
+    # "processes" keeps one persistent worker process per shard that
+    # owns its ShardState across batches.  All three group
+    # byte-identically; see the ledger rows
+    # (benchmarks/ledger/README.md) before choosing another lane — none
+    # has been measured faster than serial.  The shard count itself
+    # comes from ``n_workers``.
+    stream_workers: str = "serial"
 
     # Fault tolerance (streaming).  ``checkpoint_path`` + a positive
     # ``checkpoint_interval`` (stream-clock seconds between snapshots)
@@ -125,6 +125,12 @@ class DigestConfig:
                 f"swap_policy must be 'defer' or 'drain', "
                 f"got {self.swap_policy!r}"
             )
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before ``shard_by_router`` was retired
+        # (always True) still carry it in their pickled configs.
+        state.pop("shard_by_router", None)
+        self.__dict__.update(state)
 
     def with_temporal(self, params: TemporalParams) -> DigestConfig:
         """Copy with different temporal-grouping parameters."""

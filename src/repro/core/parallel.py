@@ -18,26 +18,15 @@ degrades to running the same shard tasks serially in-process — the result
 is identical either way, a property the tests pin.  Individual worker
 failures are survivable too: a shard task that raises is retried once on
 the pool, then falls back to in-process serial execution for that shard
-(see :meth:`ParallelGroupingEngine._run_shards`), so a dying worker
-degrades throughput, never correctness.
+— the same :func:`~repro.core.shards.run_ladder` the streaming executor
+uses — so a dying worker degrades throughput, never correctness.
 
-Streaming parallelism lives in :meth:`repro.core.stream.DigestStream.push_many`
-and shares the same shard axis, but its state machines are *stateful*
-across batches, so shipping them per call would swamp any win.  Instead
-:class:`StreamWorkerPool` (below) runs one persistent worker process per
-shard: each worker owns its :class:`~repro.core.stream.ShardState` for
-the stream's whole lifetime, the knowledge base crosses the process
-boundary once at spawn (and again only on an epoch-boundary hot swap),
-and every batch ships only slim step items out and plain edge lists
-back.  ``DigestConfig.stream_workers`` picks between that lane, the
-thread lane, and fully serial stepping — all three group byte-identically
-(gated in ``make check``).
+Streaming parallelism shares the same shard axis but its state machines
+are *stateful* across batches; it lives in :mod:`repro.core.shards`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,28 +44,18 @@ from repro.core.grouping import (
     temporal_edges,
 )
 from repro.core.knowledge import KnowledgeBase
+from repro.core.shards import POOL_ERRORS, resolve_workers, run_ladder
 from repro.core.syslogplus import SyslogPlus
 from repro.mining.temporal import TemporalParams
 from repro.obs import (
-    SHARD_FALLBACKS,
     SHARD_IMBALANCE,
     SHARD_MESSAGES,
-    SHARD_RETRIES,
     SHARD_SECONDS,
     SHARD_TASK_SECONDS,
-    STREAM_WORKER_ROUNDTRIPS,
-    STREAM_WORKER_RTT_SECONDS,
     get_registry,
     stage_timer,
 )
 from repro.utils.unionfind import DenseUnionFind
-
-
-def resolve_workers(n_workers: int) -> int:
-    """Turn the config knob into a concrete worker count (0 = all cores)."""
-    if n_workers == 0:
-        return os.cpu_count() or 1
-    return n_workers
 
 
 @dataclass(frozen=True)
@@ -148,27 +127,21 @@ def shard_edge_task(
 
 
 def timed_shard_edge_task(
-    payload,
+    payload, shard_id: int = 0, attempt: int = 0
 ) -> tuple[list[Edge], set[tuple[str, str]], float]:
-    """:func:`shard_edge_task` plus its wall time, measured in the worker.
+    """The production shard task: :func:`shard_edge_task` plus its wall
+    time, measured in the worker.
 
     The duration rides back with the result so per-shard timings survive
     the process boundary (a child's registry writes would be lost).
-    """
-    t0 = perf_counter()
-    edges, active = shard_edge_task(payload)
-    return edges, active, perf_counter() - t0
-
-
-def default_shard_task(payload, shard_id: int = 0, attempt: int = 0):
-    """The production shard task; top-level so the pool can pickle it.
-
     ``shard_id``/``attempt`` exist for fault-injecting wrappers (see
     :class:`repro.netsim.faults.FlakyShardTask`) — the real computation
     ignores both, so retries are trivially deterministic: shard tasks
     are pure functions of their payload.
     """
-    return timed_shard_edge_task(payload)
+    t0 = perf_counter()
+    edges, active = shard_edge_task(payload)
+    return edges, active, perf_counter() - t0
 
 
 class ParallelGroupingEngine:
@@ -191,39 +164,35 @@ class ParallelGroupingEngine:
         # The shard task must be a picklable top-level callable of
         # (payload, shard_id, attempt); overriding it is the seam the
         # fault-injection harness uses to make workers raise on demand.
-        self._task = task if task is not None else default_shard_task
+        self._task = task if task is not None else timed_shard_edge_task
 
     def group(self, stream: list[SyslogPlus]) -> GroupingOutcome:
         """Group the whole stream; input must be time-sorted."""
         cfg = self._config
-        n_workers = resolve_workers(cfg.n_workers)
-        if n_workers <= 1 or not cfg.shard_by_router or not stream:
+        plan = plan_shards(stream, resolve_workers(cfg.n_workers))
+        if plan.n_shards == 1:  # one worker, one router, or no messages
             return GroupingEngine(self._kb, cfg).group(stream)
 
-        plan = plan_shards(stream, n_workers)
-        shard_ids: list[int] = []
-        payloads = []
-        for shard_id, shard in enumerate(plan.split(stream)):
-            if not shard:
-                continue
-            shard_ids.append(shard_id)
-            payloads.append(
-                (
-                    shard,
-                    self._kb.temporal,
-                    cfg.flush_after,
-                    self._partners,
-                    cfg.window,
-                    self._kb.dictionary,
-                    cfg.enable_temporal,
-                    cfg.enable_rules,
-                )
+        # The LPT plan leaves no shard empty (n_shards <= routers), so
+        # a payload's position is its shard id.
+        payloads = [
+            (
+                shard,
+                self._kb.temporal,
+                cfg.flush_after,
+                self._partners,
+                cfg.window,
+                self._kb.dictionary,
+                cfg.enable_temporal,
+                cfg.enable_rules,
             )
+            for shard in plan.split(stream)
+        ]
 
         registry = get_registry()
         sizes = [len(payload[0]) for payload in payloads]
-        if registry.enabled and sizes:
-            for shard_id, size in zip(shard_ids, sizes):
+        if registry.enabled:
+            for shard_id, size in enumerate(sizes):
                 registry.set_gauge(
                     SHARD_MESSAGES, size, shard=str(shard_id)
                 )
@@ -239,8 +208,8 @@ class ParallelGroupingEngine:
         uf = DenseUnionFind(len(stream))
         active_rules: set[tuple[str, str]] = set()
         with stage_timer("shard_passes", registry):
-            results = self._run_shards(payloads, shard_ids)
-        for shard_id, (edges, active, seconds) in zip(shard_ids, results):
+            results = self._run_shards(payloads)
+        for shard_id, (edges, active, seconds) in enumerate(results):
             if registry.enabled:
                 registry.set_gauge(
                     SHARD_SECONDS, seconds, shard=str(shard_id)
@@ -259,303 +228,54 @@ class ParallelGroupingEngine:
         with stage_timer("collect", registry):
             return collect_outcome(stream, uf, active_rules, pos)
 
-    def _run_shards(self, payloads, shard_ids):
+    def _run_shards(self, payloads):
         """Run shard tasks on a process pool with per-task recovery.
 
-        Three layers of defense, so one bad worker can never kill the
-        digest:
-
-        1. a task that raises is retried once on the pool (transient
-           worker death, OOM kill, flaky interpreter state);
-        2. a task that fails its retry runs serially in-process using
-           the *production* task (bypassing any injected fault wrapper);
-        3. if the pool itself cannot be created or payloads cannot be
-           pickled, every task runs serially in-process.
-
-        Shard tasks are pure functions of their payload, so a retry or
-        fallback produces exactly the result the first attempt would
-        have — determinism tests pin this.
+        The shared ladder, so one bad worker can never kill the digest:
+        a task that raises is retried once on the pool (transient worker
+        death, OOM kill, flaky interpreter state); one that fails its
+        retry — or every task, when the pool cannot be created or a
+        payload cannot be pickled — runs serially in-process using the
+        *production* task.  Shard tasks are pure functions of their
+        payload, so a retry or fallback produces exactly the result the
+        first attempt would have — determinism tests pin this.
         """
-        n = len(payloads)
-        results: list = [None] * n
-        pending = list(range(n))
-        registry = get_registry()
-        if n > 1:
+        results: list = [None] * len(payloads)
+        try:
+            pool = ProcessPoolExecutor(max_workers=len(payloads))
+        except POOL_ERRORS:
+            pool = None  # no process support (sandboxed platform)
+
+        def run_attempt(pending, attempt, on_pool):
+            if not on_pool:
+                # The in-process fallback runs the production task
+                # directly: injected worker faults model *worker*
+                # failures and must not survive into the trusted path.
+                for i in pending:
+                    results[i] = timed_shard_edge_task(payloads[i])
+                return {}
             try:
-                with ProcessPoolExecutor(max_workers=n) as pool:
-                    for attempt in (0, 1):
-                        futures = {
-                            i: pool.submit(
-                                self._task,
-                                payloads[i],
-                                shard_ids[i],
-                                attempt,
-                            )
-                            for i in pending
-                        }
-                        still_failed = []
-                        for i, future in futures.items():
-                            try:
-                                results[i] = future.result()
-                            except Exception:
-                                still_failed.append(i)
-                        if still_failed and attempt == 0:
-                            if registry.enabled:
-                                registry.inc(
-                                    SHARD_RETRIES,
-                                    len(still_failed),
-                                    engine="batch",
-                                )
-                        pending = still_failed
-                        if not pending:
-                            break
-            except (
-                OSError,
-                ValueError,
-                RuntimeError,
-                TypeError,
-                AttributeError,
-                pickle.PicklingError,
-            ):
-                # No process support (sandboxed platform) or pool setup
-                # failure: same tasks, same results, one process.
-                pass
-        if pending and registry.enabled:
-            registry.inc(SHARD_FALLBACKS, len(pending), engine="batch")
-        for i in pending:
-            # In-process serial fallback runs the production task
-            # directly: injected worker faults model *worker* failures
-            # and must not survive into the trusted serial path.
-            results[i] = timed_shard_edge_task(payloads[i])
-        return results
-
-
-# --------------------------------------------------------------------------
-# Streaming worker processes (DESIGN.md §12)
-
-
-class WorkerProcessDied(RuntimeError):
-    """A streaming shard worker process died mid-conversation.
-
-    Unlike a *task* exception (which the stream retries in place), a
-    dead worker takes its shard's grouping state with it — the live
-    stream cannot recover transparently.  Resume from the last
-    checkpoint (``repro resume``), which rebuilds every shard from the
-    snapshot.
-    """
-
-
-def _stream_worker_main(conn, shard_id: int) -> None:
-    """Command loop of one streaming shard worker process.
-
-    The worker owns its :class:`~repro.core.stream.ShardState` for the
-    whole stream lifetime; every request mutates that state and replies
-    over the pipe.  Replies are ``("ok", value)``, ``("fault", repr,
-    done, edges)`` for a step fault after ``done`` fully-applied
-    messages (so the parent can retry from exactly the next one), or
-    ``("err", repr)`` for non-step failures.  Top-level so the spawn
-    start method can import it.
-    """
-    # Imported lazily: stream.py imports this module's pool at call
-    # time, so a top-level import here would be circular.
-    from repro.core.stream import ShardState
-
-    state: ShardState | None = None
-    fault_hook = step_hook = None
-    ppid = os.getppid()
-    while True:
-        try:
-            # Orphan watchdog: under the fork start method every worker
-            # inherits the parent ends of all the lane's pipes (its own
-            # included), so a SIGKILLed parent never produces EOF here —
-            # the workers would outlive the daemon forever, pinning its
-            # stdio pipes.  Re-parenting is the signal EOF can't give.
-            while not conn.poll(2.0):
-                if os.getppid() != ppid:
-                    return
-            request = conn.recv()
-        except (EOFError, OSError):
-            break
-        cmd = request[0]
-        try:
-            if cmd == "stop":
-                conn.send(("ok", None))
-                break
-            elif cmd == "init":
-                _, kb, config, partners, fault_hook, step_hook = request
-                state = ShardState(shard_id, kb, config, partners)
-                conn.send(("ok", None))
-            elif cmd == "steps":
-                _, items, attempt, use_hooks, base = request
-                edges: list[Edge] = []
-                done = 0
+                futures = {
+                    i: pool.submit(self._task, payloads[i], i, attempt)
+                    for i in pending
+                }
+            except POOL_ERRORS as exc:
+                return dict.fromkeys(pending, repr(exc))
+            errors = {}
+            for i, future in futures.items():
                 try:
-                    if use_hooks and fault_hook is not None:
-                        fault_hook(shard_id, attempt)
-                    for plus, now in items:
-                        if use_hooks and step_hook is not None:
-                            step_hook(shard_id, attempt, base + done)
-                        edges.extend(state.step(plus, now))
-                        # Only a fully-applied step advances the cursor:
-                        # the retry resumes at the failed message, never
-                        # replaying one into partially-advanced state.
-                        done += 1
+                    results[i] = future.result()
                 except Exception as exc:
-                    conn.send(("fault", repr(exc), done, edges))
-                else:
-                    conn.send(("ok", edges))
-            elif cmd == "adopt":
-                _, kb, config, partners, reset_splitters = request
-                state.adopt(kb, config, partners, reset_splitters)
-                conn.send(("ok", None))
-            elif cmd == "evict":
-                conn.send(("ok", state.evict_idle(request[1])))
-            elif cmd == "prune":
-                conn.send(("ok", state.prune(request[1])))
-            elif cmd == "snapshot":
-                conn.send(("ok", state.snapshot()))
-            elif cmd == "restore":
-                state.restore(request[1])
-                conn.send(("ok", None))
-            elif cmd == "counts":
-                conn.send(
-                    ("ok", (state.n_splitters, state.n_window_entries))
-                )
-            else:
-                conn.send(("err", f"unknown command {cmd!r}"))
-        except Exception as exc:  # non-step failure: report, keep serving
-            try:
-                conn.send(("err", repr(exc)))
-            except (OSError, BrokenPipeError):
-                break
-    conn.close()
+                    errors[i] = repr(exc)
+            return errors
 
-
-def _terminate_workers(processes, connections) -> None:
-    """Kill worker processes; module-level so weakref.finalize can hold it."""
-    for conn in connections:
         try:
-            conn.close()
-        except OSError:
-            pass
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=2.0)
-
-
-class StreamWorkerPool:
-    """Persistent per-shard worker processes for the streaming engine.
-
-    One daemon process per shard, spawned once and reused for every
-    batch.  Commands fan out over pipes to all addressed shards before
-    any reply is read, so shards genuinely step concurrently; replies
-    are collected in shard order, which keeps the merge deterministic.
-    Forked where the platform allows it (cheapest, and inherits the
-    parent's interpreter state); ``spawn`` otherwise.
-
-    Raises :class:`WorkerProcessDied` if a worker vanishes mid-call —
-    its shard state is gone, so the stream must be rebuilt from a
-    checkpoint rather than limp on with a silently reset shard.
-    """
-
-    def __init__(self, n_shards: int) -> None:
-        import multiprocessing as mp
-        import weakref
-
-        method = (
-            "fork" if "fork" in mp.get_all_start_methods() else None
-        )
-        ctx = mp.get_context(method)
-        self._conns = []
-        self._procs = []
-        for shard_id in range(n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_stream_worker_main,
-                args=(child_conn, shard_id),
-                daemon=True,
-                name=f"stream-shard-{shard_id}",
+            # Without a pool there is nothing to retry on: straight to
+            # the in-process rung, counted as fallbacks only.
+            run_ladder(
+                range(len(payloads)), run_attempt, "batch", pool is not None
             )
-            process.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(process)
-        # Daemon workers die with the interpreter regardless; the
-        # finalizer reclaims them as soon as the pool itself is dropped.
-        self._finalizer = weakref.finalize(
-            self, _terminate_workers, list(self._procs), list(self._conns)
-        )
-
-    @property
-    def n_workers(self) -> int:
-        """Live worker processes."""
-        return sum(1 for p in self._procs if p.is_alive())
-
-    def call_all(self, requests: dict[int, tuple]) -> dict[int, tuple]:
-        """Fan one request per shard out, gather one reply per shard.
-
-        All requests are written before any reply is read — the
-        concurrency of the lane lives here.  Replies come back exactly
-        as the worker sent them (``("ok", ...)`` / ``("fault", ...)``);
-        protocol-level ``("err", ...)`` replies raise.
-        """
-        if not requests:
-            return {}
-        t0 = perf_counter()
-        shard_order = sorted(requests)
-        cmd = requests[shard_order[0]][0]
-        for shard_id in shard_order:
-            try:
-                self._conns[shard_id].send(requests[shard_id])
-            except (OSError, BrokenPipeError) as exc:
-                raise WorkerProcessDied(
-                    f"stream worker {shard_id} is gone "
-                    f"(send {cmd!r} failed: {exc}); resume from the "
-                    "last checkpoint"
-                ) from exc
-        replies: dict[int, tuple] = {}
-        for shard_id in shard_order:
-            try:
-                reply = self._conns[shard_id].recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerProcessDied(
-                    f"stream worker {shard_id} died during {cmd!r}; "
-                    "its shard state is lost — resume from the last "
-                    "checkpoint"
-                ) from exc
-            if reply[0] == "err":
-                raise RuntimeError(
-                    f"stream worker {shard_id} failed {cmd!r}: {reply[1]}"
-                )
-            replies[shard_id] = reply
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc(
-                STREAM_WORKER_ROUNDTRIPS, len(shard_order), cmd=cmd
-            )
-            registry.observe(
-                STREAM_WORKER_RTT_SECONDS, perf_counter() - t0, cmd=cmd
-            )
-        return replies
-
-    def broadcast(self, request: tuple) -> dict[int, tuple]:
-        """Send the same request to every shard; gather all replies."""
-        return self.call_all(
-            {shard_id: request for shard_id in range(len(self._conns))}
-        )
-
-    def shutdown(self) -> None:
-        """Stop every worker cleanly; idempotent."""
-        for shard_id, conn in enumerate(self._conns):
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                continue
-        for conn in self._conns:
-            try:
-                conn.recv()
-            except (EOFError, OSError):
-                pass
-        self._finalizer()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return results

@@ -7,18 +7,16 @@ for rules, the cross-router skew).  Batch :meth:`SyslogDigest.digest` and a
 push-everything-then-close stream produce identical groupings; a test pins
 that equivalence.
 
-Grouping state is factored into :class:`ShardState` instances holding the
-per-router machinery (temporal splitters, rule windows).  Because the
-temporal and rule passes never relate messages on different routers, the
-stream can be partitioned by router across several shard states whose
-steps are independent — :meth:`DigestStream.push_many` exploits that
-through one of three executor lanes behind ``DigestConfig.stream_workers``
-(DESIGN.md §12): ``serial`` steps shards inline, ``threads`` runs them on
-a thread pool, and ``processes`` keeps one persistent worker process per
-shard which owns its :class:`ShardState` across batches, receiving the
-knowledge base once at spawn and again only on a hot swap.  The
-cross-router window and the union-find stay global in every lane, and
-all three lanes group byte-identically (``make check`` gates it).
+Grouping state is factored into :class:`~repro.core.shards.ShardState`
+instances holding the per-router machinery (temporal splitters, rule
+windows).  Because the temporal and rule passes never relate messages
+on different routers, the stream can be partitioned by router across
+several shard states whose steps are independent; *how* they are stepped
+is the business of the one :class:`~repro.core.shards.ShardExecutor`
+(DESIGN.md §12) and can never change a digest.  ``serial`` is the
+default lane; ``threads`` and ``processes`` stay selectable behind
+``DigestConfig.stream_workers`` and group byte-identically.  The
+cross-router window and the union-find stay global in every lane.
 Long-running streams stay bounded: splitters idle past the flush horizon
 are evicted (and lazily reset on next touch, mirroring the batch engine
 exactly), and window entries of finalized messages are dropped at every
@@ -31,11 +29,9 @@ with :meth:`DigestStream.snapshot` and rebuilt with
 :mod:`repro.core.checkpoint`) — the process lane's worker states ride
 through the same snapshot, so checkpoints restore across lanes.  A shard
 whose step raises mid-batch is retried once and then resumed hook-free,
-always from *exactly* the first unapplied message: every lane tracks a
-per-shard progress cursor plus the edges already produced, so a retry
-can never replay messages into partially-advanced splitter or window
-state.  ``max_open_messages`` turns on load shedding (whole groups
-force-finalized early, oldest first).
+always from *exactly* the first unapplied message
+(:func:`~repro.core.shards.run_ladder`).  ``max_open_messages`` turns on
+load shedding (whole groups force-finalized early, oldest first).
 
 Knowledge lifecycle (DESIGN.md §9): a promoted
 :class:`~repro.core.knowledge.KnowledgeBase` can be hot-swapped into a
@@ -49,13 +45,11 @@ version it was checkpointed with, and the swap must be re-requested.
 
 from __future__ import annotations
 
-import pickle
 import time
 import zlib
 from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
+from itertools import chain
 
 from repro.core.config import DigestConfig
 from repro.core.events import NetworkEvent
@@ -67,13 +61,20 @@ from repro.core.grouping import (
 from repro.core.knowledge import KnowledgeBase
 from repro.core.present import event_label
 from repro.core.priority import Prioritizer
+
+# StepItem and ShardState are re-exported: checkpoints written before
+# the move to core/shards.py pickle ``repro.core.stream.StepItem`` by
+# module path, and must keep loading.
+from repro.core.shards import (  # noqa: F401
+    ShardExecutor,
+    ShardState,
+    StepItem,
+    prune_window,
+    resolve_workers,
+)
 from repro.core.syslogplus import Augmenter, SyslogPlus
-from repro.locations.spatial import spatially_matched
-from repro.mining.temporal import TemporalSplitter
 from repro.obs import (
     CHECKPOINT_AGE,
-    SHARD_FALLBACKS,
-    SHARD_RETRIES,
     STREAM_EVICTED,
     STREAM_FINALIZED,
     STREAM_KB_SWAP_PENDING,
@@ -106,25 +107,6 @@ from repro.utils.unionfind import UnionFind
 #: (ingest snapshot v2), so checkpoints resume byte-offset tailing.
 SNAPSHOT_VERSION = 6
 
-
-class StepItem(NamedTuple):
-    """The shard-step view of one admitted message.
-
-    Exactly the fields :meth:`ShardState.step` reads, and nothing else.
-    The process lane ships one of these over a pipe per message, so the
-    payload stays five plain fields instead of a full Syslog+ (whose
-    template and location baggage the shard passes never touch).  All
-    lanes step on StepItems, so shard state — including what a
-    checkpoint captures — is identical whichever lane produced it.
-    """
-
-    index: int
-    timestamp: float
-    router: str
-    template_key: str
-    primary_location: object
-
-
 def _step_item(plus: SyslogPlus) -> StepItem:
     return StepItem(
         plus.index,
@@ -133,6 +115,21 @@ def _step_item(plus: SyslogPlus) -> StepItem:
         plus.template_key,
         plus.primary_location,
     )
+
+
+#: The cumulative health counters, by snapshot key, and the metric each
+#: is flushed to.  The stream keeps them as one dict that a checkpoint
+#: carries verbatim.
+COUNTER_METRICS: dict[str, str] = {
+    "evicted": STREAM_EVICTED,
+    "pruned": STREAM_PRUNED,
+    "skew_clamped": STREAM_SKEW_CLAMPED,
+    "skew_rejected": STREAM_SKEW_REJECTED,
+    "finalized": STREAM_FINALIZED,
+    "shed_events": STREAM_SHED_EVENTS,
+    "shed_messages": STREAM_SHED_MESSAGES,
+    "swaps": STREAM_KB_SWAPS,
+}
 
 #: Every key :meth:`DigestStream.health` reports, documented in one
 #: place (DESIGN.md §8 renders this table; tests pin the key set).
@@ -158,524 +155,15 @@ HEALTH_KEYS: dict[str, str] = {
 }
 
 
-class ShardState:
-    """Per-shard grouping state: temporal splitters plus rule windows.
-
-    One shard owns a subset of the routers; all its structures are keyed
-    by router (or by a router-containing key), so two shards never touch
-    the same entries and their steps can run concurrently.  Steps return
-    edges over global message indices instead of mutating the shared
-    union-find, which keeps them side-effect free outside the shard.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        kb: KnowledgeBase,
-        config: DigestConfig,
-        partners: dict[str, tuple[str, ...]],
-    ) -> None:
-        self._shard_id = shard_id
-        self._kb = kb
-        self._config = config
-        self._partners = partners
-        self._splitters: dict[tuple, TemporalSplitter] = {}
-        # Splitter instance serials namespace temporal group identities,
-        # so an evicted-and-recreated splitter can never union with the
-        # groups of its predecessor.  (shard_id, serial) is globally
-        # unique across shards.
-        self._serial_of: dict[tuple, int] = {}
-        self._n_created = 0
-        self._temporal_tail: dict[tuple, int] = {}
-        # router -> template_key -> deque of (arrival ts, step item)
-        self._rule_window: dict[
-            str, dict[str, deque[tuple[float, StepItem]]]
-        ] = {}
-
-    # ----------------------------------------------------------------- steps
-
-    def step(self, plus: StepItem, now: float) -> list[Edge]:
-        """Run the shard-local passes for one message; return new edges."""
-        edges: list[Edge] = []
-        if self._config.enable_temporal:
-            edge = self._temporal_step(plus, now)
-            if edge is not None:
-                edges.append(edge)
-        if self._config.enable_rules:
-            edges.extend(self._rule_step(plus, now))
-        return edges
-
-    def _temporal_step(self, plus: StepItem, now: float) -> Edge | None:
-        key = (plus.router, plus.template_key, plus.primary_location)
-        splitter = self._splitters.get(key)
-        if (
-            splitter is not None
-            and now - splitter.last_ts > self._config.flush_after
-        ):
-            # Lazy rhythm reset past the flush horizon — identical to the
-            # batch engine's rule, so groupings stay equivalent whether or
-            # not the sweep already evicted the idle splitter.
-            splitter = None
-        if splitter is None:
-            splitter = TemporalSplitter(
-                self._config.temporal,
-                skew_tolerance=self._config.skew_tolerance,
-            )
-            self._splitters[key] = splitter
-            self._serial_of[key] = self._n_created
-            self._n_created += 1
-        group = splitter.observe(plus.timestamp)
-        group_key = (self._serial_of[key], group)
-        tail = self._temporal_tail.get(group_key)
-        self._temporal_tail[group_key] = plus.index
-        if tail is not None:
-            return (tail, plus.index)
-        return None
-
-    def _rule_step(self, plus: StepItem, now: float) -> list[Edge]:
-        edges: list[Edge] = []
-        window = self._config.window
-        by_template = self._rule_window.setdefault(plus.router, {})
-        horizon = now - window
-        for partner in self._partners.get(plus.template_key, ()):
-            queue = by_template.get(partner)
-            if not queue:
-                continue
-            while queue and queue[0][0] < horizon:
-                queue.popleft()
-            for _ts, other in queue:
-                if spatially_matched(
-                    self._kb.dictionary,
-                    other.primary_location,
-                    plus.primary_location,
-                ):
-                    edges.append((other.index, plus.index))
-        own = by_template.setdefault(plus.template_key, deque())
-        while own and own[0][0] < horizon:
-            own.popleft()
-        own.append((now, plus))
-        return edges
-
-    # ------------------------------------------------------------ maintenance
-
-    def evict_idle(self, horizon: float) -> int:
-        """Drop splitters whose key has been quiet past ``horizon``.
-
-        Safe because the lazy reset in :meth:`_temporal_step` would
-        recreate them from scratch on next touch anyway.  Returns how
-        many splitters were evicted (stream health accounting).
-        """
-        idle = [
-            key
-            for key, splitter in self._splitters.items()
-            if splitter.last_ts < horizon
-        ]
-        for key in idle:
-            del self._splitters[key]
-            del self._serial_of[key]
-        return len(idle)
-
-    def prune(self, open_indices: set[int]) -> int:
-        """Drop window/tail entries that reference finalized messages.
-
-        Returns the number of entries dropped (stream health accounting).
-        """
-        dropped = 0
-        kept_tails = {
-            key: idx
-            for key, idx in self._temporal_tail.items()
-            if idx in open_indices
-        }
-        dropped += len(self._temporal_tail) - len(kept_tails)
-        self._temporal_tail = kept_tails
-        for router in list(self._rule_window):
-            by_template = self._rule_window[router]
-            for template in list(by_template):
-                kept = deque(
-                    item
-                    for item in by_template[template]
-                    if item[1].index in open_indices
-                )
-                dropped += len(by_template[template]) - len(kept)
-                if kept:
-                    by_template[template] = kept
-                else:
-                    del by_template[template]
-            if not by_template:
-                del self._rule_window[router]
-        return dropped
-
-    def adopt(
-        self,
-        kb: KnowledgeBase,
-        config: DigestConfig,
-        partners: dict[str, tuple[str, ...]],
-        reset_splitters: bool,
-    ) -> None:
-        """Switch the shard to a newly promoted knowledge base.
-
-        Called only at an epoch boundary (no open groups), when the rule
-        and temporal-tail windows are already empty.  Splitters carry
-        learned per-signature rhythm that stays valid across a refresh,
-        so they are kept — unless the temporal parameters themselves
-        changed, in which case they are dropped and will be lazily
-        rebuilt.  ``_n_created`` is *never* reset: group serials must
-        stay unique across the swap or a post-swap group could union
-        with a pre-swap one.
-        """
-        self._kb = kb
-        self._config = config
-        self._partners = partners
-        if reset_splitters:
-            self._splitters = {}
-            self._serial_of = {}
-
-    # ------------------------------------------------------------- snapshot
-
-    def snapshot(self) -> dict:
-        """Plain-data capture of the shard's grouping state.
-
-        Splitters are decomposed into their scalar fields rather than
-        pickled as live objects, so :meth:`restore` always rebuilds
-        fresh instances — an evicted-then-restored key can never
-        resurrect stale EWMA state that the eviction already discarded.
-        """
-        return {
-            "splitters": {
-                key: {
-                    "last_ts": splitter._last_ts,
-                    "group": splitter._group,
-                    "ewma_prediction": splitter._ewma.prediction,
-                    "ewma_count": splitter._ewma.count,
-                }
-                for key, splitter in self._splitters.items()
-            },
-            "serial_of": dict(self._serial_of),
-            "n_created": self._n_created,
-            "temporal_tail": dict(self._temporal_tail),
-            "rule_window": {
-                router: {
-                    template: list(queue)
-                    for template, queue in by_template.items()
-                }
-                for router, by_template in self._rule_window.items()
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Rebuild the shard from a :meth:`snapshot` capture."""
-        self._splitters = {}
-        for key, fields in state["splitters"].items():
-            splitter = TemporalSplitter(
-                self._config.temporal,
-                skew_tolerance=self._config.skew_tolerance,
-            )
-            splitter._last_ts = fields["last_ts"]
-            splitter._group = fields["group"]
-            splitter._ewma._prediction = fields["ewma_prediction"]
-            splitter._ewma._count = fields["ewma_count"]
-            self._splitters[key] = splitter
-        self._serial_of = dict(state["serial_of"])
-        self._n_created = state["n_created"]
-        self._temporal_tail = dict(state["temporal_tail"])
-        self._rule_window = {
-            router: {
-                template: deque(entries)
-                for template, entries in by_template.items()
-            }
-            for router, by_template in state["rule_window"].items()
-        }
-
-    @property
-    def n_splitters(self) -> int:
-        """Live temporal splitters (exposed for leak tests)."""
-        return len(self._splitters)
-
-    @property
-    def n_window_entries(self) -> int:
-        """Live rule-window entries (exposed for leak tests)."""
-        return sum(
-            len(queue)
-            for by_template in self._rule_window.values()
-            for queue in by_template.values()
-        )
-
-
-class _LocalShards:
-    """Serial and thread executor lanes: shard states live in-process.
-
-    Both in-process lanes share one retry ladder with the process lane:
-    attempt 0 runs with the fault hooks armed, a failed shard gets one
-    retry (attempt 1, hooks still armed, counted as a shard retry), and
-    a shard that fails its retry is resumed hook-free (counted as a
-    fallback).  Every attempt resumes at the shard's progress cursor —
-    the first message whose step did not fully apply — with the edges of
-    the already-applied prefix kept, so a retry never replays a message
-    into partially-advanced splitter or window state (the shard-retry
-    corruption this ladder replaced).
-    """
-
-    #: In-process lanes have no worker processes (metrics gauge).
-    n_worker_processes = 0
-
-    def __init__(
-        self,
-        lane: str,
-        states: list[ShardState],
-        fault_hook: Callable[[int, int], None] | None,
-        step_hook: Callable[[int, int, int], None] | None,
-    ) -> None:
-        self._lane = lane
-        self._states = states
-        self._fault_hook = fault_hook
-        self._step_hook = step_hook
-
-    def step_one(
-        self, shard_id: int, item: StepItem, now: float
-    ) -> list[Edge]:
-        return self._states[shard_id].step(item, now)
-
-    def step_many(
-        self, per_shard: dict[int, list[tuple[StepItem, float]]]
-    ) -> dict[int, list[Edge]]:
-        shard_order = sorted(per_shard)
-        progress = dict.fromkeys(shard_order, 0)
-        edges: dict[int, list[Edge]] = {sid: [] for sid in shard_order}
-        registry = get_registry()
-
-        def run(shard_id: int, attempt: int, use_hooks: bool = True):
-            state = self._states[shard_id]
-            items = per_shard[shard_id]
-            out = edges[shard_id]
-            if use_hooks and self._fault_hook is not None:
-                self._fault_hook(shard_id, attempt)
-            i = progress[shard_id]
-            while i < len(items):
-                if use_hooks and self._step_hook is not None:
-                    self._step_hook(shard_id, attempt, i)
-                item, now = items[i]
-                stepped = state.step(item, now)
-                if stepped:
-                    out.extend(stepped)
-                # Only a fully-applied step advances the cursor, so the
-                # next attempt resumes at the failed message.
-                i += 1
-                progress[shard_id] = i
-
-        retry_failed: list[int] = []
-        if self._lane == "threads" and len(shard_order) > 1:
-            with ThreadPoolExecutor(max_workers=len(shard_order)) as pool:
-                futures = {
-                    shard_id: pool.submit(run, shard_id, 0)
-                    for shard_id in shard_order
-                }
-                failed: list[int] = []
-                for shard_id, future in futures.items():
-                    try:
-                        future.result()
-                    except Exception:
-                        failed.append(shard_id)
-                for shard_id in failed:
-                    if registry.enabled:
-                        registry.inc(SHARD_RETRIES, engine="stream")
-                    try:
-                        pool.submit(run, shard_id, 1).result()
-                    except Exception:
-                        retry_failed.append(shard_id)
-        else:
-            for shard_id in shard_order:
-                try:
-                    run(shard_id, 0)
-                except Exception:
-                    if registry.enabled:
-                        registry.inc(SHARD_RETRIES, engine="stream")
-                    try:
-                        run(shard_id, 1)
-                    except Exception:
-                        retry_failed.append(shard_id)
-        for shard_id in retry_failed:
-            # The final resume bypasses the fault hooks — injected
-            # worker faults must never kill the digest — but a genuine
-            # repeated step failure propagates.
-            if registry.enabled:
-                registry.inc(SHARD_FALLBACKS, engine="stream")
-            run(shard_id, 2, use_hooks=False)
-        return edges
-
-    def evict_idle(self, horizon: float) -> int:
-        return sum(state.evict_idle(horizon) for state in self._states)
-
-    def prune(self, open_indices: set[int]) -> int:
-        return sum(state.prune(open_indices) for state in self._states)
-
-    def adopt(self, kb, config, partners, reset_splitters: bool) -> None:
-        for state in self._states:
-            state.adopt(kb, config, partners, reset_splitters)
-
-    def snapshots(self) -> list[dict]:
-        return [state.snapshot() for state in self._states]
-
-    def restore_shards(self, shards: list[dict]) -> None:
-        for state, captured in zip(self._states, shards):
-            state.restore(captured)
-
-    def counts(self) -> tuple[int, int]:
-        return (
-            sum(state.n_splitters for state in self._states),
-            sum(state.n_window_entries for state in self._states),
-        )
-
-    def shutdown(self) -> None:
-        pass
-
-
-class _ProcessShards:
-    """Process executor lane: persistent workers own the shard states.
-
-    One :class:`~repro.core.parallel.StreamWorkerPool` worker per shard,
-    spawned once when the stream is constructed.  The knowledge base and
-    the (picklable) fault hooks cross the process boundary exactly once
-    here — and again only when an epoch-boundary hot swap broadcasts the
-    newly adopted base — so steady-state batches ship nothing but slim
-    step items out and plain edge lists back.  The retry ladder matches
-    :class:`_LocalShards`; the worker reports how many messages of an
-    attempt fully applied, and the parent re-sends only the unapplied
-    suffix.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        kb: KnowledgeBase,
-        config: DigestConfig,
-        partners: dict[str, tuple[str, ...]],
-        fault_hook,
-        step_hook,
-    ) -> None:
-        from repro.core.parallel import StreamWorkerPool
-
-        self._n_shards = n_shards
-        self._pool = StreamWorkerPool(n_shards)
-        self._pool.broadcast(
-            ("init", kb, config, partners, fault_hook, step_hook)
-        )
-
-    @property
-    def n_worker_processes(self) -> int:
-        return self._pool.n_workers
-
-    def step_one(
-        self, shard_id: int, item: StepItem, now: float
-    ) -> list[Edge]:
-        reply = self._pool.call_all(
-            {shard_id: ("steps", [(item, now)], 0, False, 0)}
-        )[shard_id]
-        if reply[0] == "fault":
-            raise RuntimeError(
-                f"stream worker {shard_id} step failed: {reply[1]}"
-            )
-        return reply[1]
-
-    def step_many(
-        self, per_shard: dict[int, list[tuple[StepItem, float]]]
-    ) -> dict[int, list[Edge]]:
-        registry = get_registry()
-        shard_order = sorted(per_shard)
-        progress = dict.fromkeys(shard_order, 0)
-        edges: dict[int, list[Edge]] = {sid: [] for sid in shard_order}
-        errors: dict[int, str] = {}
-        pending = list(shard_order)
-        for attempt, use_hooks in ((0, True), (1, True), (2, False)):
-            if not pending:
-                break
-            if registry.enabled and attempt == 1:
-                registry.inc(
-                    SHARD_RETRIES, len(pending), engine="stream"
-                )
-            if registry.enabled and attempt == 2:
-                registry.inc(
-                    SHARD_FALLBACKS, len(pending), engine="stream"
-                )
-            replies = self._pool.call_all(
-                {
-                    shard_id: (
-                        "steps",
-                        per_shard[shard_id][progress[shard_id]:],
-                        attempt,
-                        use_hooks,
-                        progress[shard_id],
-                    )
-                    for shard_id in pending
-                }
-            )
-            still_failed: list[int] = []
-            for shard_id in pending:
-                reply = replies[shard_id]
-                if reply[0] == "ok":
-                    edges[shard_id].extend(reply[1])
-                else:  # ("fault", repr, done, edges-so-far)
-                    _, err, done, partial = reply
-                    progress[shard_id] += done
-                    edges[shard_id].extend(partial)
-                    errors[shard_id] = err
-                    still_failed.append(shard_id)
-            pending = still_failed
-        if pending:
-            raise RuntimeError(
-                "stream shard steps failed even after the hook-free "
-                "resume: "
-                + "; ".join(
-                    f"shard {sid}: {errors[sid]}" for sid in pending
-                )
-            )
-        return edges
-
-    def evict_idle(self, horizon: float) -> int:
-        replies = self._pool.broadcast(("evict", horizon))
-        return sum(reply[1] for reply in replies.values())
-
-    def prune(self, open_indices: set[int]) -> int:
-        replies = self._pool.broadcast(("prune", open_indices))
-        return sum(reply[1] for reply in replies.values())
-
-    def adopt(self, kb, config, partners, reset_splitters: bool) -> None:
-        self._pool.broadcast(
-            ("adopt", kb, config, partners, reset_splitters)
-        )
-
-    def snapshots(self) -> list[dict]:
-        replies = self._pool.broadcast(("snapshot",))
-        return [replies[shard_id][1] for shard_id in range(self._n_shards)]
-
-    def restore_shards(self, shards: list[dict]) -> None:
-        self._pool.call_all(
-            {
-                shard_id: ("restore", captured)
-                for shard_id, captured in enumerate(shards)
-            }
-        )
-
-    def counts(self) -> tuple[int, int]:
-        replies = self._pool.broadcast(("counts",))
-        return (
-            sum(reply[1][0] for reply in replies.values()),
-            sum(reply[1][1] for reply in replies.values()),
-        )
-
-    def shutdown(self) -> None:
-        self._pool.shutdown()
-
-
 class DigestStream:
     """Online digester: ``push`` messages in time order, collect events.
 
-    With ``config.n_workers > 1`` the per-router grouping state is
-    partitioned across that many :class:`ShardState` instances and
-    :meth:`push_many` runs their steps on the executor lane selected by
-    ``config.stream_workers`` — inline, on a thread pool, or on
-    persistent per-shard worker processes; :meth:`push` stays strictly
-    sequential either way, and the grouping is identical for any worker
-    count and any lane.
+    With ``config.n_workers`` other than 1 (0 = one per core) the
+    per-router grouping state is partitioned across that many
+    :class:`ShardState` instances, stepped on the executor lane selected
+    by ``config.stream_workers`` — inline (the default), on a thread
+    pool, or on persistent per-shard worker processes.  The grouping is
+    identical for any worker count and any lane.
     """
 
     def __init__(
@@ -701,28 +189,9 @@ class DigestStream:
         self._last_ts: float | None = None
         self._last_sweep: float | None = None
         self._sweep_interval = sweep_interval
-        # Fault-injection seams for the shard step lanes.  fault_hook is
-        # called as hook(shard_id, attempt) at the *start* of each shard
-        # attempt, before any state is touched; step_fault_hook as
-        # hook(shard_id, attempt, message_position) before *each*
-        # message's step, so an injected mid-list failure lands at a
-        # chosen message with the prefix cleanly applied.  Attempt 0 is
-        # the first run, 1 the retry; the final hook-free resume
-        # bypasses both.  The process lane ships the hooks to its
-        # workers at spawn, so they must be picklable there (see
-        # repro.netsim.faults.StreamWorkerFault / MidStepFault).
-        self._fault_hook = fault_hook
-        self._step_fault_hook = step_fault_hook
-
         # Health accounting: plain ints on the hot path, flushed to the
         # metrics registry only at sweep granularity.
-        self._n_evicted = 0
-        self._n_pruned = 0
-        self._n_skew_clamped = 0
-        self._n_skew_rejected = 0
-        self._n_finalized_events = 0
-        self._n_shed_events = 0
-        self._n_shed_messages = 0
+        self._counts: dict[str, int] = dict.fromkeys(COUNTER_METRICS, 0)
         self._emitted: dict[str, float] = {}
         self._quarantine = None  # attached via attach_quarantine()
         self._ingest = None  # attached via attach_ingest()
@@ -744,11 +213,21 @@ class DigestStream:
         self._kb_version = kb_version
         self._pending_kb: KnowledgeBase | None = None
         self._pending_kb_version: int | str | None = None
-        self._n_swaps = 0
 
-        n_shards = self._config.n_workers if self._config.shard_by_router else 1
-        self._n_shards = max(1, n_shards)
-        self._exec = self._make_executor(kb)
+        self._n_shards = resolve_workers(self._config.n_workers)
+        # fault_hook / step_fault_hook are ShardState's fault-injection
+        # seams.  The process lane ships them to its workers at spawn,
+        # so they must be picklable there (see
+        # repro.netsim.faults.StreamWorkerFault / MidStepFault).
+        self._exec = ShardExecutor(
+            self._config.stream_workers,
+            self._n_shards,
+            kb,
+            self._config,
+            self._partners,
+            fault_hook,
+            step_fault_hook,
+        )
         # router -> shard index, so the per-message hot path hashes the
         # router name once instead of crc32-ing it on every push.  Router
         # names are external input; clear-on-full bounds the table.
@@ -767,48 +246,9 @@ class DigestStream:
 
     @property
     def stream_lane(self) -> str:
-        """The executor lane actually running (may differ from the
-        configured one: the process lane degrades to ``threads`` where
-        worker processes cannot be spawned, and to ``serial`` with a
-        single shard — the grouping is identical either way)."""
-        return self._stream_lane
-
-    def _make_executor(self, kb: KnowledgeBase):
-        lane = self._config.stream_workers
-        if lane == "processes" and self._n_shards > 1:
-            try:
-                executor = _ProcessShards(
-                    self._n_shards,
-                    kb,
-                    self._config,
-                    self._partners,
-                    self._fault_hook,
-                    self._step_fault_hook,
-                )
-                self._stream_lane = "processes"
-                return executor
-            except (
-                OSError,
-                ValueError,
-                RuntimeError,
-                TypeError,
-                AttributeError,
-                pickle.PicklingError,
-            ):
-                # No process support (sandboxed platform) or unpicklable
-                # knowledge/hooks: degrade to the thread lane — same
-                # grouping, just without the extra cores.
-                lane = "threads"
-        elif lane == "processes":
-            lane = "serial"  # one shard: nothing to fan out
-        self._stream_lane = lane
-        states = [
-            ShardState(shard, kb, self._config, self._partners)
-            for shard in range(self._n_shards)
-        ]
-        return _LocalShards(
-            lane, states, self._fault_hook, self._step_fault_hook
-        )
+        """The executor lane actually running — may differ from the
+        configured one, see :class:`ShardExecutor`."""
+        return self._exec.lane
 
     def shutdown_workers(self) -> None:
         """Stop the process lane's workers (no-op for in-process lanes).
@@ -862,14 +302,14 @@ class DigestStream:
             self._last_ts is not None
             and message.timestamp < self._last_ts - tolerance
         ):
-            self._n_skew_rejected += 1
+            self._counts["skew_rejected"] += 1
             raise ValueError(
                 "messages must be pushed in non-decreasing time order "
                 f"(got {message.timestamp}, stream clock {self._last_ts}, "
                 f"skew tolerance {tolerance}s)"
             )
         if self._last_ts is not None and message.timestamp < self._last_ts:
-            self._n_skew_clamped += 1
+            self._counts["skew_clamped"] += 1
         # The stream clock never runs backwards; a slightly-late message
         # is processed as if it arrived at the current clock.
         now = (
@@ -884,7 +324,11 @@ class DigestStream:
         return plus, now
 
     def push(self, message: SyslogMessage) -> list[NetworkEvent]:
-        """Process one message; return any events finalized by its arrival."""
+        """Process one message; return any events finalized by its arrival.
+
+        One hook-free :meth:`ShardState.step` over the transport: a
+        single message has no prefix to resume, so it skips the ladder.
+        """
         swapped: list[NetworkEvent] = []
         if self._pending_kb is not None:
             # Before admitting, see whether the gap up to this message
@@ -893,14 +337,8 @@ class DigestStream:
             swapped = self._swap_boundary(message.timestamp)
         plus, now = self._admit(message)
         shard_id = self._shard_index(plus.router)
-        for a, b in self._exec.step_one(shard_id, _step_item(plus), now):
-            self._uf.union(a, b)
-        if self._config.enable_cross_router:
-            for a, b in self._cross_step(plus, now):
-                self._uf.union(a, b)
-        events = self._maybe_sweep(now)
-        shed = self._shed()
-        out = events + shed if shed else events
+        request = {shard_id: ("step", (_step_item(plus), now))}
+        out = self._merge([(plus, now)], self._exec.call(request)[shard_id])
         return swapped + out if swapped else out
 
     def push_many(
@@ -908,21 +346,18 @@ class DigestStream:
     ) -> list[NetworkEvent]:
         """Push a time-ordered batch, sharding the per-router passes.
 
-        Shard steps run concurrently on the configured executor lane
-        (one unit of work per shard, each processing its messages in
-        arrival order); the cross-router pass and the union-find merge
-        then run once over the whole batch.  Produces the same grouping
-        as message-by-message :meth:`push`.
+        One unit of work per shard, each stepping its messages in
+        arrival order on the executor; the cross-router pass and the
+        union-find merge then run once over the whole batch.  Produces
+        the same grouping as message-by-message :meth:`push`.
 
         While a knowledge hot swap is pending, messages are processed
         one at a time through :meth:`push` until the swap adopts:
         :meth:`push` re-checks the epoch boundary before every message,
         so adoption lands at the same intra-batch instant it would under
-        per-message pushing.  (Checking only at the batch head deferred
-        a mid-batch boundary to the next batch — a divergence between
-        ``push`` and ``push_many`` that a hot-swap test now pins.)
-        Pending swaps are transient, so the per-message prefix ends at
-        the adoption boundary and the batch lane resumes.
+        per-message pushing (a hot-swap test pins it).  Pending swaps
+        are transient, so the per-message prefix ends at the adoption
+        boundary and the batch path resumes.
         """
         incoming = list(messages)
         out: list[NetworkEvent] = []
@@ -939,21 +374,27 @@ class DigestStream:
             per_shard.setdefault(
                 self._shard_index(plus.router), []
             ).append((_step_item(plus), now))
-
         edge_lists = self._exec.step_many(per_shard)
-        for shard_id in sorted(edge_lists):
-            for a, b in edge_lists[shard_id]:
-                self._uf.union(a, b)
+        out.extend(
+            self._merge(batch, chain.from_iterable(edge_lists.values()))
+        )
+        return out
 
+    def _merge(
+        self,
+        batch: list[tuple[SyslogPlus, float]],
+        shard_edges: Iterable[Edge],
+    ) -> list[NetworkEvent]:
+        """Union the shard edges, run the cross-router pass, sweep, shed."""
+        for a, b in shard_edges:
+            self._uf.union(a, b)
         if self._config.enable_cross_router:
             for plus, now in batch:
                 for a, b in self._cross_step(plus, now):
                     self._uf.union(a, b)
         events = self._maybe_sweep(batch[-1][1])
         shed = self._shed()
-        out.extend(events)
-        out.extend(shed)
-        return out
+        return events + shed if shed else events
 
     def close(self) -> list[NetworkEvent]:
         """Finalize and return all remaining open groups."""
@@ -978,7 +419,7 @@ class DigestStream:
     @property
     def n_swaps(self) -> int:
         """Completed knowledge swaps over this stream's lifetime."""
-        return self._n_swaps
+        return self._counts["swaps"]
 
     def request_swap(
         self,
@@ -1059,10 +500,11 @@ class DigestStream:
         self._prioritizer = Prioritizer(kb)
         self._partners = build_rule_partners(kb.rule_pairs())
         # The one re-broadcast of the stream's lifetime: the process
-        # lane ships the adopted base to every worker here; in-process
-        # lanes just re-point their shard states.
-        self._exec.adopt(kb, self._config, self._partners, reset_splitters)
-        self._n_swaps += 1
+        # lane ships the adopted base to every worker here.
+        self._exec.broadcast(
+            "adopt", kb, self._config, self._partners, reset_splitters
+        )
+        self._counts["swaps"] += 1
 
     # ------------------------------------------------------- snapshot/restore
 
@@ -1101,21 +543,12 @@ class DigestStream:
             "n_admitted": self._augmenter._counter,
             "open": dict(self._open),
             "components": components,
-            "shards": self._exec.snapshots(),
+            "shards": self._exec.broadcast("snapshot"),
             "cross_window": {
                 template: list(queue)
                 for template, queue in self._cross_window.items()
             },
-            "counters": {
-                "evicted": self._n_evicted,
-                "pruned": self._n_pruned,
-                "skew_clamped": self._n_skew_clamped,
-                "skew_rejected": self._n_skew_rejected,
-                "finalized": self._n_finalized_events,
-                "shed_events": self._n_shed_events,
-                "shed_messages": self._n_shed_messages,
-                "swaps": self._n_swaps,
-            },
+            "counters": dict(self._counts),
             "emitted": dict(self._emitted),
             # An attached ingest front-end rides along so one checkpoint
             # captures the stream *and* its reorder buffer consistently.
@@ -1167,20 +600,17 @@ class DigestStream:
             self._uf.add(first)
             for index in component[1:]:
                 self._uf.union(first, index)
-        self._exec.restore_shards(state["shards"])
+        self._exec.call(
+            {
+                shard_id: ("restore", (captured,))
+                for shard_id, captured in enumerate(state["shards"])
+            }
+        )
         self._cross_window = {
             template: deque(entries)
             for template, entries in state["cross_window"].items()
         }
-        counters = state["counters"]
-        self._n_evicted = counters["evicted"]
-        self._n_pruned = counters["pruned"]
-        self._n_skew_clamped = counters["skew_clamped"]
-        self._n_skew_rejected = counters["skew_rejected"]
-        self._n_finalized_events = counters["finalized"]
-        self._n_shed_events = counters["shed_events"]
-        self._n_shed_messages = counters["shed_messages"]
-        self._n_swaps = counters["swaps"]
+        self._counts = dict(state["counters"])
         self._kb_version = state["kb_version"]
         self._emitted = dict(state["emitted"])
         # Stashed, not rebuilt: reconstructing the ingest front-end needs
@@ -1190,8 +620,7 @@ class DigestStream:
         # The restored state *is* the checkpoint: age restarts at zero,
         # on the restoring process's own monotonic clock — the writing
         # process's clock (and its wall time) are meaningless here.
-        self._last_checkpoint_stream_ts = self._last_ts
-        self._last_checkpoint_mono = self._clock()
+        self.note_checkpoint()
 
     @property
     def n_admitted(self) -> int:
@@ -1269,7 +698,8 @@ class DigestStream:
 
     def _finalize_idle(self, now: float) -> list[NetworkEvent]:
         horizon = now - self.flush_after
-        self._n_evicted += self._exec.evict_idle(horizon)
+        evicted = self._exec.broadcast("evict_idle", horizon)
+        self._counts["evicted"] += sum(evicted)
         return self._collect_groups(lambda last: last < horizon)
 
     def _open_groups(self) -> dict[int, list[SyslogPlus]]:
@@ -1316,8 +746,8 @@ class DigestStream:
             victims.append(members)
             removed += len(members)
         events = self._finalize_members(victims)
-        self._n_shed_events += len(events)
-        self._n_shed_messages += removed
+        self._counts["shed_events"] += len(events)
+        self._counts["shed_messages"] += removed
         return events
 
     def _finalize_members(
@@ -1336,19 +766,10 @@ class DigestStream:
         # streams stay bounded: temporal tails, rule windows (per shard)
         # and the cross-router window.
         open_indices = set(self._open)
-        self._n_pruned += self._exec.prune(open_indices)
-        for template in list(self._cross_window):
-            kept = deque(
-                item
-                for item in self._cross_window[template]
-                if item[1].index in open_indices
-            )
-            self._n_pruned += len(self._cross_window[template]) - len(kept)
-            if kept:
-                self._cross_window[template] = kept
-            else:
-                del self._cross_window[template]
-        self._n_finalized_events += len(events)
+        pruned = self._exec.broadcast("prune", open_indices)
+        pruned.append(prune_window(self._cross_window, open_indices))
+        self._counts["pruned"] += sum(pruned)
+        self._counts["finalized"] += len(events)
         events.sort(key=lambda e: (e.start_ts, e.indices))
         return events
 
@@ -1362,12 +783,12 @@ class DigestStream:
     @property
     def n_splitters(self) -> int:
         """Live temporal splitters across all shards (leak diagnostics)."""
-        return self._exec.counts()[0]
+        return sum(n for n, _ in self._exec.broadcast("counts"))
 
     @property
     def n_window_entries(self) -> int:
         """Live rule + cross window entries (leak diagnostics)."""
-        rule = self._exec.counts()[1]
+        rule = sum(n for _, n in self._exec.broadcast("counts"))
         cross = sum(len(q) for q in self._cross_window.values())
         return rule + cross
 
@@ -1412,17 +833,17 @@ class DigestStream:
             "splitters": self.n_splitters,
             "window_entries": self.n_window_entries,
             "watermark_lag_seconds": self.watermark_lag,
-            "evicted_splitters": self._n_evicted,
-            "pruned_entries": self._n_pruned,
-            "skew_clamped": self._n_skew_clamped,
-            "skew_rejected": self._n_skew_rejected,
-            "finalized_events": self._n_finalized_events,
-            "shed_events": self._n_shed_events,
-            "shed_messages": self._n_shed_messages,
+            "evicted_splitters": self._counts["evicted"],
+            "pruned_entries": self._counts["pruned"],
+            "skew_clamped": self._counts["skew_clamped"],
+            "skew_rejected": self._counts["skew_rejected"],
+            "finalized_events": self._counts["finalized"],
+            "shed_events": self._counts["shed_events"],
+            "shed_messages": self._counts["shed_messages"],
             "quarantine_depth": quarantine_depth,
             "quarantine_total": quarantine_total,
             "checkpoint_age_seconds": self.checkpoint_age,
-            "kb_swaps": self._n_swaps,
+            "kb_swaps": self._counts["swaps"],
             "kb_swap_pending": 1.0 if self._pending_kb is not None else 0.0,
         }
 
@@ -1450,16 +871,8 @@ class DigestStream:
             STREAM_KB_SWAP_PENDING,
             1.0 if self._pending_kb is not None else 0.0,
         )
-        for name, total in (
-            (STREAM_EVICTED, self._n_evicted),
-            (STREAM_PRUNED, self._n_pruned),
-            (STREAM_SKEW_CLAMPED, self._n_skew_clamped),
-            (STREAM_SKEW_REJECTED, self._n_skew_rejected),
-            (STREAM_FINALIZED, self._n_finalized_events),
-            (STREAM_SHED_EVENTS, self._n_shed_events),
-            (STREAM_SHED_MESSAGES, self._n_shed_messages),
-            (STREAM_KB_SWAPS, self._n_swaps),
-        ):
+        for key, name in COUNTER_METRICS.items():
+            total = self._counts[key]
             delta = total - self._emitted.get(name, 0)
             if delta:
                 reg.inc(name, delta)

@@ -77,8 +77,8 @@ SHARD_RETRIES = "syslogdigest_shard_retries_total"
 SHARD_FALLBACKS = "syslogdigest_shard_fallbacks_total"
 
 #: Streaming worker processes (DESIGN.md §12): parent <-> worker
-#: command round-trips (labelled ``cmd=``), their fan-out wall time,
-#: and how many worker processes are currently alive.
+#: round-trips (``cmd=`` is the ShardState method requested), their
+#: fan-out wall time, and how many worker processes are currently alive.
 STREAM_WORKER_ROUNDTRIPS = "syslogdigest_stream_worker_roundtrips_total"
 STREAM_WORKER_RTT_SECONDS = "syslogdigest_stream_worker_roundtrip_seconds"
 STREAM_WORKER_PROCS = "syslogdigest_stream_worker_processes"

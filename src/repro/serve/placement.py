@@ -168,7 +168,8 @@ def worker_main(in_fh, out_fh) -> int:
                 reply = _execute(runtime, cmd, frame.get("args") or {})
                 reply["id"] = rid
                 write_frame(out_fh, reply)
-                continue
+                # Fall through to the pipeline: an idle tenant polled
+                # faster than poll_interval must still reach refill().
             n = runtime.process_batch()
             if n:
                 write_frame(

@@ -40,6 +40,7 @@ from repro.core.checkpoint import (
 from repro.core.config import DigestConfig, IngestConfig
 from repro.core.knowledge import KnowledgeBase
 from repro.core.modelstore import KnowledgeStore
+from repro.core.shards import resolve_workers
 from repro.core.stream import DigestStream
 from repro.obs import (
     DURABLE_WRITE_FAILURES,
@@ -290,11 +291,12 @@ class TenantRuntime:
         else:
             self._fresh()
         self._config()  # records _effective_workers on the restore path too
-        if self._effective_workers < self.spec.n_workers:
+        requested = resolve_workers(self.spec.n_workers)
+        if self._effective_workers < requested:
             self._journal_entry(
                 kind="budget-clamped",
                 budget="max_stream_procs",
-                requested=self.spec.n_workers,
+                requested=requested,
                 effective=self._effective_workers,
             )
         if degraded:
@@ -332,12 +334,12 @@ class TenantRuntime:
         n_workers = self.spec.n_workers
         limit = self.spec.budget.max_stream_procs
         if (limit and self.spec.stream_workers == "processes"
-                and n_workers > limit):
+                and resolve_workers(n_workers) > limit):
             # Budget clamp, enforced at construction: the process lane
             # never spawns more workers than the budget allows.  Output
             # is unchanged — lane byte-identity is pinned by make check.
             n_workers = limit
-        self._effective_workers = n_workers
+        self._effective_workers = resolve_workers(n_workers)
         return DigestConfig(
             n_workers=n_workers,
             stream_workers=self.spec.stream_workers,

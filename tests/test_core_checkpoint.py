@@ -3,7 +3,7 @@
 The contract under test (DESIGN.md §8): a stream restored from a
 checkpoint and fed the log tail produces exactly the events an
 uninterrupted stream would have produced — same groups, same scores,
-same order — for both the serial and the thread-sharded engine.
+same order — with one shard and with several, on every executor lane.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from repro.core.checkpoint import (
     restore_stream,
     write_checkpoint,
 )
-from repro.core.parallel import WorkerProcessDied
 from repro.core.present import present_event
+from repro.core.shards import StepItem, WorkerProcessDied
 from repro.core.stream import SNAPSHOT_VERSION, DigestStream
+from repro.hotpath import stream_fingerprint
 from repro.obs import (
     CHECKPOINT_WRITES,
     MetricsRegistry,
@@ -157,13 +158,13 @@ class TestKillAndResume:
     def test_cross_lane_resume_is_byte_identical(
         self, system_a, ordered_a, tmp_path
     ):
-        """A checkpoint taken under threads resumes on worker processes.
+        """A checkpoint taken on one lane resumes on worker processes.
 
         The lane is an execution detail: ``restore_stream``'s
         ``stream_workers`` override swaps it without touching grouping
-        state, and the output matches an uninterrupted threaded run.
+        state, and the output matches an uninterrupted serial run.
         """
-        config = system_a.config.with_workers(4)  # threads lane
+        config = system_a.config.with_workers(4)  # serial lane
         chunk = 250
         chunks = [
             ordered_a[i : i + chunk]
@@ -209,6 +210,65 @@ class TestKillAndResume:
         assert _rendered(_run(twin, list(rest))) == _rendered(
             _run(first, list(rest))
         )
+
+
+class TestParentFormatCheckpoint:
+    """Checkpoints written before ``core/shards.py`` existed must keep
+    restoring: their pickles name ``repro.core.stream.StepItem`` and
+    carry a ``DigestConfig`` with the since-retired ``shard_by_router``
+    field and the old ``"threads"`` lane default."""
+
+    @pytest.mark.parametrize("lane", [None, "serial", "threads", "processes"])
+    def test_restores_and_continues_byte_identically(
+        self, system_a, ordered_a, tmp_path, monkeypatch, lane
+    ):
+        assert SNAPSHOT_VERSION == 6
+        config = system_a.config.with_workers(2)
+        chunk = 250
+        chunks = [
+            ordered_a[i : i + chunk]
+            for i in range(0, len(ordered_a), chunk)
+        ]
+        full_stream = DigestStream(system_a.kb, config)
+        full = []
+        for part in chunks:
+            full.extend(full_stream.push_many(part))
+        full.extend(full_stream.close())
+
+        cut = len(chunks) // 2
+        first = DigestStream(
+            system_a.kb, config.with_stream_workers("threads")
+        )
+        events = []
+        for part in chunks[:cut]:
+            events.extend(first.push_many(part))
+        # Hand-build the parent commit's bytes from a live snapshot:
+        # StepItem pickled under its old module path, and the retired
+        # field back in the config's pickled state.
+        object.__setattr__(first._config, "shard_by_router", True)
+        monkeypatch.setattr(StepItem, "__module__", "repro.core.stream")
+        path = tmp_path / "parent-format.ckpt"
+        info = write_checkpoint(path, first)
+        monkeypatch.undo()
+        blob = path.read_bytes()
+        assert b"repro.core.stream" in blob and b"StepItem" in blob
+        assert b"repro.core.shards" not in blob
+        assert b"shard_by_router" in blob
+
+        restored_config = read_checkpoint(path)["config"]
+        assert "shard_by_router" not in vars(restored_config)
+        assert restored_config.stream_workers == "threads"
+
+        resumed = restore_stream(path, system_a.kb, stream_workers=lane)
+        try:
+            assert resumed.stream_lane == (lane or "threads")
+            tail = ordered_a[info.n_admitted :]
+            for i in range(0, len(tail), chunk):
+                events.extend(resumed.push_many(tail[i : i + chunk]))
+            events.extend(resumed.close())
+        finally:
+            resumed.shutdown_workers()
+        assert stream_fingerprint(events) == stream_fingerprint(full)
 
 
 class TestRestoreAfterMaintenance:

@@ -29,7 +29,7 @@ class TestDefaults:
     def test_parallel_and_skew_defaults(self):
         cfg = DigestConfig()
         assert cfg.n_workers == 1  # serial unless asked
-        assert cfg.shard_by_router
+        assert cfg.stream_workers == "serial"  # see the ledger rows
         assert cfg.skew_tolerance > 0  # jitter-tolerant out of the box
 
     def test_flush_after_covers_every_grouping_horizon(self):

@@ -14,6 +14,12 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import SyslogDigest
 from repro.core.syslogplus import Augmenter
+from repro.obs import (
+    SHARD_FALLBACKS,
+    SHARD_RETRIES,
+    MetricsRegistry,
+    scoped_registry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +137,15 @@ class TestShardedEquivalence:
         monkeypatch.setattr(
             parallel_mod, "ProcessPoolExecutor", broken_pool
         )
-        sharded = ParallelGroupingEngine(
-            system_a.kb, system_a.config.with_workers(3)
-        ).group(plus_stream)
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            sharded = ParallelGroupingEngine(
+                system_a.kb, system_a.config.with_workers(3)
+            ).group(plus_stream)
         assert _group_sets(sharded) == _group_sets(serial)
+        # Nothing was retried — there was no pool to retry on.
+        assert registry.counter_value(SHARD_RETRIES, engine="batch") == 0.0
+        assert registry.counter_value(SHARD_FALLBACKS, engine="batch") == 3.0
 
 
 class TestShardEdgeTask:

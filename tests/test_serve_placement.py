@@ -324,6 +324,31 @@ class TestBudgets:
         assert one_run("budget-2") == first
 
 
+    def test_stream_proc_budget_clamps_the_all_cores_knob(
+        self, farm, monkeypatch
+    ):
+        """``n_workers=0`` resolves to one shard per core *before* the
+        ``max_stream_procs`` clamp — the raw 0 used to slip under it."""
+        from repro.core import shards
+        from repro.serve.tenant import TenantRuntime, TenantSpec
+
+        monkeypatch.setattr(shards.os, "cpu_count", lambda: 3)
+        tenant = _tenant(
+            farm, "budget-procs", "net-a", 120,
+            n_workers=0, stream_workers="processes", placement="inline",
+            budget={"max_stream_procs": 2},
+        )
+        runtime = TenantRuntime(TenantSpec.from_dict(tenant))
+        runtime.start()
+        try:
+            assert runtime.stream.stream_lane == "processes"
+            assert len(runtime.stream.snapshot()["shards"]) == 2
+            assert runtime.budget_health()["stream_procs"] == 2
+            assert "budget-clamped" in transition_kinds(tenant["workdir"])
+        finally:
+            runtime.drain()
+
+
 class TestDrain:
     def test_hung_worker_is_escalated_but_daemon_exits_zero(self, farm):
         bad = _tenant(farm, "drain", "net-bad", 100)
@@ -368,6 +393,44 @@ class TestDrain:
         # Concurrent drain reaps every child — SIGKILLed or graceful.
         _reaped(daemon.handles["net-bad"])
         _reaped(daemon.handles["net-good"])
+
+
+class TestControlPlane:
+    def test_idle_tenant_polled_faster_than_poll_interval_refills(
+        self, farm
+    ):
+        """An idle worker answering requests that arrive less than
+        ``poll_interval`` apart must still reach ``refill()``: it used
+        to loop straight back to the frame poll after every reply, so
+        its own control plane starved it of new lines."""
+        messages = farm["messages"]
+        tenant = _tenant(farm, "starve", "net-a", 200)
+        config = _config(
+            farm, "starve", [tenant], once=False, poll_interval=0.5
+        )
+        daemon = ServeDaemon(config)
+
+        async def scenario():
+            run = asyncio.create_task(daemon.run())
+            handle = daemon.handles["net-a"]
+            await _wait(
+                lambda: _pushed(handle, 200), "phase-1 consumed", run
+            )
+            with open(tenant["sources"][0], "a", encoding="utf-8") as fh:
+                for message in messages[200:300]:
+                    fh.write(format_line(message) + "\n")
+            advanced = False
+            deadline = time.monotonic() + 10.0
+            while not advanced and time.monotonic() < deadline:
+                advanced = await _pushed(handle, 300)
+                await asyncio.sleep(0.01)  # far inside poll_interval
+            daemon.request_drain()
+            return await run, advanced
+
+        code, advanced = asyncio.run(scenario())
+        assert advanced, "polled tenant never picked up appended lines"
+        assert code == 0
+        _reaped(daemon.handles["net-a"])
 
 
 class TestLongPoll:

@@ -15,8 +15,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.parallel as parallel_mod
+import repro.core.shards as shards_mod
+from repro.core.grouping import GroupingEngine, build_rule_partners
+from repro.core.parallel import ParallelGroupingEngine
+from repro.core.shards import StepItem, run_ladder
 from repro.core.stream import DigestStream, ShardState
-from repro.netsim.faults import WorkerFaults
+from repro.core.syslogplus import Augmenter
+from repro.hotpath import stream_fingerprint
+from repro.netsim.faults import FlakyShardTask, MidStepFault, WorkerFaults
 from repro.obs import (
     SHARD_FALLBACKS,
     SHARD_RETRIES,
@@ -184,3 +191,179 @@ class TestMidStepFaultAcrossLanes:
             registry.counter_value(SHARD_FALLBACKS, engine="stream") >= 1.0
         )
         assert _sig(faulted) == lane_baseline
+
+
+class TestOneLadderOneLoop:
+    """``run_ladder`` + ``ShardState.apply`` with no lane in sight, and
+    the batch engine's ``task=`` seam through the very same ladder."""
+
+    K = 25
+
+    @pytest.fixture(scope="class")
+    def shard_parts(self, system_a, ordered_a):
+        kb = system_a.kb
+        plus = Augmenter(kb.templates, kb.dictionary).augment_all(
+            ordered_a[:80]
+        )
+        items = [
+            (
+                StepItem(
+                    p.index,
+                    p.timestamp,
+                    p.router,
+                    p.template_key,
+                    p.primary_location,
+                ),
+                p.timestamp,
+            )
+            for p in plus
+        ]
+        partners = build_rule_partners(kb.rule_pairs())
+        return (kb, system_a.config, partners), items, plus
+
+    @pytest.mark.parametrize("fail_attempts", [1, 2])
+    def test_fault_at_k_resumes_at_k(self, shard_parts, fail_attempts):
+        init, items, _ = shard_parts
+        clean = ShardState(0, *init)
+        assert clean.apply(items)[0::2] == (len(items), None)
+        prefix_edges = ShardState(0, *init).apply(items[: self.K])[1]
+        want_edges = ShardState(0, *init).apply(items)[1]
+
+        state = ShardState(
+            0, *init, step_hook=MidStepFault((0,), self.K, fail_attempts)
+        )
+        cursor, edges, trail = 0, [], []
+
+        def run_attempt(pending, attempt, use_hooks):
+            nonlocal cursor
+            assert pending == [0]
+            base = cursor
+            cursor, stepped, error = state.apply(
+                items[base:], attempt, use_hooks, base
+            )
+            edges.extend(stepped)
+            trail.append((attempt, use_hooks, base, cursor, list(edges)))
+            return {} if error is None else {0: error}
+
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            run_ladder([0], run_attempt, engine="unit")
+
+        # Attempt 0 applied exactly the prefix and kept its edges; every
+        # later attempt resumed at message K, never before it.
+        assert trail[0] == (0, True, 0, self.K, prefix_edges)
+        assert [(a, hooks, base) for a, hooks, base, _, _ in trail[1:]] == [
+            (1, True, self.K),
+            (2, False, self.K),
+        ][:fail_attempts]
+        assert cursor == len(items)
+        assert edges == want_edges
+        assert state.snapshot() == clean.snapshot()
+        assert registry.counter_value(SHARD_RETRIES, engine="unit") == 1.0
+        assert registry.counter_value(
+            SHARD_FALLBACKS, engine="unit"
+        ) == float(fail_attempts - 1)
+
+    def test_unrecoverable_shard_raises_after_the_hook_free_attempt(self):
+        attempts = []
+
+        def run_attempt(pending, attempt, use_hooks):
+            attempts.append((attempt, use_hooks))
+            return {0: "boom"}
+
+        with pytest.raises(RuntimeError, match="shard 0: boom"):
+            run_ladder([0], run_attempt, engine="unit")
+        assert attempts == [(0, True), (1, True), (2, False)]
+
+    def test_batch_task_seam_and_stream_share_the_ladder(
+        self, system_a, ordered_a, shard_parts, monkeypatch
+    ):
+        engines = []
+
+        def spy(shard_ids, run_attempt, engine, *ladder):
+            engines.append(engine)
+            return run_ladder(shard_ids, run_attempt, engine, *ladder)
+
+        monkeypatch.setattr(parallel_mod, "run_ladder", spy)
+        monkeypatch.setattr(shards_mod, "run_ladder", spy)
+        _, _, plus = shard_parts
+        config = system_a.config.with_workers(2)
+        want = GroupingEngine(system_a.kb, config).group(plus)
+        registry = MetricsRegistry()
+        with scoped_registry(registry):
+            got = ParallelGroupingEngine(
+                system_a.kb, config, task=FlakyShardTask((0,), 2)
+            ).group(plus)
+        assert [[p.index for p in g] for g in got.groups] == [
+            [p.index for p in g] for g in want.groups
+        ]
+        # One failing shard: counted once per rung, under its engine.
+        assert registry.counter_value(SHARD_RETRIES, engine="batch") == 1.0
+        assert registry.counter_value(SHARD_FALLBACKS, engine="batch") == 1.0
+        DigestStream(system_a.kb, config).push_many(ordered_a[:50])
+        assert engines == ["batch", "stream"]
+
+
+def _canonical(events):
+    return sorted(events, key=lambda e: (e.start_ts, e.indices))
+
+
+class TestPushEqualsPushMany:
+    """``push`` is ``push_many`` with a batch of one.  A batch sweeps
+    once, at its end, so the two *emit* at different moments; the events
+    themselves — members, scores, labels — must be the same set."""
+
+    @pytest.mark.parametrize("lane", ["serial", "threads", "processes"])
+    def test_same_fingerprint_on_every_lane(
+        self, system_a, ordered_a, lane
+    ):
+        config = system_a.config.with_workers(4).with_stream_workers(lane)
+        stream = DigestStream(system_a.kb, config)
+        try:
+            assert stream.stream_lane == lane
+            events = []
+            for message in ordered_a:
+                events.extend(stream.push(message))
+            events.extend(stream.close())
+        finally:
+            stream.shutdown_workers()
+        batched = _run_lane(system_a, ordered_a, lane)
+        assert stream_fingerprint(_canonical(events)) == stream_fingerprint(
+            _canonical(batched)
+        )
+
+
+class TestAllCoresKnob:
+    """``n_workers=0`` means one shard per core for the stream exactly
+    as it does for the batch engine (it used to build one shard)."""
+
+    def test_zero_resolves_to_cpu_count(
+        self, system_a, ordered_a, lane_baseline, monkeypatch
+    ):
+        monkeypatch.setattr(shards_mod.os, "cpu_count", lambda: 3)
+        config = system_a.config.with_workers(0).with_stream_workers(
+            "processes"
+        )
+        stream = DigestStream(system_a.kb, config)
+        try:
+            assert stream.stream_lane == "processes"
+            assert len(stream.snapshot()["shards"]) == 3
+            events = []
+            for i in range(0, len(ordered_a), 200):
+                events.extend(stream.push_many(ordered_a[i : i + 200]))
+            events.extend(stream.close())
+        finally:
+            stream.shutdown_workers()
+        assert _sig(events) == lane_baseline
+
+    def test_restore_on_a_different_core_count_is_a_typed_error(
+        self, system_a, ordered_a, monkeypatch
+    ):
+        config = system_a.config.with_workers(0)
+        monkeypatch.setattr(shards_mod.os, "cpu_count", lambda: 3)
+        first = DigestStream(system_a.kb, config)
+        first.push_many(ordered_a[:300])
+        state = first.snapshot()
+        monkeypatch.setattr(shards_mod.os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="3 shards, stream has 2"):
+            DigestStream(system_a.kb, config).restore(state)
