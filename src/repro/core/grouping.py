@@ -15,17 +15,20 @@ temporal and rule passes only ever relate messages on the *same* router,
 so their edge sets can be computed per shard concurrently and unioned
 afterwards without changing the connected components.
 
-The rule and cross-router passes keep their sliding windows indexed by
-``template_key``: a new message only probes window entries whose template
-can actually relate to it (rule partners for the rule pass, the same
-template for the cross-router pass) instead of rescanning every message
-in the window.
+The rule and cross-router passes of both engines keep their sliding
+windows in one :class:`WindowIndex`: a new message only probes the
+templates that can relate to it (rule partners for the rule pass, its
+own template for the cross-router pass), asks the pass's predicate once
+per bucket of indistinguishable entries, and collapses a matched bucket
+to its newest entry.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from repro.core.config import DigestConfig
 from repro.core.knowledge import KnowledgeBase
@@ -116,81 +119,213 @@ def temporal_edges(
     return edges
 
 
+class WindowIndex:
+    """The sliding window of the rule and cross-router passes, both engines.
+
+    ``template -> match key -> [(ts, message, ...), ...]``, oldest first,
+    reaching ``window`` seconds back.  ``related(bucket key, arrival
+    key)`` is the pass's predicate and ``key_of`` recovers the key of a
+    restored entry: the rule pass keeps one index per router keyed by
+    primary location (:func:`rule_window`), the cross-router pass one
+    global index keyed by ``(router, local locations)``
+    (:func:`cross_window`).
+
+    Entries of one bucket are indistinguishable to the predicate, so an
+    arrival relates to all of a bucket's in-window entries or to none:
+    :meth:`relate` asks once per bucket, emits the edges, then
+    **collapses the bucket to its newest entry**.  That loses no
+    component: every entry the bucket held is now connected to the
+    arrival; the newest expires last, so a later arrival that would
+    have matched a dropped entry inside the window matches the survivor
+    too; and a stream component finalizes whole, so :meth:`prune` drops
+    the survivor together with everything it stands for.  Only edges
+    between already-connected messages disappear — O(entries added
+    since the bucket's last match) per arrival, not O(window entries).
+    """
+
+    __slots__ = ("_key_of", "_related", "_window", "_buckets")
+
+    def __init__(self, key_of, related, window: float) -> None:
+        self._key_of = key_of
+        self._related = related
+        self._window = window
+        self._buckets: dict[str, dict[object, list[tuple]]] = {}
+
+    def relate(
+        self,
+        probes: tuple[str, ...],
+        template: str,
+        key,
+        entry: tuple,
+        edges: list[Edge],
+    ) -> tuple[str, ...]:
+        """Append an edge to ``entry``'s message from every related
+        in-window entry of the ``probes`` templates, then file ``entry``
+        under ``(template, key)``.  Returns the probes that related.
+        """
+        horizon = entry[0] - self._window
+        index = entry[1].index
+        related = self._related
+        hits: tuple[str, ...] = ()
+        for probe in probes:
+            buckets = self._buckets.get(probe)
+            if not buckets:
+                continue
+            dead = 0
+            hit = False
+            for other_key, queue in buckets.items():
+                if queue[-1][0] < horizon:
+                    dead += 1
+                elif related(other_key, key):
+                    hit = True
+                    for other in reversed(queue):
+                        if other[0] < horizon:
+                            break
+                        edges.append((other[1].index, index))
+                    del queue[:-1]
+            if dead == len(buckets):
+                buckets.clear()  # the sparse case: no key is re-hashed
+            elif dead:
+                for other_key in [
+                    k for k, q in buckets.items() if q[-1][0] < horizon
+                ]:
+                    del buckets[other_key]
+            if hit:
+                hits += (probe,)
+        queue = self._buckets.setdefault(template, {}).setdefault(key, [])
+        if queue and queue[0][0] < horizon:
+            # (ts, ...) < (horizon,) exactly when ts < horizon.
+            del queue[: bisect_left(queue, (horizon,))]
+        queue.append(entry)
+        return hits
+
+    def prune(self, open_indices: set[int]) -> int:
+        """Drop the entries whose message has finalized, and the buckets
+        that empties; return how many entries went."""
+        dropped = 0
+        for buckets in self._buckets.values():
+            for key, queue in list(buckets.items()):
+                kept = [e for e in queue if e[1].index in open_indices]
+                dropped += len(queue) - len(kept)
+                if kept:
+                    buckets[key] = kept
+                else:
+                    del buckets[key]
+        return dropped
+
+    def __len__(self) -> int:
+        return sum(
+            len(queue)
+            for buckets in self._buckets.values()
+            for queue in buckets.values()
+        )
+
+    def flatten(self) -> dict[str, list[tuple]]:
+        """The snapshot shape: per template, entries in arrival order."""
+        return {
+            template: sorted(
+                chain.from_iterable(buckets.values()),
+                key=lambda e: e[1].index,
+            )
+            for template, buckets in self._buckets.items()
+            if buckets
+        }
+
+    def load(self, flat: dict[str, list[tuple]]) -> None:
+        """Re-bucket a :meth:`flatten` capture (or a flat window written
+        before buckets existed: buckets that have not matched yet)."""
+        for template, entries in flat.items():
+            buckets = self._buckets.setdefault(template, {})
+            for entry in entries:
+                buckets.setdefault(self._key_of(entry), []).append(entry)
+
+
+def _touch_across(dictionary, a, b) -> bool:
+    return a[0] != b[0] and _locations_touch(dictionary, a[1], b[1])
+
+
+def rule_window(dictionary, window: float) -> WindowIndex:
+    """One router's rule window of ``(ts, message)`` entries, keyed by
+    primary location: related when the locations spatially match."""
+    return WindowIndex(
+        lambda entry: entry[1].primary_location,
+        partial(spatially_matched, dictionary),
+        window,
+    )
+
+
+def cross_window(dictionary, window: float) -> WindowIndex:
+    """The cross-router window of ``(ts, message, local locations)``
+    entries, keyed by ``(router, local locations)``: related across
+    routers when any locations touch."""
+    return WindowIndex(
+        lambda entry: (entry[1].router, entry[2]),
+        partial(_touch_across, dictionary),
+        window,
+    )
+
+
 def rule_edges(
     stream: list[SyslogPlus],
     partners: dict[str, tuple[str, ...]],
     window: float,
     dictionary,
 ) -> tuple[list[Edge], set[tuple[str, str]]]:
-    """Different templates, same router, spatially matched, within W.
-
-    The per-router window is indexed by template key, so each arrival
-    probes only the templates that appear as its rule partners —
-    O(partner templates) instead of O(window size) per message.
-    """
+    """Different templates, same router, spatially matched, within W."""
     edges: list[Edge] = []
     active: set[tuple[str, str]] = set()
-    # router -> template_key -> deque of (timestamp, message)
-    recent: dict[str, dict[str, deque[tuple[float, SyslogPlus]]]] = {}
+    recent: dict[str, WindowIndex] = {}  # one rule window per router
     for plus in stream:
-        by_template = recent.setdefault(plus.router, {})
-        horizon = plus.timestamp - window
-        for partner in partners.get(plus.template_key, ()):
-            queue = by_template.get(partner)
-            if not queue:
-                continue
-            while queue and queue[0][0] < horizon:
-                queue.popleft()
-            for _ts, other in queue:
-                if spatially_matched(
-                    dictionary,
-                    other.primary_location,
-                    plus.primary_location,
-                ):
-                    edges.append((other.index, plus.index))
-                    active.add(
-                        (partner, plus.template_key)
-                        if partner <= plus.template_key
-                        else (plus.template_key, partner)
-                    )
-        own = by_template.setdefault(plus.template_key, deque())
-        while own and own[0][0] < horizon:
-            own.popleft()
-        own.append((plus.timestamp, plus))
+        template = plus.template_key
+        probes = partners.get(template)
+        if not probes:
+            # Partners are symmetric: what probes nothing is probed by
+            # nothing, so it need not be filed either.
+            continue
+        index = recent.get(plus.router)
+        if index is None:
+            index = recent[plus.router] = rule_window(dictionary, window)
+        for partner in index.relate(
+            probes,
+            template,
+            plus.primary_location,
+            (plus.timestamp, plus),
+            edges,
+        ):
+            active.add(
+                (partner, template)
+                if partner <= template
+                else (template, partner)
+            )
     return edges, active
 
 
 def cross_router_edges(
     stream: list[SyslogPlus], window: float, dictionary
 ) -> list[Edge]:
-    """Same template on connected locations, almost simultaneous.
-
-    The window is indexed by template key: only entries of the arriving
-    message's own template can relate to it.
-    """
+    """Same template on connected locations, almost simultaneous."""
     edges: list[Edge] = []
-    # template_key -> deque of (timestamp, message, its local locations);
-    # local_locations() is computed once per message here, not once per
-    # compared pair.
-    recent: dict[str, deque[tuple[float, SyslogPlus, tuple]]] = {}
+    index = cross_window(dictionary, window)
     for plus in stream:
-        queue = recent.setdefault(plus.template_key, deque())
-        horizon = plus.timestamp - window
-        while queue and queue[0][0] < horizon:
-            queue.popleft()
-        router = plus.router
-        locs = plus.local_locations()
-        for _ts, other, other_locs in queue:
-            if other.router == router:
-                continue
-            if _locations_touch(dictionary, other_locs, locs):
-                edges.append((other.index, plus.index))
-        queue.append((plus.timestamp, plus, locs))
+        template = plus.template_key
+        locs = plus.local_locations()  # once per message, not per pair
+        index.relate(
+            (template,),
+            template,
+            (plus.router, locs),
+            (plus.timestamp, plus, locs),
+            edges,
+        )
     return edges
 
 
 def _locations_touch(dictionary, locs_a, locs_b) -> bool:
-    """Pairwise core of :func:`related_across_routers`."""
+    """True when any of two messages' local locations touch.
+
+    Covers the two ends of one link/session (``connected`` in the
+    dictionary) and a message naming the far router's component directly
+    (e.g. a BGP neighbor IP resolving to the peer's interface).
+    """
     for loc_a in locs_a:
         for loc_b in locs_b:
             if loc_a.router == loc_b.router:
@@ -199,18 +334,6 @@ def _locations_touch(dictionary, locs_a, locs_b) -> bool:
             elif dictionary.connected(loc_a, loc_b):
                 return True
     return False
-
-
-def related_across_routers(dictionary, a: SyslogPlus, b: SyslogPlus) -> bool:
-    """True when any known locations of the two messages touch.
-
-    Covers the two ends of one link/session (``connected`` in the
-    dictionary) and a message naming the far router's component directly
-    (e.g. a BGP neighbor IP resolving to the peer's interface).
-    """
-    return _locations_touch(
-        dictionary, a.local_locations(), b.local_locations()
-    )
 
 
 def _union_edges(uf, edges, pos: dict[int, int] | None) -> None:
@@ -320,9 +443,3 @@ class GroupingEngine:
             stream, self._config.cross_router_window, self._kb.dictionary
         )
         _union_edges(uf, edges, pos)
-
-    def _related_across_routers(
-        self, a: SyslogPlus, b: SyslogPlus
-    ) -> bool:
-        """Kept for compatibility; see :func:`related_across_routers`."""
-        return related_across_routers(self._kb.dictionary, a, b)

@@ -20,16 +20,14 @@ from __future__ import annotations
 import os
 import pickle
 import traceback
-from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import NamedTuple
 
 from repro.core.config import DigestConfig
-from repro.core.grouping import Edge
+from repro.core.grouping import Edge, WindowIndex, rule_window
 from repro.core.knowledge import KnowledgeBase
-from repro.locations.spatial import spatially_matched
 from repro.mining.temporal import TemporalSplitter
 from repro.obs import (
     SHARD_FALLBACKS,
@@ -77,24 +75,6 @@ class StepItem(NamedTuple):
     primary_location: object
 
 
-def prune_window(by_template: dict[str, deque], open_indices: set[int]) -> int:
-    """Drop a template-keyed window's entries ``(ts, message, ...)`` whose
-    message has finalized, and the queues that empties; return how many."""
-    dropped = 0
-    for template in list(by_template):
-        kept = deque(
-            entry
-            for entry in by_template[template]
-            if entry[1].index in open_indices
-        )
-        dropped += len(by_template[template]) - len(kept)
-        if kept:
-            by_template[template] = kept
-        else:
-            del by_template[template]
-    return dropped
-
-
 class ShardState:
     """Per-shard grouping state: temporal splitters plus rule windows.
 
@@ -136,10 +116,8 @@ class ShardState:
         self._serial_of: dict[tuple, int] = {}
         self._n_created = 0
         self._temporal_tail: dict[tuple, int] = {}
-        # router -> template_key -> deque of (arrival ts, step item)
-        self._rule_window: dict[
-            str, dict[str, deque[tuple[float, StepItem]]]
-        ] = {}
+        # router -> that router's window of (arrival ts, step item)
+        self._rule_window: dict[str, WindowIndex] = {}
 
     # ----------------------------------------------------------------- steps
 
@@ -191,7 +169,7 @@ class ShardState:
             if edge is not None:
                 edges.append(edge)
         if self._config.enable_rules:
-            edges.extend(self._rule_step(plus, now))
+            self._rule_step(plus, now, edges)
         return edges
 
     def _temporal_step(self, plus: StepItem, now: float) -> Edge | None:
@@ -221,29 +199,25 @@ class ShardState:
             return (tail, plus.index)
         return None
 
-    def _rule_step(self, plus: StepItem, now: float) -> list[Edge]:
-        edges: list[Edge] = []
-        window = self._config.window
-        by_template = self._rule_window.setdefault(plus.router, {})
-        horizon = now - window
-        for partner in self._partners.get(plus.template_key, ()):
-            queue = by_template.get(partner)
-            if not queue:
-                continue
-            while queue and queue[0][0] < horizon:
-                queue.popleft()
-            for _ts, other in queue:
-                if spatially_matched(
-                    self._kb.dictionary,
-                    other.primary_location,
-                    plus.primary_location,
-                ):
-                    edges.append((other.index, plus.index))
-        own = by_template.setdefault(plus.template_key, deque())
-        while own and own[0][0] < horizon:
-            own.popleft()
-        own.append((now, plus))
-        return edges
+    def _rule_step(
+        self, plus: StepItem, now: float, edges: list[Edge]
+    ) -> None:
+        probes = self._partners.get(plus.template_key)
+        if not probes:
+            return  # probed by nothing either (grouping.rule_edges)
+        index = self._rule_window.get(plus.router)
+        if index is None:
+            index = self._rule_window[plus.router] = self._new_window()
+        index.relate(
+            probes,
+            plus.template_key,
+            plus.primary_location,
+            (now, plus),
+            edges,
+        )
+
+    def _new_window(self) -> WindowIndex:
+        return rule_window(self._kb.dictionary, self._config.window)
 
     # ------------------------------------------------------------ maintenance
 
@@ -277,9 +251,9 @@ class ShardState:
         }
         dropped += len(self._temporal_tail) - len(kept_tails)
         self._temporal_tail = kept_tails
-        for router in list(self._rule_window):
-            dropped += prune_window(self._rule_window[router], open_indices)
-            if not self._rule_window[router]:
+        for router, index in list(self._rule_window.items()):
+            dropped += index.prune(open_indices)
+            if not index:
                 del self._rule_window[router]
         return dropped
 
@@ -304,6 +278,7 @@ class ShardState:
         self._kb = kb
         self._config = config
         self._partners = partners
+        self._rule_window = {}  # empty here; rebuilt over the new dictionary
         if reset_splitters:
             self._splitters = {}
             self._serial_of = {}
@@ -332,11 +307,8 @@ class ShardState:
             "n_created": self._n_created,
             "temporal_tail": dict(self._temporal_tail),
             "rule_window": {
-                router: {
-                    template: list(queue)
-                    for template, queue in by_template.items()
-                }
-                for router, by_template in self._rule_window.items()
+                router: index.flatten()
+                for router, index in self._rule_window.items()
             },
         }
 
@@ -356,22 +328,15 @@ class ShardState:
         self._serial_of = dict(state["serial_of"])
         self._n_created = state["n_created"]
         self._temporal_tail = dict(state["temporal_tail"])
-        self._rule_window = {
-            router: {
-                template: deque(entries)
-                for template, entries in by_template.items()
-            }
-            for router, by_template in state["rule_window"].items()
-        }
+        self._rule_window = {}
+        for router, flat in state["rule_window"].items():
+            index = self._rule_window[router] = self._new_window()
+            index.load(flat)
 
     def counts(self) -> tuple[int, int]:
         """Live ``(temporal splitters, rule-window entries)`` — the leak
         diagnostics behind the stream's health keys."""
-        return len(self._splitters), sum(
-            len(queue)
-            for by_template in self._rule_window.values()
-            for queue in by_template.values()
-        )
+        return len(self._splitters), sum(map(len, self._rule_window.values()))
 
 
 # --------------------------------------------------------------------------

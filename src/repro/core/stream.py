@@ -47,17 +47,12 @@ from __future__ import annotations
 
 import time
 import zlib
-from collections import deque
 from collections.abc import Callable, Iterable
 from itertools import chain
 
 from repro.core.config import DigestConfig
 from repro.core.events import NetworkEvent
-from repro.core.grouping import (
-    Edge,
-    _locations_touch,
-    build_rule_partners,
-)
+from repro.core.grouping import Edge, build_rule_partners, cross_window
 from repro.core.knowledge import KnowledgeBase
 from repro.core.present import event_label
 from repro.core.priority import Prioritizer
@@ -69,7 +64,6 @@ from repro.core.shards import (  # noqa: F401
     ShardExecutor,
     ShardState,
     StepItem,
-    prune_window,
     resolve_workers,
 )
 from repro.core.syslogplus import Augmenter, SyslogPlus
@@ -136,10 +130,16 @@ COUNTER_METRICS: dict[str, str] = {
 HEALTH_KEYS: dict[str, str] = {
     "open_messages": "messages admitted but not yet finalized",
     "splitters": "live temporal splitters across all shards",
-    "window_entries": "live rule + cross-router window entries",
+    "window_entries": (
+        "live rule + cross-router window entries "
+        "(a matched bucket keeps only its newest)"
+    ),
     "watermark_lag_seconds": "stream clock minus oldest open timestamp",
     "evicted_splitters": "idle splitters dropped by sweeps (cumulative)",
-    "pruned_entries": "window/tail entries dropped at finalize (cumulative)",
+    "pruned_entries": (
+        "window/tail entries of finalized messages dropped "
+        "(cumulative; bucket collapses are not prunes)"
+    ),
     "skew_clamped": "late-but-tolerated timestamps clamped (cumulative)",
     "skew_rejected": "pushes refused beyond skew tolerance (cumulative)",
     "finalized_events": "events emitted so far (cumulative)",
@@ -232,12 +232,11 @@ class DigestStream:
         # router name once instead of crc32-ing it on every push.  Router
         # names are external input; clear-on-full bounds the table.
         self._router_shard: dict[str, int] = {}
-        # template_key -> deque of (arrival ts, message, its local
-        # locations); global because the cross-router pass relates
-        # messages across shards.
-        self._cross_window: dict[
-            str, deque[tuple[float, SyslogPlus, tuple]]
-        ] = {}
+        # (arrival ts, message, its local locations) entries; global
+        # because the cross-router pass relates messages across shards.
+        self._cross_window = cross_window(
+            kb.dictionary, self._config.cross_router_window
+        )
 
     @property
     def flush_after(self) -> float:
@@ -389,9 +388,19 @@ class DigestStream:
         for a, b in shard_edges:
             self._uf.union(a, b)
         if self._config.enable_cross_router:
+            edges: list[Edge] = []
             for plus, now in batch:
-                for a, b in self._cross_step(plus, now):
-                    self._uf.union(a, b)
+                template = plus.template_key
+                locs = plus.local_locations()
+                self._cross_window.relate(
+                    (template,),
+                    template,
+                    (plus.router, locs),
+                    (now, plus, locs),
+                    edges,
+                )
+            for a, b in edges:
+                self._uf.union(a, b)
         events = self._maybe_sweep(batch[-1][1])
         shed = self._shed()
         return events + shed if shed else events
@@ -499,6 +508,9 @@ class DigestStream:
         self._augmenter._counter = counter
         self._prioritizer = Prioritizer(kb)
         self._partners = build_rule_partners(kb.rule_pairs())
+        self._cross_window = cross_window(  # empty here
+            kb.dictionary, self._config.cross_router_window
+        )
         # The one re-broadcast of the stream's lifetime: the process
         # lane ships the adopted base to every worker here.
         self._exec.broadcast(
@@ -544,10 +556,7 @@ class DigestStream:
             "open": dict(self._open),
             "components": components,
             "shards": self._exec.broadcast("snapshot"),
-            "cross_window": {
-                template: list(queue)
-                for template, queue in self._cross_window.items()
-            },
+            "cross_window": self._cross_window.flatten(),
             "counters": dict(self._counts),
             "emitted": dict(self._emitted),
             # An attached ingest front-end rides along so one checkpoint
@@ -606,10 +615,7 @@ class DigestStream:
                 for shard_id, captured in enumerate(state["shards"])
             }
         )
-        self._cross_window = {
-            template: deque(entries)
-            for template, entries in state["cross_window"].items()
-        }
+        self._cross_window.load(state["cross_window"])
         self._counts = dict(state["counters"])
         self._kb_version = state["kb_version"]
         self._emitted = dict(state["emitted"])
@@ -647,23 +653,6 @@ class DigestStream:
         return self._restored_ingest
 
     # ------------------------------------------------------------- internals
-
-    def _cross_step(self, plus: SyslogPlus, now: float) -> list[Edge]:
-        edges: list[Edge] = []
-        window = self._config.cross_router_window
-        queue = self._cross_window.setdefault(plus.template_key, deque())
-        while queue and queue[0][0] < now - window:
-            queue.popleft()
-        router = plus.router
-        locs = plus.local_locations()
-        dictionary = self._kb.dictionary
-        for _ts, other, other_locs in queue:
-            if other.router == router:
-                continue
-            if _locations_touch(dictionary, other_locs, locs):
-                edges.append((other.index, plus.index))
-        queue.append((now, plus, locs))
-        return edges
 
     def _maybe_sweep(self, now: float) -> list[NetworkEvent]:
         if (
@@ -767,7 +756,7 @@ class DigestStream:
         # and the cross-router window.
         open_indices = set(self._open)
         pruned = self._exec.broadcast("prune", open_indices)
-        pruned.append(prune_window(self._cross_window, open_indices))
+        pruned.append(self._cross_window.prune(open_indices))
         self._counts["pruned"] += sum(pruned)
         self._counts["finalized"] += len(events)
         events.sort(key=lambda e: (e.start_ts, e.indices))
@@ -780,17 +769,24 @@ class DigestStream:
         """Messages not yet finalized into an event."""
         return len(self._open)
 
+    def _live_counts(self) -> tuple[int, int]:
+        """Live ``(splitters, window entries)`` from one ``counts``
+        broadcast — on the process lane, one pipe round trip per shard."""
+        pairs = self._exec.broadcast("counts")
+        return (
+            sum(n for n, _ in pairs),
+            sum(n for _, n in pairs) + len(self._cross_window),
+        )
+
     @property
     def n_splitters(self) -> int:
         """Live temporal splitters across all shards (leak diagnostics)."""
-        return sum(n for n, _ in self._exec.broadcast("counts"))
+        return self._live_counts()[0]
 
     @property
     def n_window_entries(self) -> int:
         """Live rule + cross window entries (leak diagnostics)."""
-        rule = sum(n for _, n in self._exec.broadcast("counts"))
-        cross = sum(len(q) for q in self._cross_window.values())
-        return rule + cross
+        return self._live_counts()[1]
 
     @property
     def watermark_lag(self) -> float:
@@ -828,10 +824,11 @@ class DigestStream:
         if self._quarantine is not None:
             quarantine_depth = len(self._quarantine)
             quarantine_total = self._quarantine.total
+        splitters, window_entries = self._live_counts()
         return {
             "open_messages": self.n_open_messages,
-            "splitters": self.n_splitters,
-            "window_entries": self.n_window_entries,
+            "splitters": splitters,
+            "window_entries": window_entries,
             "watermark_lag_seconds": self.watermark_lag,
             "evicted_splitters": self._counts["evicted"],
             "pruned_entries": self._counts["pruned"],
@@ -861,9 +858,10 @@ class DigestStream:
         reg = registry if registry is not None else get_registry()
         if not reg.enabled:
             return
+        splitters, window_entries = self._live_counts()
         reg.set_gauge(STREAM_OPEN_MESSAGES, self.n_open_messages)
-        reg.set_gauge(STREAM_SPLITTERS, self.n_splitters)
-        reg.set_gauge(STREAM_WINDOW_ENTRIES, self.n_window_entries)
+        reg.set_gauge(STREAM_SPLITTERS, splitters)
+        reg.set_gauge(STREAM_WINDOW_ENTRIES, window_entries)
         reg.set_gauge(STREAM_WATERMARK_LAG, self.watermark_lag)
         reg.set_gauge(CHECKPOINT_AGE, self.checkpoint_age)
         reg.set_gauge(STREAM_WORKER_PROCS, self._exec.n_worker_processes)

@@ -6,11 +6,16 @@ must treat these as read-only.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
+
 import pytest
 
 from repro.core.config import DigestConfig
 from repro.core.pipeline import SyslogDigest
 from repro.netsim.datasets import dataset_a, dataset_b, generate_dataset
+from repro.netsim.scale import SCALE_START, ScaleGenerator, ScaleSpec
+from repro.syslog.stream import sort_messages
 from repro.utils.timeutils import DAY
 
 
@@ -53,3 +58,35 @@ def system_a(data_a, history_a) -> SyslogDigest:
 def digest_a(system_a, live_a):
     """Digest of the live dataset-A window."""
     return system_a.digest(m.message for m in live_a.messages)
+
+
+@pytest.fixture(scope="session")
+def burst_mix():
+    """``(digest, messages)``: the shape that fills grouping windows.
+
+    Few of 200 routers (and so few templates and locations) dominate,
+    and each 300 s of a million-a-day feed is squeezed, order kept, into
+    its first 30 s — a data-center burst.  With ``W`` = 120 s a whole
+    burst sits inside one rule window, so the same ``(router, template,
+    location)`` is filed hundreds of times before anything expires.
+    5 000 messages: one full burst and 13 s into the next.
+    """
+    gen = ScaleGenerator(ScaleSpec(zipf_exponent=1.6, n_routers=200))
+    digest = SyslogDigest.learn(
+        gen.learning_messages(30_000),  # fewer mine next to no rules
+        gen.configs(),
+        DigestConfig(window=120.0),
+        fit_temporal=False,
+    )
+    messages = []
+    for message in islice(gen.stream(), 5_000):
+        period, offset = divmod(message.timestamp - SCALE_START, 300.0)
+        messages.append(
+            replace(
+                message,
+                timestamp=SCALE_START + period * 300.0 + offset * 0.1,
+            )
+        )
+    # Squeezing makes a few timestamps tie; settle their order the way
+    # the batch engine will, so one index means one message everywhere.
+    return digest, sort_messages(messages)

@@ -9,6 +9,7 @@ same order — with one shard and with several, on every executor lane.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.present import present_event
 from repro.core.shards import StepItem, WorkerProcessDied
-from repro.core.stream import SNAPSHOT_VERSION, DigestStream
+from repro.core.stream import SNAPSHOT_VERSION, DigestStream, _step_item
 from repro.hotpath import stream_fingerprint
 from repro.obs import (
     CHECKPOINT_WRITES,
@@ -265,6 +266,73 @@ class TestParentFormatCheckpoint:
             tail = ordered_a[info.n_admitted :]
             for i in range(0, len(tail), chunk):
                 events.extend(resumed.push_many(tail[i : i + chunk]))
+            events.extend(resumed.close())
+        finally:
+            resumed.shutdown_workers()
+        assert stream_fingerprint(events) == stream_fingerprint(full)
+
+
+    @pytest.mark.parametrize("lane", ["serial", "threads", "processes"])
+    def test_flat_windows_with_crowded_buckets_restore(
+        self, burst_mix, tmp_path, monkeypatch, lane
+    ):
+        """Before windows were bucketed, every admitted message sat in
+        one flat queue per template and nothing ever collapsed — cut in
+        the middle of a burst, such a checkpoint holds dozens of
+        entries that share a bucket today.  Restore re-buckets them as
+        buckets that have not matched yet, and the run continues
+        byte-identically."""
+        digest, messages = burst_mix
+        config = digest.config.with_workers(2)
+        chunk = 500
+        full_stream = DigestStream(digest.kb, config)
+        full = []
+        for i in range(0, len(messages), chunk):
+            full.extend(full_stream.push_many(messages[i : i + chunk]))
+        full.extend(full_stream.close())
+
+        cut = 2_000
+        first = DigestStream(digest.kb, config)
+        events = []
+        for i in range(0, cut, chunk):
+            events.extend(first.push_many(messages[i : i + chunk]))
+        state = first.snapshot()
+        # The old windows at this instant: every open message still
+        # inside the window, in arrival order, none left out.
+        now = state["last_ts"]
+        for shard in state["shards"]:
+            shard["rule_window"] = {}
+        state["cross_window"] = {}
+        for plus in state["open"].values():
+            age = now - plus.timestamp
+            if age <= config.window:
+                shard = state["shards"][first._shard_index(plus.router)]
+                shard["rule_window"].setdefault(plus.router, {}).setdefault(
+                    plus.template_key, []
+                ).append((plus.timestamp, _step_item(plus)))
+            if age <= config.cross_router_window:
+                state["cross_window"].setdefault(
+                    plus.template_key, []
+                ).append((plus.timestamp, plus, plus.local_locations()))
+        crowded = max(
+            Counter(item.primary_location for _ts, item in entries)
+            .most_common(1)[0][1]
+            for shard in state["shards"]
+            for flat in shard["rule_window"].values()
+            for entries in flat.values()
+        )
+        assert crowded > 50  # entries of one template at one location
+        assert any(len(q) > 1 for q in state["cross_window"].values())
+        monkeypatch.setattr(first, "snapshot", lambda: state)
+        path = tmp_path / "flat-windows.ckpt"
+        info = write_checkpoint(path, first)
+        assert info.n_admitted == cut
+
+        resumed = restore_stream(path, digest.kb, stream_workers=lane)
+        try:
+            assert resumed.stream_lane == lane
+            for i in range(cut, len(messages), chunk):
+                events.extend(resumed.push_many(messages[i : i + chunk]))
             events.extend(resumed.close())
         finally:
             resumed.shutdown_workers()

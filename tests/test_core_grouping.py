@@ -7,8 +7,14 @@ import itertools
 import pytest
 
 from repro.core.config import DigestConfig
-from repro.core.grouping import GroupingEngine
+from repro.core.grouping import (
+    GroupingEngine,
+    build_rule_partners,
+    rule_edges,
+)
 from repro.core.knowledge import KnowledgeBase
+from repro.core.shards import ShardState
+from repro.core.stream import _step_item
 from repro.core.syslogplus import Augmenter
 from repro.locations.dictionary import LocationDictionary
 from repro.locations.model import Location, LocationKind
@@ -168,6 +174,60 @@ class TestTable2ToyExample:
         outcome = _group(toy_kb, DigestConfig(), messages)
         assert len(outcome.groups) == 2
         assert all(len(g) == 16 for g in outcome.groups)
+
+
+class TestBucketCollapse:
+    """``k`` messages of one template at one location, then ``m`` of a
+    rule partner there: the first partner relates to all ``k`` and
+    collapses their bucket, each later one relates to the survivor —
+    ``k + m - 1`` rule edges where a flat window emits ``k * m``."""
+
+    K, M = 40, 25
+
+    def _stream(self, kb):
+        iface = "Serial1/0/10:0"
+        downs = [
+            ("LINK-3-UPDOWN", f"Interface {iface}, changed state to down")
+        ] * self.K
+        protos = [
+            (
+                "LINEPROTO-5-UPDOWN",
+                f"Line protocol on Interface {iface}, changed state to down",
+            )
+        ] * self.M
+        messages = [
+            SyslogMessage(
+                timestamp=0.5 * i, router="r1", error_code=code, detail=detail
+            )
+            for i, (code, detail) in enumerate(downs + protos)
+        ]
+        return Augmenter(kb.templates, kb.dictionary).augment_all(messages)
+
+    def test_batch_rule_pass(self, toy_kb):
+        k, m = self.K, self.M
+        edges, active = rule_edges(
+            self._stream(toy_kb),
+            build_rule_partners(toy_kb.rule_pairs()),
+            120.0,
+            toy_kb.dictionary,
+        )
+        assert len(edges) == k + m - 1
+        assert set(edges[:k]) == {(i, k) for i in range(k)}
+        assert edges[k:] == [(k - 1, k + j) for j in range(1, m)]
+        assert active == {("t1", "t2")}
+
+    def test_stream_shard_step(self, toy_kb):
+        config = DigestConfig().only_passes(False, True, False)
+        shard = ShardState(
+            0, toy_kb, config, build_rule_partners(toy_kb.rule_pairs())
+        )
+        edges = []
+        for plus in self._stream(toy_kb):
+            edges.extend(shard.step(_step_item(plus), plus.timestamp))
+        assert len(edges) == self.K + self.M - 1
+        # The matched bucket is down to its survivor; the partners'
+        # own bucket, which nothing has matched yet, still holds all M.
+        assert shard.counts() == (0, 1 + self.M)
 
 
 class TestOrderInvariance:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.stream import DigestStream
+from repro.obs import MetricsRegistry
 from repro.syslog.message import SyslogMessage
 from repro.utils.timeutils import HOUR
 
@@ -167,6 +168,28 @@ class TestStateBounds:
         for lm in live_a.messages:
             stream.push(lm.message)
         assert stream.n_window_entries <= 3 * max(stream.n_open_messages, 1)
+
+
+class TestDiagnostics:
+    def test_health_and_metrics_read_shard_counts_once(self, system_a):
+        """``counts`` is a pipe round trip per shard on the process
+        lane: one broadcast per health read and per metrics flush."""
+        stream = DigestStream(system_a.kb, system_a.config.with_workers(2))
+        broadcast = stream._exec.broadcast
+        calls = []
+
+        def counting(method, *args):
+            calls.append(method)
+            return broadcast(method, *args)
+
+        stream._exec.broadcast = counting
+        health = stream.health()
+        assert calls == ["counts"]
+        assert health["splitters"] == stream.n_splitters
+        assert health["window_entries"] == stream.n_window_entries
+        calls.clear()
+        stream.record_metrics(MetricsRegistry())
+        assert calls == ["counts"]
 
 
 class TestPushMany:

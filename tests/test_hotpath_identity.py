@@ -14,8 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import DigestConfig
+from repro.core.grouping import build_rule_partners, rule_edges
 from repro.core.pipeline import SyslogDigest
 from repro.core.stream import DigestStream
+from repro.core.syslogplus import Augmenter
 from repro.hotpath import (
     digest_fingerprint,
     reference_enabled,
@@ -150,6 +152,94 @@ class TestStreamLaneIdentity:
             digest.kb, config, ordered[: len(ordered) // 2], "serial"
         )
         assert full != half
+
+
+class TestBurstIdentity:
+    """The same gates over the shape that makes window buckets fill and
+    collapse (``burst_mix``): every engine, worker count and lane, and a
+    restart from a checkpoint cut in the middle of a burst."""
+
+    def test_the_mix_fills_rule_windows(self, burst_mix):
+        digest, messages = burst_mix
+        kb = digest.kb
+        stream = Augmenter(kb.templates, kb.dictionary).augment_all(messages)
+        edges, active = rule_edges(
+            stream,
+            build_rule_partners(kb.rule_pairs()),
+            digest.config.window,
+            kb.dictionary,
+        )
+        assert active and len(edges) > len(messages)
+
+    def test_batch_reference_and_workers(self, burst_mix):
+        digest, messages = burst_mix
+        compiled = digest_fingerprint(digest.digest(messages))
+        with reference_mode():
+            reference = digest_fingerprint(
+                SyslogDigest(digest.kb, digest.config).digest(messages)
+            )
+        workers = digest_fingerprint(
+            SyslogDigest(digest.kb, digest.config.with_workers(4)).digest(
+                messages
+            )
+        )
+        assert compiled == reference == workers
+
+    def test_batch_equals_stream_on_every_lane(self, burst_mix):
+        digest, messages = burst_mix
+        by_start = lambda e: (e.start_ts, e.indices)
+        batch = stream_fingerprint(
+            sorted(digest.digest(messages).events, key=by_start)
+        )
+        one_shard = DigestStream(digest.kb, digest.config)
+        events = [e for m in messages for e in one_shard.push(m)]
+        events += one_shard.close()
+        assert stream_fingerprint(sorted(events, key=by_start)) == batch
+        config = digest.config.with_workers(4)
+        lanes = {}
+        for lane in ("serial", "threads", "processes"):
+            lanes[lane], actual = _stream_lane_fingerprint(
+                digest.kb, config, messages, lane
+            )
+            assert actual == lane
+        assert lanes["serial"] == lanes["threads"] == lanes["processes"]
+        # push_many sweeps once per chunk, so its events come out in
+        # another order than push's; the events themselves are the same.
+        stream = DigestStream(digest.kb, config)
+        chunked = stream.push_many(messages) + stream.close()
+        assert stream_fingerprint(sorted(chunked, key=by_start)) == batch
+
+    @pytest.mark.parametrize("lane", ["serial", "threads", "processes"])
+    def test_checkpoint_cut_mid_burst(self, burst_mix, lane):
+        digest, messages = burst_mix
+        config = digest.config.with_workers(4)
+        full, _ = _stream_lane_fingerprint(
+            digest.kb, config, messages, "serial"
+        )
+        cut = 2_000  # every message so far is younger than W
+        first = DigestStream(digest.kb, config)
+        events = []
+        for i in range(0, cut, 500):
+            events.extend(first.push_many(messages[i : i + 500]))
+        state = first.snapshot()
+        filed = sum(
+            len(entries)
+            for shard in state["shards"]
+            for flat in shard["rule_window"].values()
+            for entries in flat.values()
+        )
+        assert 0 < filed < cut // 2  # buckets in the snapshot collapsed
+        resumed = DigestStream(
+            digest.kb, config.with_stream_workers(lane)
+        )
+        try:
+            resumed.restore(state)
+            for i in range(cut, len(messages), 500):
+                events.extend(resumed.push_many(messages[i : i + 500]))
+            events.extend(resumed.close())
+        finally:
+            resumed.shutdown_workers()
+        assert stream_fingerprint(events) == full
 
 
 class TestDatasetIdentity:
