@@ -2,7 +2,7 @@
 
 PY = PYTHONPATH=src python
 
-.PHONY: check test faults lifecycle ingest serve serve-smoke chaos chaos-smoke placement placement-smoke bench bench-refresh bench-ingest bench-scale bench-ledger bench-ledger-trace clean
+.PHONY: check test faults lifecycle ingest serve serve-smoke chaos chaos-smoke placement placement-smoke bench bench-refresh bench-ingest bench-ledger bench-ledger-trace clean
 
 # The pre-merge gate: one pass of the full tier-1 suite.  Every
 # byte-identity gate (checkpoint kill-and-resume, zero-drift canary,
@@ -84,14 +84,6 @@ bench-refresh:
 # ingest_disorder.txt).
 bench-ingest:
 	$(PY) -m pytest -q benchmarks/bench_ingest.py
-
-# Million-message scale run: 1000 routers, heavy-tailed volume, chunked
-# streaming; pins the msgs/sec floor and the compiled-vs-reference
-# speedup, plus the per-executor-lane streaming rates with the pinned
-# process-lane floor (writes benchmarks/results/throughput_scale.txt
-# and benchmarks/results/throughput_streaming_lanes.txt).
-bench-scale:
-	REPRO_SCALE_MESSAGES=1000000 $(PY) -m pytest -q benchmarks/bench_throughput.py -k "scale_trajectory or streaming_lanes"
 
 # The ledger (BENCHMARK.json; benchmarks/ledger/README.md): all five
 # workloads end to end, each in a fresh child process, from a bare

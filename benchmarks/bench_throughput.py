@@ -1,50 +1,22 @@
 """Throughput — does online digesting keep up with an operational feed?
 
 Paper: "it generally takes less than one hour to digest one day's syslog".
-We measure batch digest and streaming-push throughput on a live day and
-compare against the generation rate, plus serial vs router-sharded
-parallel digest of the same day (the sharded engine must be both faster
-on multi-core hardware and byte-identical in its groupings).
+We measure batch digest and streaming-push wall time on a live day against
+that bound.  Rates, scale, lanes, sharding and instrumentation overhead
+are the ledger's (``benchmarks/ledger/``, ``make bench-ledger``): one
+committed protocol, not a second set of numbers here.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from itertools import islice
 
 from benchmarks._shared import record, record_table
-from repro.core.config import DigestConfig
 from repro.core.pipeline import SyslogDigest
 from repro.core.stream import DigestStream
-from repro.hotpath import digest_fingerprint, reference_mode
 from repro.netsim.datasets import ONLINE_START
-from repro.netsim.scale import ScaleGenerator, ScaleSpec
-from repro.obs import (
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    scoped_registry,
-    to_prom_text,
-)
+from repro.obs import get_registry, to_prom_text
 from repro.utils.timeutils import DAY
-
-#: Pinned floor for the scale run (streaming msgs/sec, end to end).  The
-#: compiled hot path sustains ~18-25k msg/s on the reference container;
-#: the floor is set with ~2x headroom so only a real regression trips it,
-#: not scheduler noise.
-SCALE_RATE_FLOOR = 8_000.0
-
-#: The tentpole bar: compiled path at least this much faster than the
-#: reference (pre-optimization) path on the same messages.
-SCALE_SPEEDUP_FLOOR = 5.0
-
-#: Pinned floor for the *process* executor lane on the same scale feed.
-#: On a single-core container the lane pays pure IPC overhead (~10k
-#: msg/s measured, vs ~18k serial) with no parallel win available, so
-#: the floor guards against pickling/protocol regressions, not speedup;
-#: the threads-vs-processes ordering is asserted only on >= 4 cores.
-STREAM_LANE_RATE_FLOOR = 4_000.0
 
 
 def _one_day(live):
@@ -99,277 +71,3 @@ def test_throughput_streaming_push(benchmark, system_a, live_a):
 
     events = benchmark.pedantic(run, rounds=1, iterations=1)
     assert events
-
-
-def test_throughput_serial_vs_sharded(benchmark, system_a, live_a):
-    """Serial vs router-sharded parallel digest of one live day.
-
-    The sharded engine must produce byte-identical groupings; on a
-    multi-core runner it must also be measurably faster (the paper's
-    performance bar scales with hardware, ROADMAP's north star).
-    """
-    messages = _one_day(live_a)
-    n_cores = os.cpu_count() or 1
-    serial_system = SyslogDigest(system_a.kb, system_a.config.with_workers(1))
-    sharded_system = SyslogDigest(
-        system_a.kb, system_a.config.with_workers(0)  # one per core
-    )
-
-    def run_both():
-        t0 = time.perf_counter()
-        serial = serial_system.digest(messages)
-        t1 = time.perf_counter()
-        sharded = sharded_system.digest(messages)
-        t2 = time.perf_counter()
-        return serial, sharded, t1 - t0, t2 - t1
-
-    serial, sharded, serial_s, sharded_s = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    speedup = serial_s / max(sharded_s, 1e-9)
-    identical = [e.indices for e in sharded.events] == [
-        e.indices for e in serial.events
-    ]
-    record_table(
-        "throughput_serial_vs_sharded",
-        ["metric", "value"],
-        [
-            ("messages in one day", len(messages)),
-            ("cores", n_cores),
-            ("serial digest (s)", f"{serial_s:.2f}"),
-            (f"sharded digest, {n_cores} workers (s)", f"{sharded_s:.2f}"),
-            ("speedup", f"{speedup:.2f}x"),
-            ("groupings byte-identical", identical),
-        ],
-        title="Throughput: serial vs router-sharded parallel digest",
-    )
-    assert identical
-    if n_cores >= 4:
-        # The acceptance bar for a true multi-core runner; on fewer
-        # cores the pool overhead can eat the win, so only the
-        # equivalence half of the contract is enforced above.
-        assert speedup >= 1.5
-
-
-def test_throughput_scale_trajectory(benchmark):
-    """Million-message scale run: msgs/sec trajectory + speedup pin.
-
-    A 1000-router network with heavy-tailed per-router volume feeds the
-    streaming engine in chunks; the per-chunk rate trajectory shows
-    whether throughput stays flat as caches, windows, and splitter state
-    fill up.  A subsample is then digested under
-    :func:`repro.hotpath.reference_mode` to pin the compiled path's
-    speedup (byte-identical by fingerprint) at >= 5x.
-
-    ``REPRO_SCALE_MESSAGES`` sets the run length; ``make bench-scale``
-    runs the full million, the default keeps ``make bench`` tolerable.
-    """
-    n_messages = int(os.environ.get("REPRO_SCALE_MESSAGES", "200000"))
-    chunk_size = 50_000
-    gen = ScaleGenerator(ScaleSpec(n_routers=1000, n_messages=1_000_000))
-    system = SyslogDigest.learn(
-        gen.learning_messages(30_000),
-        gen.configs(),
-        DigestConfig(window=120.0),
-        fit_temporal=False,
-    )
-
-    def run():
-        stream = DigestStream(system.kb, system.config)
-        trajectory: list[tuple[int, float]] = []
-        n_events = 0
-        done = 0
-        t0 = time.perf_counter()
-        for chunk in gen.chunks(chunk_size=chunk_size, n_messages=n_messages):
-            c0 = time.perf_counter()
-            n_events += len(stream.push_many(chunk))
-            done += len(chunk)
-            trajectory.append((done, len(chunk) / (time.perf_counter() - c0)))
-        n_events += len(stream.close())
-        return trajectory, n_events, time.perf_counter() - t0
-
-    trajectory, n_events, total_s = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    overall_rate = n_messages / total_s
-
-    # Speedup pin on a subsample at the *full-density* arrival rate (a
-    # slice of a nominal 1M-message day, not 30k spread over a day —
-    # window occupancy, which drives grouping cost, must match the real
-    # workload).  The reference path is the same code the compiled path
-    # must be byte-identical to, so one digest each suffices.
-    sample = list(islice(gen.stream(seed_salt=0xBE7C), 30_000))
-    t0 = time.perf_counter()
-    compiled_result = system.digest(sample)
-    compiled_s = time.perf_counter() - t0
-    with reference_mode():
-        reference_system = SyslogDigest(system.kb, system.config)
-        t0 = time.perf_counter()
-        reference_result = reference_system.digest(sample)
-        reference_s = time.perf_counter() - t0
-    speedup = reference_s / max(compiled_s, 1e-9)
-    identical = digest_fingerprint(compiled_result) == digest_fingerprint(
-        reference_result
-    )
-
-    rows: list[tuple[str, object]] = [
-        ("routers", len(gen.network.routers)),
-        ("messages", n_messages),
-        ("events", n_events),
-        ("total wall time (s)", f"{total_s:.1f}"),
-        ("overall rate (msg/s)", f"{overall_rate:,.0f}"),
-        ("pinned rate floor (msg/s)", f"{SCALE_RATE_FLOOR:,.0f}"),
-        (
-            f"compiled digest, {len(sample)} msg subsample (s)",
-            f"{compiled_s:.2f}",
-        ),
-        ("reference digest, same subsample (s)", f"{reference_s:.2f}"),
-        ("compiled vs reference speedup", f"{speedup:.1f}x"),
-        ("outputs byte-identical", identical),
-    ]
-    rows += [
-        (f"rate after {done:,} msgs (msg/s)", f"{rate:,.0f}")
-        for done, rate in trajectory
-    ]
-    record_table(
-        "throughput_scale",
-        ["metric", "value"],
-        rows,
-        title="Throughput: million-message scale trajectory "
-        "(1000 routers, heavy-tailed volume)",
-    )
-    assert identical
-    assert overall_rate >= SCALE_RATE_FLOOR
-    assert speedup >= SCALE_SPEEDUP_FLOOR
-
-
-def test_throughput_streaming_lanes(benchmark):
-    """Streaming msgs/sec per executor lane: serial vs threads vs processes.
-
-    The same scale feed (1000 routers, heavy-tailed volume) is pushed
-    through ``DigestStream.push_many`` once per lane with 4 shards.  The
-    process lane must hold a pinned absolute floor everywhere (its IPC
-    cost is the regression being guarded); on a true multi-core runner
-    it must also beat the GIL-bound thread lane.  Event counts must
-    agree across lanes — full byte-identity is the ``make check`` gate
-    in ``tests/test_hotpath_identity.py``.
-
-    ``REPRO_SCALE_MESSAGES`` sets the run length, as for the trajectory.
-    """
-    n_messages = int(os.environ.get("REPRO_SCALE_MESSAGES", "200000"))
-    n_cores = os.cpu_count() or 1
-    gen = ScaleGenerator(ScaleSpec(n_routers=1000, n_messages=1_000_000))
-    system = SyslogDigest.learn(
-        gen.learning_messages(30_000),
-        gen.configs(),
-        DigestConfig(window=120.0),
-        fit_temporal=False,
-    )
-    config = system.config.with_workers(4)
-
-    def run_lane(lane):
-        stream = DigestStream(system.kb, config.with_stream_workers(lane))
-        try:
-            assert stream.stream_lane == lane  # no silent degradation
-            n_events = 0
-            t0 = time.perf_counter()
-            for chunk in gen.chunks(
-                chunk_size=50_000, n_messages=n_messages
-            ):
-                n_events += len(stream.push_many(chunk))
-            n_events += len(stream.close())
-            return n_events, n_messages / (time.perf_counter() - t0)
-        finally:
-            stream.shutdown_workers()
-
-    def run():
-        return {
-            lane: run_lane(lane)
-            for lane in ("serial", "threads", "processes")
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    events = {lane: n for lane, (n, _rate) in results.items()}
-    rates = {lane: rate for lane, (_n, rate) in results.items()}
-    record_table(
-        "throughput_streaming_lanes",
-        ["metric", "value"],
-        [
-            ("messages", n_messages),
-            ("cores", n_cores),
-            ("shards", 4),
-            ("serial lane (msg/s)", f"{rates['serial']:,.0f}"),
-            ("thread lane (msg/s)", f"{rates['threads']:,.0f}"),
-            ("process lane (msg/s)", f"{rates['processes']:,.0f}"),
-            (
-                "pinned process-lane floor (msg/s)",
-                f"{STREAM_LANE_RATE_FLOOR:,.0f}",
-            ),
-            ("events (all lanes)", events["serial"]),
-            (
-                "event counts agree",
-                events["serial"] == events["threads"] == events["processes"],
-            ),
-        ],
-        title="Throughput: streaming executor lanes "
-        "(persistent per-shard worker processes vs threads vs serial)",
-    )
-    assert events["serial"] == events["threads"] == events["processes"]
-    assert rates["processes"] >= STREAM_LANE_RATE_FLOOR
-    if n_cores >= 4:
-        # Four real cores: shared-nothing workers must beat the
-        # GIL-bound thread lane; below that the IPC cost can win and
-        # only the absolute floor is enforced.
-        assert rates["processes"] >= rates["threads"]
-
-
-def test_metrics_overhead(benchmark, system_a, live_a):
-    """Default-on instrumentation must cost <5% of digest wall time.
-
-    The same one-day digest runs under a no-op registry and a live one;
-    each is repeated and the best-of runs compared so scheduler noise
-    does not masquerade as overhead.  The measurement is recorded in
-    ``results/metrics_overhead.txt``.
-    """
-    messages = _one_day(live_a)
-    system = SyslogDigest(system_a.kb, system_a.config)
-    rounds = 3
-
-    def best_of(registry) -> float:
-        best = float("inf")
-        with scoped_registry(registry):
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                result = system.digest(messages)
-                best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    def run():
-        noop_s, noop_result = best_of(NullRegistry())
-        live_s, live_result = best_of(MetricsRegistry())
-        return noop_s, live_s, noop_result, live_result
-
-    noop_s, live_s, noop_result, live_result = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    overhead = live_s / noop_s - 1.0
-    identical = [e.indices for e in live_result.events] == [
-        e.indices for e in noop_result.events
-    ]
-    record_table(
-        "metrics_overhead",
-        ["metric", "value"],
-        [
-            ("messages in one day", len(messages)),
-            (f"digest, no-op registry, best of {rounds} (s)", f"{noop_s:.3f}"),
-            (f"digest, live registry, best of {rounds} (s)", f"{live_s:.3f}"),
-            ("overhead", f"{overhead * 100:+.2f}%"),
-            ("results identical", identical),
-        ],
-        title="Observability: registry overhead on the one-day batch digest "
-        "(bound: < 5%)",
-    )
-    assert identical
-    # <5% bound, with a small absolute floor so micro-second jitter on a
-    # tiny scaled-down run cannot fail the relative bound spuriously.
-    assert live_s <= noop_s * 1.05 + 0.02

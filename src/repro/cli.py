@@ -568,7 +568,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, run_daemon
 
-    config = ServeConfig.from_file(args.config)
+    try:
+        config = ServeConfig.from_file(args.config)
+    except ValueError as exc:
+        print(f"serve: {args.config}: {exc}", file=sys.stderr)
+        return 2
     if args.once:
         config = replace(config, once=True)
     if args.port is not None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hotpath import reference_enabled
 from repro.locations.dictionary import LocationDictionary
 from repro.locations.extract import ExtractedLocation, LocationExtractor
 from repro.locations.model import Location
@@ -72,8 +71,7 @@ class Augmenter:
     tokenizes each detail exactly once.  The memo is per-instance, and
     augmenters are rebuilt whenever the knowledge base is swapped, so a
     cached result can never outlive the templates or dictionary it was
-    computed from.  Reference mode bypasses the memo (and the compiled
-    matcher underneath) entirely.
+    computed from.
     """
 
     def __init__(
@@ -106,9 +104,7 @@ class Augmenter:
     def _augmentation(
         self, message: SyslogMessage
     ) -> tuple[Template, tuple[ExtractedLocation, ...], Location]:
-        """Memoized :meth:`_compute` (uncached under reference mode)."""
-        if reference_enabled():
-            return self._compute(message)
+        """Memoized :meth:`_compute`."""
         key = (message.router, message.error_code, message.detail)
         hit = self._memo.get(key)
         if hit is None:

@@ -1,55 +1,17 @@
-"""Reference-path switch for the compiled per-message hot path.
+"""Digest fingerprints: the byte-identity the gates compare.
 
-The per-message pipeline (signature match → location parse → grouping
-passes) has two implementations that must be byte-identical:
-
-* the **compiled path** (default): indexed template matching, memoized
-  augmentation with one-pass tokenization, a combined-regex prefilter in
-  location extraction, and cached hierarchy/spatial queries in the
-  location dictionary;
-* the **reference path**: the straightforward per-template /
-  per-pattern / uncached implementations the compiled path was derived
-  from.
-
-:func:`reference_mode` flips every optimized component back to the
-reference implementation at once.  ``make check`` digests a reference
-trace under both modes (serial and ``--workers 4``) and asserts the
-outputs are byte-identical, so no optimization can silently change
-behavior; the scale benchmark uses the same switch to measure the
-speedup honestly against the unoptimized path.
-
-The flag is read at *call* time by the few functions whose algorithm
-differs between modes, and at *construction* time by components that
-build per-instance caches — so enter the context manager before
-constructing the ``Augmenter``/``SyslogDigest`` under test.
+Every optimisation of the per-message path (indexed template matching,
+memoized augmentation, the extraction prefilter, cached hierarchy and
+spatial queries) and every execution choice (worker count, executor
+lane, placement, checkpoint cut) must leave the digest byte-identical.
+The two functions here are that equality: one canonical SHA-256 over
+everything a batch run computed, one over a stream's finalized events.
+The naive forms the optimisations are held to live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-
-_reference = False
-
-
-def reference_enabled() -> bool:
-    """True while the uncompiled reference path is forced on."""
-    return _reference
-
-
-@contextmanager
-def reference_mode():
-    """Force the reference (pre-optimization) per-message path.
-
-    Nestable and exception-safe; the previous state is restored on exit.
-    """
-    global _reference
-    previous = _reference
-    _reference = True
-    try:
-        yield
-    finally:
-        _reference = previous
 
 
 def digest_fingerprint(result) -> str:
@@ -59,9 +21,9 @@ def digest_fingerprint(result) -> str:
     every extracted location and the primary location; per event: member
     indices, label and score; plus the set of rules that fired.  Two runs
     whose fingerprints match produced byte-identical digests — this is
-    the equality the ``make check`` identity gate and the scale benchmark
-    both assert between the compiled and reference paths (and between
-    serial and multi-worker runs).
+    the equality the ``make check`` identity gate asserts between the
+    production path and the oracle's naive forms, and between serial and
+    multi-worker runs.
 
     Duck-typed over :class:`repro.core.pipeline.DigestResult` so this
     module keeps zero intra-package imports (it sits below everything).

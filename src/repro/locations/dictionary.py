@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.hotpath import reference_enabled
 from repro.locations.hierarchy import ancestors_of_name, parse_interface_name
 from repro.locations.model import Location, LocationKind
 
@@ -221,29 +220,20 @@ class LocationDictionary:
             # Component names that do not parse positionally (e.g. a bare
             # slot number) still belong to their own ancestor chain.
             chain = [location] + chain
-        if reference_enabled():
-            extra = [
-                bundle
-                for bundle, members in self._multilink_members.items()
-                if location in members
-            ]
-        else:
-            # Reverse index: built by iterating bundles in the same order
-            # as the scan above, so per-member bundle order is identical.
-            index = self._member_bundles
-            if index is None:
-                index = {}
-                for bundle, members in self._multilink_members.items():
-                    for member in members:
-                        index.setdefault(member, []).append(bundle)
-                self._member_bundles = index
-            extra = index.get(location, [])
-        return chain + extra
+        # Reverse index, built by iterating bundles in insertion order so
+        # a member's bundles come out as a linear scan of
+        # ``_multilink_members`` would find them.
+        index = self._member_bundles
+        if index is None:
+            index = {}
+            for bundle, members in self._multilink_members.items():
+                for member in members:
+                    index.setdefault(member, []).append(bundle)
+            self._member_bundles = index
+        return chain + index.get(location, [])
 
     def _ancestors_tuple(self, location: Location) -> tuple[Location, ...]:
-        """Memoized :meth:`ancestors` (uncached under reference mode)."""
-        if reference_enabled():
-            return tuple(self._compute_ancestors(location))
+        """Memoized :meth:`ancestors`."""
         cached = self._ancestor_cache.get(location)
         if cached is None:
             if len(self._ancestor_cache) >= _MAX_ANCESTOR_CACHE:
@@ -254,8 +244,6 @@ class LocationDictionary:
 
     def _ancestor_set(self, location: Location) -> frozenset[Location]:
         """Memoized set form of :meth:`ancestors`, for membership tests."""
-        if reference_enabled():
-            return frozenset(self._compute_ancestors(location))
         cached = self._ancestor_set_cache.get(location)
         if cached is None:
             if len(self._ancestor_set_cache) >= _MAX_ANCESTOR_CACHE:
@@ -277,8 +265,6 @@ class LocationDictionary:
         """
         if a.router == b.router:
             return False
-        if reference_enabled():
-            return self._compute_connected(a, b)
         key = (a, b)
         hit = self._connected_cache.get(key)
         if hit is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.hotpath import reference_enabled
 from repro.locations.dictionary import LocationDictionary
 from repro.locations.hierarchy import parse_interface_name
 from repro.locations.model import Location, LocationKind
@@ -67,7 +66,7 @@ class LocationExtractor:
         Always includes the router-level location last so every message has
         at least one location (Section 4.1.2's router-id fallback).
         """
-        if not reference_enabled() and _ANY.search(detail) is None:
+        if _ANY.search(detail) is None:
             # Nothing location-shaped anywhere in the text: only the
             # router-id fallback applies.
             return [

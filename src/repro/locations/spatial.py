@@ -9,7 +9,6 @@ the climb through the dictionary's ancestor expansion.
 
 from __future__ import annotations
 
-from repro.hotpath import reference_enabled
 from repro.locations.dictionary import LocationDictionary
 from repro.locations.model import Location
 
@@ -22,26 +21,8 @@ def spatially_matched(
     Router-level locations match everything on the same router (a message
     with no finer location is about the router as a whole).
 
-    The dictionary memoizes the answer per pair; reference mode recomputes
-    from scratch so the byte-identity gate exercises the original logic.
+    The dictionary memoizes the answer per pair.
     """
-    if reference_enabled():
-        if a.router != b.router:
-            return False
-        if a == b:
-            return True
-        ups_a = set(dictionary.ancestors(a))
-        ups_b = set(dictionary.ancestors(b))
-        # One is an ancestor of the other, or they share a sub-router
-        # ancestor (e.g. two channels of the same port, two members of
-        # one bundle).
-        common = ups_a & ups_b
-        non_router_common = {
-            loc for loc in common if loc.kind.name != "ROUTER"
-        }
-        if a in ups_b or b in ups_a:
-            return True
-        return bool(non_router_common)
     return dictionary.spatially_matched_pair(a, b)
 
 

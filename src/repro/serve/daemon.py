@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.obs import (
@@ -61,7 +61,7 @@ from .journal import TransitionJournal
 from .placement import InlineHandle, ProcessHandle, WorkerClient
 from .rpc import RpcClosed, RpcError, RpcTimeout
 from .supervisor import Supervisor
-from .tenant import TenantRuntime, TenantSpec
+from .tenant import TenantRuntime, TenantSpec, reject_unknown_keys
 
 PORT_FILE = "http.port"
 
@@ -73,6 +73,19 @@ BUDGET_GAUGES = {
     "journal_bytes": ("journal_max_bytes", "journal_bytes"),
     "quarantine_bytes": ("quarantine_max_bytes", "quarantine_records"),
     "stream_procs": ("max_stream_procs", "stream_procs"),
+}
+
+
+#: The nested config blocks: ``{key in the block: ServeConfig field}``.
+_SUPERVISOR_KEYS = {
+    key: key for key in ("max_restarts", "base_delay", "progress_deadline")
+}
+_HTTP_KEYS = {
+    "read_deadline": "http_read_deadline",
+    "max_header_bytes": "http_max_header_bytes",
+    "max_body_bytes": "http_max_body_bytes",
+    "max_longpoll_waiters": "max_longpoll_waiters",
+    "longpoll_max_wait": "longpoll_max_wait",
 }
 
 
@@ -122,23 +135,19 @@ class ServeConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ServeConfig":
         data = dict(data)
+        for block, keys in (
+            ("supervisor", _SUPERVISOR_KEYS),
+            ("http", _HTTP_KEYS),
+        ):
+            values = data.pop(block, {})
+            reject_unknown_keys(values, keys, f"serve config {block} block")
+            data.update((keys[key], value) for key, value in values.items())
+        reject_unknown_keys(
+            data, [f.name for f in fields(cls)], "serve config"
+        )
         data["tenants"] = tuple(
             TenantSpec.from_dict(item) for item in data.get("tenants", [])
         )
-        supervisor = data.pop("supervisor", {})
-        for key in ("max_restarts", "base_delay", "progress_deadline"):
-            if key in supervisor:
-                data[key] = supervisor[key]
-        http = data.pop("http", {})
-        for key, attr in (
-            ("read_deadline", "http_read_deadline"),
-            ("max_header_bytes", "http_max_header_bytes"),
-            ("max_body_bytes", "http_max_body_bytes"),
-            ("max_longpoll_waiters", "max_longpoll_waiters"),
-            ("longpoll_max_wait", "longpoll_max_wait"),
-        ):
-            if key in http:
-                data[attr] = http[key]
         return cls(**data)
 
     @classmethod
@@ -170,6 +179,9 @@ class ServeDaemon:
         self.supervisors: dict[str, Supervisor] = {}
         self.api = HttpApi(self)
         self.draining = False
+        # Set with ``draining``: what an idle pump sleeps on, so a drain
+        # starts at once instead of after the rest of ``poll_interval``.
+        self._drain_requested = asyncio.Event()
         self._crash_hook = None
         self._n_arrivals = 0
         self._event_waiters: dict[str, list[asyncio.Future]] = {}
@@ -198,6 +210,7 @@ class ServeDaemon:
     def request_drain(self) -> None:
         """Begin graceful shutdown (idempotent; SIGTERM/SIGINT/POST)."""
         self.draining = True
+        self._drain_requested.set()
         # Long-pollers must not ride out the drain: wake them all so
         # they return their current page and the server can stop.
         for name in list(self._event_waiters):
@@ -380,7 +393,13 @@ class ServeDaemon:
             elif runtime.refill() == 0:
                 if self.config.once:
                     return
-                await asyncio.sleep(self.config.poll_interval)
+                try:
+                    await asyncio.wait_for(
+                        self._drain_requested.wait(),
+                        self.config.poll_interval,
+                    )
+                except asyncio.TimeoutError:
+                    pass
 
     def _count_arrivals(self, n: int) -> None:
         self._n_arrivals += n

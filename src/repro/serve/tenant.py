@@ -16,18 +16,18 @@ drain, and admin (promote/rollback/requeue) operations, all synchronous
 Crash safety is the checkpoint + event-journal protocol spelled out in
 :mod:`repro.serve.journal`: journal fsync *before* checkpoint write;
 journal truncate to the checkpoint's ``finalized`` counter on restore;
-tail replay skips each source's already-consumed arrivals via
-:meth:`~MultiSourceIngest.pushed_counts`.  Because
-:func:`~repro.syslog.collector.interleave_arrivals` is a deterministic
-greedy merge, re-interleaving the per-source suffixes reproduces the
-exact suffix of the uninterrupted arrival order — which is what makes
-the kill -9 fingerprint gate hold.
+tail replay resumes each source at its checkpointed byte cursor
+(:class:`~repro.syslog.tail.TailSet`), just past the last pushed line.
+Because :func:`~repro.syslog.collector.interleave_arrivals` is a
+deterministic greedy merge, re-interleaving the per-source suffixes
+reproduces the exact suffix of the uninterrupted arrival order — which
+is what makes the kill -9 fingerprint gate hold.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.checkpoint import (
@@ -56,7 +56,6 @@ from repro.syslog.resilient import (
     requeue_records,
 )
 from repro.syslog.tail import TailSet
-from repro.utils.timeutils import parse_ts
 
 from .journal import EventJournal, TransitionJournal
 
@@ -83,6 +82,16 @@ BUDGET_HEALTH_KEYS: dict[str, str] = {
     "breached": "budget names breached so far, in breach order",
     "over_budget": "1.0 while any budget stands breached",
 }
+
+
+def reject_unknown_keys(data: dict, known, where: str) -> None:
+    """Config input is external: name a stray key instead of letting a
+    dataclass constructor die on it with a ``TypeError``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -136,15 +145,11 @@ class TenantSpec:
     n_workers: int = 1
     stream_workers: str = "serial"
     checkpoint_every: int = 200
-    max_reorder_delay: float = 0.0
+    max_reorder_delay: float = IngestConfig.max_reorder_delay
     dedup_window: float = 0.0
     degraded_max_open: int = 500
     quarantine_max_bytes: int = 1 << 20
     batch_size: int = 64
-    #: Follow sources with byte-offset tail cursors (rotation/truncation
-    #: aware, checkpointed).  ``False`` falls back to whole-file re-read
-    #: refills — the pre-tailing behavior.
-    tail: bool = True
     #: Where this tenant's pipeline runs: ``"inline"`` on the daemon's
     #: own event loop (the pre-placement behavior), or ``"process"`` in
     #: a supervised worker process of its own behind framed-pipe RPC —
@@ -178,8 +183,15 @@ class TenantSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
         data = dict(data)
+        where = f"tenant {data.get('name')!r}"
+        reject_unknown_keys(data, [f.name for f in fields(cls)], where)
         data["sources"] = tuple(data["sources"])
         if isinstance(data.get("budget"), dict):
+            reject_unknown_keys(
+                data["budget"],
+                [f.name for f in fields(TenantBudget)],
+                f"{where} budget block",
+            )
             data["budget"] = TenantBudget(**data["budget"])
         return cls(**data)
 
@@ -187,28 +199,6 @@ class TenantSpec:
         data = asdict(self)
         data["sources"] = list(self.sources)
         return data
-
-
-def stamp_lines(path: str | Path) -> list[tuple[float, str]]:
-    """Read one source log into ``(timestamp, line)`` pairs.
-
-    Same contract as the CLI's feed reader: blank lines are skipped
-    (they would not count as arrivals downstream either), unparseable
-    lines ride at the last readable timestamp so they reach the ingest
-    — and its breakers — in position instead of vanishing.
-    """
-    stamped: list[tuple[float, str]] = []
-    last_ts = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                last_ts = parse_ts(line[:19])
-            except ValueError:
-                pass
-            stamped.append((last_ts, line.rstrip("\n")))
-    return stamped
 
 
 @dataclass
@@ -368,9 +358,8 @@ class TenantRuntime:
         )
         for source in self.spec.sources:
             self.ingest.register(source)
-        if self.spec.tail:
-            self.tails = TailSet(self.spec.sources)
-            self.ingest.attach_tails(self.tails)
+        self.tails = TailSet(self.spec.sources)
+        self.ingest.attach_tails(self.tails)
         self.events.truncate(0)
         self.resumed = False
 
@@ -408,63 +397,46 @@ class TenantRuntime:
     def _restore_tails(self) -> None:
         """Rebuild tail cursors from the checkpoint's ingest payload.
 
-        A checkpoint written by a pre-tailing run (no cursor state, yet
-        sources already partially consumed) cannot be tailed safely —
-        byte offsets for the consumed prefixes were never recorded — so
-        the runtime falls back to whole-file refills for its lifetime.
+        A checkpoint with no cursor state whose sources are already
+        partly consumed cannot be resumed: the byte offsets of the
+        consumed prefixes were never recorded, and guessing them would
+        drop or double-push arrivals.  It is refused like any other
+        unusable checkpoint (the supervisor journals the failure).
         """
-        if not self.spec.tail:
-            self.tails = None
-            return
         state = self.ingest.restored_tail_state()
-        if state is None:
-            consumed = self.ingest.pushed_counts()
-            if any(consumed.get(s, 0) for s in self.spec.sources):
-                self.tails = None  # legacy checkpoint: refill re-reads
-                return
-            self.tails = TailSet(self.spec.sources)
-        else:
+        if state is not None:
             self.tails = TailSet.from_snapshot(
                 state, sources=self.spec.sources
             )
+        elif any(self.ingest.pushed_counts().values()):
+            raise ValueError(
+                f"tenant {self.spec.name}: checkpoint records consumed "
+                "arrivals but no tail cursors; it cannot be resumed "
+                "without re-reading its sources"
+            )
+        else:
+            self.tails = TailSet(self.spec.sources)
         self.ingest.attach_tails(self.tails)
 
     # ------------------------------------------------------------- input
 
     def refill(self) -> int:
-        """(Re)build the pending-arrival queue from the source files.
+        """Extend the pending-arrival queue from the source files.
 
-        Tailing mode (the default): polls every source's byte-offset
-        cursor — rotation- and truncation-aware, no re-read of consumed
-        bytes — takes the newly stamped lines, interleaves them, and
-        *extends* the queue.  By the greedy-merge determinism of
-        :func:`interleave_arrivals` (and, for live feeds, a positive
-        ``max_reorder_delay``), the pushed sequence digests identically
-        to an uninterrupted run.
-
-        Legacy mode (``tail=False``, or a checkpoint with no cursors):
-        re-reads every source whole, drops each one's already-consumed
-        prefix (``pushed_counts``), and re-interleaves the suffixes.
+        Polls every source's byte-offset cursor — rotation- and
+        truncation-aware, no re-read of consumed bytes — takes the newly
+        stamped lines, interleaves them, and *extends* the queue.  By
+        the greedy-merge determinism of :func:`interleave_arrivals`
+        (and, for live feeds, a positive ``max_reorder_delay``), the
+        pushed sequence digests identically to an uninterrupted run.
         Called at start and whenever the daemon finds the queue empty.
         Returns the number of pending arrivals.
         """
-        if self.tails is not None:
-            self.tails.poll()
-            feeds = self.tails.take_new()
-            arrivals = interleave_arrivals(
-                feeds, key=lambda pair: pair[0]
-            )
-            self._arrivals.extend(
-                (source, line) for source, (_ts, line) in arrivals
-            )
-            return len(self._arrivals)
-        consumed = self.ingest.pushed_counts()
-        feeds = {}
-        for source in self.spec.sources:
-            stamped = stamp_lines(source)
-            feeds[source] = stamped[consumed.get(source, 0):]
-        arrivals = interleave_arrivals(feeds, key=lambda pair: pair[0])
-        self._arrivals = deque(
+        self.tails.poll()
+        arrivals = interleave_arrivals(
+            self.tails.take_new(), key=lambda pair: pair[0]
+        )
+        self._arrivals.extend(
             (source, line) for source, (_ts, line) in arrivals
         )
         return len(self._arrivals)
@@ -491,10 +463,9 @@ class TenantRuntime:
             source, line = self._arrivals.popleft()
             self._arrivals_life += 1
             events = self.ingest.push_line(source, line)
-            if self.tails is not None:
-                # Commit the tail cursor past this line: offsets in the
-                # next checkpoint cover exactly the pushed arrivals.
-                self.tails.note_pushed(source)
+            # Commit the tail cursor past this line: offsets in the
+            # next checkpoint cover exactly the pushed arrivals.
+            self.tails.note_pushed(source)
             if events:
                 self.events.append(events)
                 registry.inc(
@@ -720,7 +691,6 @@ class TenantRuntime:
             "degraded": self.degraded,
             "durable_degraded": self.durable_degraded,
             "resumed": self.resumed,
-            "tailing": self.tails is not None,
             "pending_arrivals": len(self._arrivals),
             "events_journaled": len(self.events),
             "n_batches": self.n_batches,

@@ -38,9 +38,10 @@ read cursor:
 
 Read errors (a failing disk, a vanished file mid-rotation) are counted
 and retried on the next poll — a sick source degrades, it never kills
-the pipeline.  Timestamp stamping matches
-:func:`repro.serve.tenant.stamp_lines` exactly: blank lines are
-skipped, unparseable lines ride at the last readable timestamp.
+the pipeline.  Timestamp stamping is the CLI feed reader's contract:
+blank lines are skipped (they would not count as arrivals downstream
+either), unparseable lines ride at the last readable timestamp so they
+reach the ingest — and its breakers — in position instead of vanishing.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ class SourceTailer:
         if line.endswith("\r"):
             line = line[:-1]
         if not line.strip():
-            return  # blank lines never become arrivals (stamp_lines parity)
+            return  # blank lines never become arrivals
         try:
             self._read_ts = parse_ts(line[:19])
         except ValueError:

@@ -9,11 +9,11 @@ matches live messages to the most specific learned template — the online
 Matching runs on a lazily compiled index (:mod:`repro.templates.compiled`)
 that prefilters candidates by word count, a discriminating literal, and
 word-set containment before the exact ordered-subsequence verify; the
-naive per-template probe is kept as :meth:`TemplateSet.match_reference`
-and the two are pinned identical by a property test and the ``make
-check`` byte-identity gate.  Ties in specificity break explicitly on
-``(specificity, key)`` in both paths, so the winner never depends on the
-order templates were learned or merged in.
+naive per-template probe is kept as ``tests/oracle.py``'s
+``match_template`` and the two are pinned identical by a property test
+and the ``make check`` byte-identity gate.  Ties in specificity break
+explicitly on ``(specificity, key)`` in both, so the winner never depends
+on the order templates were learned or merged in.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.hotpath import reference_enabled
 from repro.syslog.message import SyslogMessage
 from repro.templates.compiled import CompiledTemplateSet
 from repro.templates.signature import Template
@@ -92,23 +91,7 @@ class TemplateSet:
 
     def match_words(self, code: str, words: tuple[str, ...]) -> Template:
         """:meth:`match` on a pre-tokenized detail (one-pass hot path)."""
-        if reference_enabled():
-            return self.match_reference(code, words)
         return self.compiled().match_words(code, words)
-
-    def match_reference(
-        self, code: str, words: tuple[str, ...]
-    ) -> Template:
-        """The naive per-template probe (the compiled index's oracle)."""
-        best: Template | None = None
-        for template in self.by_code.get(code, ()):
-            if template.matches(words) and (
-                best is None or _rank(template) < _rank(best)
-            ):
-                best = template
-        if best is not None:
-            return best
-        return Template(key=f"{code}/other", error_code=code, words=())
 
     def merge(self, other: TemplateSet) -> None:
         """Union ``other``'s templates into this set, per error code.

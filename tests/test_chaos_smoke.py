@@ -13,8 +13,9 @@ quarantine, no degraded transitions).
 Determinism comes from observation gates, not sleeps: every scripted
 fault waits on daemon-reported state (per-source ``pushed`` counts,
 rotation/truncation counters) through the HTTP surface, and a positive
-``max_reorder_delay`` makes the ingest's emission order invariant to
-arrival timing — see ``repro.netsim.chaos`` for the argument.
+``max_reorder_delay`` (the tenant default) makes the ingest's emission
+order invariant to arrival timing — see ``repro.netsim.chaos`` for the
+argument.
 
 Run via ``make chaos-smoke`` (wired into ``make check``); the full
 chaos tier is ``make chaos``.
@@ -81,9 +82,6 @@ def farm(system_a, live_a, tmp_path_factory):
             "workdir": str(workdir / name),
             "kb_path": str(kb_path),
             "checkpoint_every": 50,
-            # Positive reorder delay => emission order is the buffer's
-            # deterministic sort, however arrivals are timed/chunked.
-            "max_reorder_delay": 5.0,
             "stream_workers": "processes" if name == "t-procs" else "serial",
             "n_workers": 2 if name == "t-procs" else 1,
         }

@@ -1,12 +1,16 @@
-"""Byte-identity gate: compiled hot path ≡ reference path.
+"""Byte-identity gate: the production path ≡ its naive forms.
 
-This is the gate ``make check`` runs: digest the same stream under the
-compiled per-message path (indexed matching, memoized augmentation,
-cached dictionary queries, dense union-find) and under
-:func:`repro.hotpath.reference_mode`, serial and with ``n_workers=4``,
-and require the full digest fingerprints to be byte-identical.  Any
-optimization that changes behavior — a different tie-break winner, a
-stale cache, a worker-order dependency — fails here before it can ship.
+This is the gate ``make check`` runs.  Whole digests: the same stream
+through the production per-message path (indexed matching, memoized
+augmentation, cached dictionary queries) and through
+:func:`tests.oracle.reference_kb` — per-template probe, hierarchy and
+connectivity recomputed from the raw tables on every call — serial and
+with ``n_workers=4``, full digest fingerprints byte-identical.
+Component by component (:class:`TestNaiveForms`): each optimisation
+against its :mod:`tests.oracle` form over every distinct message body of
+the scale mix and dataset A.  Any optimization that changes behavior — a
+different tie-break winner, a stale cache, a worker-order dependency —
+fails here before it can ship.
 """
 
 from __future__ import annotations
@@ -18,31 +22,21 @@ from repro.core.grouping import build_rule_partners, rule_edges
 from repro.core.pipeline import SyslogDigest
 from repro.core.stream import DigestStream
 from repro.core.syslogplus import Augmenter
-from repro.hotpath import (
-    digest_fingerprint,
-    reference_enabled,
-    reference_mode,
-    stream_fingerprint,
-)
+from repro.hotpath import digest_fingerprint, stream_fingerprint
+from repro.locations.dictionary import LocationDictionary
+from repro.locations.extract import LocationExtractor
+from repro.locations.model import Location, LocationKind
+from repro.locations.spatial import spatially_matched
 from repro.netsim.scale import ScaleGenerator, ScaleSpec
 from repro.syslog.stream import sort_messages
+from repro.templates.tokenize import tokenize
+from tests import oracle
 
 
-class TestReferenceMode:
-    def test_flag_flips_and_restores(self):
-        assert not reference_enabled()
-        with reference_mode():
-            assert reference_enabled()
-            with reference_mode():
-                assert reference_enabled()
-            assert reference_enabled()
-        assert not reference_enabled()
-
-    def test_flag_restored_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with reference_mode():
-                raise RuntimeError("boom")
-        assert not reference_enabled()
+def _reference_fingerprint(digest, messages):
+    """The same digest with every template / dictionary answer naive."""
+    reference = SyslogDigest(oracle.reference_kb(digest.kb), digest.config)
+    return digest_fingerprint(reference.digest(messages))
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +56,7 @@ class TestScaleIdentity:
     def test_compiled_equals_reference_serial(self, scale_setup):
         digest, messages = scale_setup
         compiled = digest_fingerprint(digest.digest(messages))
-        with reference_mode():
-            reference_digest = SyslogDigest(digest.kb, digest.config)
-            reference = digest_fingerprint(
-                reference_digest.digest(messages)
-            )
-        assert compiled == reference
+        assert compiled == _reference_fingerprint(digest, messages)
 
     def test_serial_equals_workers(self, scale_setup):
         digest, messages = scale_setup
@@ -154,6 +143,10 @@ class TestStreamLaneIdentity:
         assert full != half
 
 
+#: Messages of the burst mix the naive reference digests (of 5 000).
+BURST_REFERENCE_CUT = 1_500
+
+
 class TestBurstIdentity:
     """The same gates over the shape that makes window buckets fill and
     collapse (``burst_mix``): every engine, worker count and lane, and a
@@ -174,16 +167,19 @@ class TestBurstIdentity:
     def test_batch_reference_and_workers(self, burst_mix):
         digest, messages = burst_mix
         compiled = digest_fingerprint(digest.digest(messages))
-        with reference_mode():
-            reference = digest_fingerprint(
-                SyslogDigest(digest.kb, digest.config).digest(messages)
-            )
         workers = digest_fingerprint(
             SyslogDigest(digest.kb, digest.config.with_workers(4)).digest(
                 messages
             )
         )
-        assert compiled == reference == workers
+        assert compiled == workers
+        # The naive dictionary answers every one of a burst's window
+        # probes from scratch, so the reference runs on a cut: the first
+        # burst up to where its buckets have filled and collapsed.
+        cut = messages[:BURST_REFERENCE_CUT]
+        assert digest_fingerprint(
+            digest.digest(cut)
+        ) == _reference_fingerprint(digest, cut)
 
     def test_batch_equals_stream_on_every_lane(self, burst_mix):
         digest, messages = burst_mix
@@ -247,9 +243,172 @@ class TestDatasetIdentity:
         """The same gate over the evaluation dataset's message mix."""
         messages = [m.message for m in live_a.messages[:4000]]
         compiled = digest_fingerprint(system_a.digest(messages))
-        with reference_mode():
-            reference_digest = SyslogDigest(system_a.kb, system_a.config)
-            reference = digest_fingerprint(
-                reference_digest.digest(messages)
+        assert compiled == _reference_fingerprint(system_a, messages)
+
+
+@pytest.fixture(scope="module", params=["scale_mix", "dataset_a"])
+def corpus(request):
+    """``(kb, messages)`` of one of the two evaluation mixes."""
+    if request.param == "scale_mix":
+        digest, messages = request.getfixturevalue("scale_setup")
+        return digest.kb, messages
+    system = request.getfixturevalue("system_a")
+    live = request.getfixturevalue("live_a")
+    return system.kb, [m.message for m in live.messages]
+
+
+def _bodies(messages):
+    """Every distinct ``(router, code, detail)``, in a fixed order."""
+    return sorted({(m.router, m.error_code, m.detail) for m in messages})
+
+
+class TestNaiveForms:
+    """Each optimisation of the per-message path against the form in
+    :mod:`tests.oracle` it was derived from, input by input."""
+
+    def test_compiled_matcher_is_the_per_template_probe(self, corpus):
+        kb, messages = corpus
+        for _router, code, detail in _bodies(messages):
+            words = tokenize(detail)
+            assert kb.templates.match_words(
+                code, words
+            ) == oracle.match_template(kb.templates, code, words), detail
+
+    def test_prefiltered_extraction_is_the_four_scans(self, corpus):
+        kb, messages = corpus
+        extractor = LocationExtractor(kb.dictionary)
+        for router, _code, detail in _bodies(messages):
+            assert extractor.extract(
+                router, detail
+            ) == oracle.extract_locations(kb.dictionary, router, detail), (
+                router,
+                detail,
             )
-        assert compiled == reference
+
+    def test_prefilter_sees_each_location_format_alone(self, system_a):
+        """One body per format and nothing else location-shaped in it,
+        so a prefilter blind to that format has nowhere to hide."""
+        dictionary = system_a.kb.dictionary
+        extractor = LocationExtractor(dictionary)
+        found = set()
+        for router in sorted(dictionary.routers):
+            for location in sorted(dictionary.components_of(router)):
+                slot = location.kind is LocationKind.SLOT
+                texts = [f"{'slot ' if slot else ''}{location.name} failed"]
+                ip = dictionary.ip_of(location)
+                if ip:
+                    texts.append(f"peer {ip} reset")
+                for text in texts:
+                    got = extractor.extract(router, text)
+                    assert got == oracle.extract_locations(
+                        dictionary, router, text
+                    ), (router, text)
+                    found.update(item.location.kind for item in got)
+        assert found >= {
+            LocationKind.MULTILINK,
+            LocationKind.PHYS_IF,
+            LocationKind.SLOT,
+            LocationKind.ROUTER,
+        }
+
+    def test_memoized_augmentation_is_per_message(self, corpus):
+        kb, messages = corpus
+        expected = {}  # the oracle is a pure function of the body
+        for plus in Augmenter(kb.templates, kb.dictionary).augment_all(
+            messages
+        ):
+            message = plus.message
+            body = (message.router, message.error_code, message.detail)
+            if body not in expected:
+                expected[body] = oracle.augment(kb, message)
+            assert (
+                plus.template,
+                plus.locations,
+                plus.primary_location,
+            ) == expected[body], message
+
+    def test_cached_hierarchy_queries_are_recomputations(self, corpus):
+        """Ancestors of every location the corpus names, spatial match of
+        every two on one router, ``connected`` of every two on a pair of
+        linked routers (both ways round) and on a sample of unlinked
+        pairs."""
+        kb, messages = corpus
+        d = kb.dictionary
+        extractor = LocationExtractor(d)
+        by_router: dict[str, set[Location]] = {}
+        for router, _code, detail in _bodies(messages):
+            for item in extractor.extract(router, detail):
+                by_router.setdefault(item.location.router, set()).add(
+                    item.location
+                )
+        for seen in by_router.values():
+            for a in seen:
+                assert d.ancestors(a) == oracle.ancestors(d, a), a
+                for b in seen:
+                    assert spatially_matched(
+                        d, a, b
+                    ) == oracle.spatial_match(d, a, b), (a, b)
+        routers = sorted(by_router)
+        pairs = {(p.router, q.router) for p, q in d.all_links()}
+        pairs |= {(q, p) for p, q in pairs}
+        pairs |= set(zip(routers, routers[1:] + routers[:1]))  # mostly unlinked
+        answers = set()
+        for router_a, router_b in pairs:
+            for a in by_router.get(router_a, ()):
+                for b in by_router.get(router_b, ()):
+                    answer = d.connected(a, b)
+                    answers.add(answer)
+                    assert answer == oracle.connected(d, a, b), (a, b)
+        assert answers == {True, False}
+
+    def test_member_bundle_index_keeps_the_scan_order(self):
+        """A member of several bundles climbs into them in the order the
+        bundles were registered, whichever way the index is built."""
+        d = LocationDictionary()
+        member = d.add_component("r1", "Serial1/0/1")
+        other = d.add_component("r1", "Serial1/0/2")
+        for name in ("Multilink7", "Multilink2", "Multilink9", "Multilink4"):
+            bundle = Location("r1", LocationKind.MULTILINK, name)
+            d.add_multilink_member(bundle, other)
+            if name != "Multilink9":
+                d.add_multilink_member(bundle, member)
+        assert [loc.name for loc in d.ancestors(member)[-3:]] == [
+            "Multilink7",
+            "Multilink2",
+            "Multilink4",
+        ]
+        for location in (member, other):
+            assert d.ancestors(location) == oracle.ancestors(d, location)
+
+    def test_merge_invalidates_every_cache(self):
+        """Answers cached before a merge must not survive it."""
+        d = LocationDictionary()
+        a = d.add_component("r1", "Serial1/0/1:0")
+        b = d.add_component("r2", "Serial2/0/1:0")
+        c = d.add_component("r1", "Serial3/0/1")
+        a_phys = Location("r1", LocationKind.PHYS_IF, "Serial1/0/1")
+        bundle = Location("r1", LocationKind.MULTILINK, "Multilink1")
+
+        def answers(of):
+            return (
+                of.connected(a, b),
+                of.connected(b, a),
+                spatially_matched(of, a_phys, c),
+                of.ancestors(c),
+            )
+
+        assert answers(d) == (False, False, False, oracle.ancestors(d, c))
+        other = LocationDictionary()
+        other.add_link(
+            a_phys, Location("r2", LocationKind.PHYS_IF, "Serial2/0/1")
+        )
+        other.add_multilink_member(bundle, a_phys)
+        other.add_multilink_member(bundle, c)
+        d.merge(other)
+        assert answers(d) == (
+            oracle.connected(d, a, b),
+            oracle.connected(d, b, a),
+            oracle.spatial_match(d, a_phys, c),
+            oracle.ancestors(d, c),
+        )
+        assert answers(d)[:3] == (True, True, True)

@@ -232,10 +232,10 @@ class TestOverheadSmoke:
     def test_noop_and_enabled_registries_agree(self, system_a, live_a):
         """Metrics-overhead smoke: same events, near-free instrumentation.
 
-        The strict <5% bound is enforced at benchmark scale in
-        ``bench_throughput.py::test_metrics_overhead``; at test scale
-        the runs are milliseconds, so this smoke bounds the ratio
-        loosely and pins result equality exactly.
+        At test scale the runs are milliseconds, so this smoke bounds
+        the ratio loosely and pins result equality exactly; what the
+        live registry costs at scale is inside every ledger row (the
+        ledger runs with it on).
         """
         messages = [m.message for m in live_a.messages]
         system = SyslogDigest(system_a.kb, system_a.config)
@@ -257,5 +257,5 @@ class TestOverheadSmoke:
         assert [e.score for e in live_result.events] == [
             e.score for e in noop_result.events
         ]
-        # Loose CI-proof bound; the bench enforces the real 5% budget.
+        # Loose CI-proof bound: scheduler noise dwarfs the real cost here.
         assert live_s <= noop_s * 1.5 + 0.05

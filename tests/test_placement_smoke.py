@@ -79,7 +79,6 @@ def farm(system_a, live_a, tmp_path_factory):
             "workdir": str(workdir / name),
             "kb_path": str(kb_path),
             "checkpoint_every": 50,
-            "max_reorder_delay": 5.0,
             "stream_workers": "processes" if name == "t-procs" else "serial",
             "n_workers": 2 if name == "t-procs" else 1,
             "placement": "process",

@@ -14,7 +14,9 @@ worker subprocesses, no CLI wrapper) for the DESIGN.md §15 contracts:
   SIGKILL-escalated after its deadline while the daemon still exits 0
   with every child reaped;
 * long-poll event subscriptions wake on append and are bounded (429),
-  and the HTTP head/body/deadline hardening answers 408/431/413.
+  and the HTTP head/body/deadline hardening answers 408/431/413;
+* the inline pump: a drain wakes it out of its idle wait, and a
+  checkpoint it cannot resume from is refused and journaled.
 
 Run via ``make placement`` (the cross-process smoke gate lives in
 ``tests/test_placement_smoke.py``).
@@ -44,6 +46,7 @@ from repro.obs import (
     get_registry,
 )
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.tenant import TenantRuntime, TenantSpec
 from repro.syslog.parse import format_line
 from repro.syslog.stream import write_log
 
@@ -76,7 +79,6 @@ def _tenant(farm, label: str, name: str, n: int, **extra) -> dict:
         "workdir": str(farm["root"] / label / "work" / name),
         "kb_path": str(farm["kb_path"]),
         "checkpoint_every": 50,
-        "max_reorder_delay": 5.0,
         "placement": "process",
     }
     spec.update(extra)
@@ -574,3 +576,65 @@ class TestHttpHardening:
                 registry.counter_value(SERVE_HTTP_REJECTED, reason=reason)
                 > before[reason]
             ), f"rejection {reason!r} was not counted"
+
+
+class TestInlinePump:
+    def test_drain_wakes_an_idle_pump(self, farm):
+        """``request_drain`` must not ride out the idle wait: with a
+        30 s ``poll_interval`` the drain still completes in a fraction
+        of it."""
+        tenant = _tenant(farm, "idle-drain", "net-a", 100, placement="inline")
+        daemon = ServeDaemon(
+            _config(
+                farm, "idle-drain", [tenant], once=False, poll_interval=30.0
+            )
+        )
+        runtime = daemon.tenants["net-a"]
+
+        async def scenario() -> float:
+            run = asyncio.create_task(daemon.run())
+            await _wait(
+                lambda: runtime.ingest is not None
+                and sum(runtime.ingest.pushed_counts().values()) == 100,
+                "ingest of every line", run,
+            )
+            await asyncio.sleep(0.1)  # the pump finds nothing, goes idle
+            asked = time.monotonic()
+            daemon.request_drain()
+            assert await asyncio.wait_for(run, timeout=10.0) == 0
+            return time.monotonic() - asked
+
+        assert asyncio.run(scenario()) < 3.0
+        assert supervisor_arc(tenant["workdir"]) == ["healthy", "drained"]
+
+    def test_checkpoint_without_tail_cursors(self, farm):
+        """Nothing consumed yet: fresh tailers.  Arrivals consumed: the
+        byte offsets behind them were never recorded, so the checkpoint
+        is refused and journaled — never a whole-file re-read."""
+        tenant = _tenant(farm, "no-cursors", "net-a", 120, placement="inline")
+        spec = TenantSpec.from_dict(tenant)
+
+        def checkpoint_without_cursors(n_pushed: int) -> None:
+            first = TenantRuntime(spec)
+            first.start()
+            first.ingest.attach_tails(None)
+            first.process_batch(limit=n_pushed)
+            first.checkpoint()
+            first.halt()
+
+        checkpoint_without_cursors(0)
+        resumed = TenantRuntime(spec)
+        resumed.start()
+        assert resumed.resumed and resumed.pending == 120
+        resumed.halt()
+
+        checkpoint_without_cursors(70)
+        with pytest.raises(ValueError, match="no tail cursors"):
+            TenantRuntime(spec).start()
+        daemon = ServeDaemon(_config(farm, "no-cursors", [tenant]))
+        assert asyncio.run(daemon.run()) == 0
+        assert supervisor_arc(tenant["workdir"])[-1] == "failed"
+        journal = open(
+            os.path.join(tenant["workdir"], "supervisor.jsonl")
+        ).read()
+        assert "no tail cursors" in journal

@@ -15,9 +15,12 @@ import json
 import pytest
 
 from repro import hotpath
+from repro.cli import main as cli_main
+from repro.core.config import IngestConfig
 from repro.core.stream import HEALTH_KEYS
+from repro.serve.daemon import ServeConfig
 from repro.serve.journal import EventJournal
-from repro.serve.tenant import TenantRuntime, TenantSpec, stamp_lines
+from repro.serve.tenant import TenantRuntime, TenantSpec
 from repro.syslog.ingest import INGEST_HEALTH_KEYS
 from repro.syslog.stream import write_log
 
@@ -92,21 +95,64 @@ class TestTenantSpec:
         assert json.loads(json.dumps(data)) == data
         assert TenantSpec.from_dict(data) == spec
 
-
-class TestStampLines:
-    def test_blank_lines_skipped_unparseable_ride_last_ts(self, tmp_path):
-        path = tmp_path / "feed.log"
-        path.write_text(
-            "2010-01-10 00:00:15 r1 LINK-3-UPDOWN: Interface up\n"
-            "\n"
-            "### garbage ###\n"
-            "2010-01-10 00:00:30 r1 LINK-3-UPDOWN: Interface down\n"
+    def test_reorder_delay_default_is_the_ingest_default(self, tmp_path):
+        spec = TenantSpec(
+            name="t", sources=("s",), workdir=str(tmp_path), kb_path="kb"
         )
-        stamped = stamp_lines(path)
-        assert len(stamped) == 3
-        assert stamped[0][0] == stamped[1][0]  # garbage rides ts of line 1
-        assert stamped[2][0] > stamped[0][0]
-        assert stamped[1][1] == "### garbage ###"
+        assert spec.max_reorder_delay == IngestConfig().max_reorder_delay > 0
+
+
+class TestConfigErrors:
+    """A stray key in a serve config is a ``ValueError`` naming the key
+    (and the tenant), never a constructor ``TypeError``."""
+
+    TENANT = {"name": "net-a", "sources": ["s"], "workdir": "w", "kb_path": "k"}
+
+    def test_unknown_tenant_key_names_key_and_tenant(self):
+        for key in ("tail", "chekpoint_every"):
+            with pytest.raises(ValueError, match=f"'net-a'.*'{key}'"):
+                TenantSpec.from_dict({**self.TENANT, key: False})
+
+    def test_unknown_budget_key(self):
+        with pytest.raises(ValueError, match="'net-a' budget.*'max_cpu'"):
+            TenantSpec.from_dict({**self.TENANT, "budget": {"max_cpu": 1}})
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"pol_interval": 1.0}, "serve config: .*'pol_interval'"),
+            ({"supervisor": {"retries": 3}}, "supervisor block.*'retries'"),
+            ({"http": {"deadline": 1.0}}, "http block.*'deadline'"),
+            ({"tenants": [{**TENANT, "tail": True}]}, "'net-a'.*'tail'"),
+        ],
+    )
+    def test_unknown_serve_config_keys(self, extra, named):
+        config = {"tenants": [self.TENANT], **extra}
+        with pytest.raises(ValueError, match=named):
+            ServeConfig.from_dict(config)
+
+    def test_known_blocks_still_load(self):
+        config = ServeConfig.from_dict(
+            {
+                "tenants": [{**self.TENANT, "budget": {"rpc_deadline": 2.0}}],
+                "supervisor": {"max_restarts": 7},
+                "http": {"read_deadline": 3.0},
+            }
+        )
+        assert config.max_restarts == 7
+        assert config.http_read_deadline == 3.0
+        assert config.tenants[0].budget.rpc_deadline == 2.0
+
+    def test_cli_reports_one_line_and_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "serve.json"
+        path.write_text(
+            json.dumps({"tenants": [{**self.TENANT, "tail": False}]})
+        )
+        assert cli_main(["serve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "'net-a'" in line and "'tail'" in line
 
 
 class TestHealthContract:

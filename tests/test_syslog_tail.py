@@ -85,6 +85,23 @@ class TestFollow:
         stamped = tailer.take_new()
         assert [ts for ts, _ in stamped] == [stamped[0][0]] * 2
 
+    def test_blank_lines_skipped_unparseable_ride_last_ts(self, tmp_path):
+        """The feed-reader contract on one file, start to end."""
+        path = tmp_path / "feed.log"
+        path.write_text(
+            "2010-01-10 00:00:15 r1 LINK-3-UPDOWN: Interface up\n"
+            "\n"
+            "### garbage ###\n"
+            "2010-01-10 00:00:30 r1 LINK-3-UPDOWN: Interface down\n"
+        )
+        tailer = SourceTailer(path)
+        tailer.poll()
+        stamped = tailer.take_new()
+        assert len(stamped) == 3
+        assert stamped[0][0] == stamped[1][0]  # garbage rides ts of line 1
+        assert stamped[2][0] > stamped[0][0]
+        assert stamped[1][1] == "### garbage ###"
+
     def test_missing_file_is_a_quiet_zero(self, tmp_path):
         tailer = SourceTailer(tmp_path / "not-there.log")
         assert tailer.poll() == 0

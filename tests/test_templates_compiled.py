@@ -1,7 +1,7 @@
 """Compiled template matcher ≡ naive reference probe.
 
 The indexed matcher (:mod:`repro.templates.compiled`) must agree with
-:meth:`TemplateSet.match_reference` on *every* input: messages of every
+:func:`tests.oracle.match_template` on *every* input: messages of every
 shape both netsim catalogs can emit, fuzzed word sequences, and unseen
 codes/shapes (which must fall back to ``<code>/other`` on both paths).
 """
@@ -17,6 +17,7 @@ from repro.netsim.catalog import CATALOG_V1, CATALOG_V2
 from repro.syslog.message import SyslogMessage
 from repro.templates.learner import TemplateLearner, TemplateSet
 from repro.templates.tokenize import tokenize
+from tests.oracle import match_template
 
 
 def _field_value(name: str, rng: random.Random) -> str:
@@ -87,7 +88,7 @@ class TestCatalogEquivalence:
         for message in _catalog_messages(n_per_def=25, seed=77):
             words = tokenize(message.detail)
             compiled = learned.match_words(message.error_code, words)
-            reference = learned.match_reference(message.error_code, words)
+            reference = match_template(learned, message.error_code, words)
             assert compiled == reference, message.detail
 
     def test_catalog_shapes_rarely_fall_back(self):
@@ -104,8 +105,10 @@ class TestCatalogEquivalence:
     def test_unseen_code_falls_back_both_paths(self):
         learned = _learned()
         words = tokenize("Interface Serial1/0, changed state to down")
-        for path in (learned.match_words, learned.match_reference):
-            matched = path("NO-SUCH-CODE", words)
+        for matched in (
+            learned.match_words("NO-SUCH-CODE", words),
+            match_template(learned, "NO-SUCH-CODE", words),
+        ):
             assert matched.key == "NO-SUCH-CODE/other"
             assert matched.words == ()
 
@@ -114,7 +117,7 @@ class TestCatalogEquivalence:
         words = tokenize("complete gibberish nothing learned matches")
         for code in sorted(learned.by_code):
             compiled = learned.match_words(code, words)
-            reference = learned.match_reference(code, words)
+            reference = match_template(learned, code, words)
             assert compiled == reference
 
 
@@ -131,7 +134,7 @@ class TestFuzzedEquivalence:
         learned = _learned()
         message_words = tuple(words)
         compiled = learned.match_words(code, message_words)
-        reference = learned.match_reference(code, message_words)
+        reference = match_template(learned, code, message_words)
         assert compiled == reference
 
     @given(
@@ -145,5 +148,5 @@ class TestFuzzedEquivalence:
         words = tokenize(detail)
         for code in ("LINK-3-UPDOWN", "BGP-5-ADJCHANGE", "NEW-1-CODE"):
             assert learned.match_words(code, words) == (
-                learned.match_reference(code, words)
+                match_template(learned, code, words)
             )
