@@ -570,23 +570,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         config = ServeConfig.from_file(args.config)
+        if args.once:
+            config = replace(config, once=True)
+        if args.port is not None:
+            config = replace(config, port=args.port)
+        if args.placement is not None:
+            # Override every tenant's placement (bulkhead on/off from the
+            # command line; clean runs are fingerprint-identical either
+            # way).  Revalidated: a hang poison must not land inline.
+            config = replace(
+                config,
+                tenants=tuple(
+                    replace(spec, placement=args.placement)
+                    for spec in config.tenants
+                ),
+            )
     except ValueError as exc:
         print(f"serve: {args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.once:
-        config = replace(config, once=True)
-    if args.port is not None:
-        config = replace(config, port=args.port)
-    if args.placement is not None:
-        # Override every tenant's placement (bulkhead on/off from the
-        # command line; clean runs are fingerprint-identical either way).
-        config = replace(
-            config,
-            tenants=tuple(
-                replace(spec, placement=args.placement)
-                for spec in config.tenants
-            ),
-        )
     return run_daemon(config)
 
 

@@ -155,12 +155,12 @@ DURABLE_WRITE_FAILURES = "syslogdigest_durable_write_failures_total"
 #: processes and resource budgets.  ``BUDGET_LIMIT``/``BUDGET_USED``
 #: are gauge pairs per ``{tenant, budget}`` (0 limit = unbounded);
 #: breaches count deterministic budget violations that degraded — not
-#: killed — the tenant.  Worker deaths count per ``{tenant, reason}``
-#: (``exit`` | ``stuck`` | ``rpc-deadline`` | ``spawn``); the workers
-#: gauge holds live per-tenant worker processes.  HTTP rejections
-#: count hardening refusals per ``{reason}`` (``deadline`` | ``headers``
-#: | ``body`` | ``waiters``); the long-poll gauge holds blocked event
-#: subscribers per tenant.
+#: killed — the tenant.  Deaths of a tenant's life (either placement)
+#: count per ``{tenant, reason}`` (``exit`` | ``stuck`` | ``rpc-deadline``
+#: | ``spawn``); the workers gauge is 1 while a tenant has a live life.
+#: HTTP rejections count hardening refusals per ``{reason}``
+#: (``deadline`` | ``headers`` | ``body`` | ``waiters``); the long-poll
+#: gauge holds blocked event subscribers per tenant.
 BUDGET_LIMIT = "syslogdigest_tenant_budget_limit"
 BUDGET_USED = "syslogdigest_tenant_budget_used"
 BUDGET_BREACHES = "syslogdigest_tenant_budget_breaches_total"

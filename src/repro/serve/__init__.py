@@ -8,22 +8,18 @@ queried over a stdlib-only HTTP API, drained gracefully on
 SIGTERM/SIGINT, and pinned byte-identical across kill -9 by the
 checkpoint + event-journal protocol in :mod:`repro.serve.journal`.
 
-Placement (DESIGN.md §15) adds the bulkhead: a tenant may run inline on
-the daemon's loop or in a supervised worker process of its own behind
-the framed-pipe RPC of :mod:`repro.serve.rpc`, with per-tenant resource
-budgets that degrade — never kill — an over-budget tenant.
+Placement (DESIGN.md §15) adds the bulkhead: one tenant loop, run
+either inline on the daemon's loop or in a supervised worker process of
+its own behind the framed-pipe RPC of :mod:`repro.serve.rpc`, with
+per-tenant resource budgets that degrade — never kill — an over-budget
+tenant.
 """
 
 from repro.serve.daemon import ServeConfig, ServeDaemon, run_daemon
 from repro.serve.drain import GracefulShutdown
 from repro.serve.http import HttpApi, event_payload, events_page
 from repro.serve.journal import EventJournal, TransitionJournal
-from repro.serve.placement import (
-    InlineHandle,
-    ProcessHandle,
-    WorkerClient,
-    worker_main,
-)
+from repro.serve.placement import TenantHandle, WorkerClient, worker_main
 from repro.serve.rpc import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -54,8 +50,6 @@ __all__ = [
     "FrameTooLarge",
     "GracefulShutdown",
     "HttpApi",
-    "InlineHandle",
-    "ProcessHandle",
     "RpcChannel",
     "RpcClosed",
     "RpcError",
@@ -64,6 +58,7 @@ __all__ = [
     "ServeDaemon",
     "Supervisor",
     "TenantBudget",
+    "TenantHandle",
     "TenantRuntime",
     "TenantSpec",
     "TornFrame",

@@ -1,15 +1,15 @@
 """The `repro serve` daemon: supervised multi-tenant digesting (DESIGN.md §13).
 
-One asyncio process serves many tenants.  Each tenant gets a *pump*
-task (read arrivals → push through ingest → journal events →
-checkpoint on cadence) wrapped by a *supervise* task that implements
-the :class:`~repro.serve.supervisor.Supervisor` state machine: a pump
-that dies or stalls past its progress deadline is halted and restarted
-from the tenant's latest checkpoint after a bounded exponential
-backoff; after ``max_restarts`` consecutive failures the tenant is
-restarted once more in degraded (shed) mode and left running.
+One asyncio process serves many tenants.  Each tenant gets one
+*supervise* task that runs the :class:`~repro.serve.supervisor.Supervisor`
+state machine over a succession of tenant *lives*
+(:mod:`repro.serve.placement`), whatever their placement: a life that
+dies or stalls past its progress deadline is killed and restarted from
+the tenant's latest checkpoint after a bounded exponential backoff;
+after ``max_restarts`` consecutive failures the tenant is restarted once
+more in degraded (shed) mode and left running.
 
-SIGTERM/SIGINT request a graceful drain: every pump stops intake at
+SIGTERM/SIGINT request a graceful drain: every life stops intake at
 its next batch boundary, reorder buffers are flushed, open groups
 finalized, a final checkpoint written, the quarantine dumped under its
 rotation budget — then the HTTP server stops and the process exits 0.
@@ -58,10 +58,10 @@ from repro.obs import (
 
 from .http import HttpApi
 from .journal import TransitionJournal
-from .placement import InlineHandle, ProcessHandle, WorkerClient
+from .placement import InlineLife, TenantHandle, WorkerClient, pump_fault_for
 from .rpc import RpcClosed, RpcError, RpcTimeout
 from .supervisor import Supervisor
-from .tenant import TenantRuntime, TenantSpec, reject_unknown_keys
+from .tenant import SUPERVISOR_FILE, TenantSpec, reject_unknown_keys
 
 PORT_FILE = "http.port"
 
@@ -87,6 +87,11 @@ _HTTP_KEYS = {
     "max_longpoll_waiters": "max_longpoll_waiters",
     "longpoll_max_wait": "longpoll_max_wait",
 }
+
+
+def _transport(spec: TenantSpec):
+    """What a life of this tenant runs on: the one reader of placement."""
+    return WorkerClient if spec.placement == "process" else InlineLife
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,16 @@ class ServeConfig:
         names = [spec.name for spec in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
+        for spec in self.tenants:
+            hook = pump_fault_for(self.pump_fault, spec.name)
+            if (hook is not None and hook.mode == "hang"
+                    and _transport(spec) is InlineLife):
+                # A hang sleeps on the thread it runs on: on the
+                # daemon's loop that stops HTTP, signals and drain.
+                raise ValueError(
+                    f"pump_fault: a hang poison would freeze the daemon "
+                    f"through inline tenant {spec.name!r}"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeConfig":
@@ -156,32 +171,17 @@ class ServeConfig:
             return cls.from_dict(json.load(fh))
 
 
-class _PipelineStuck(RuntimeError):
-    """Raised by the watchdog when a pump misses its progress deadline."""
-
-
 class ServeDaemon:
     """Supervised, drainable, queryable multi-tenant serve loop."""
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.tenants: dict[str, TenantRuntime] = {
-            spec.name: TenantRuntime(spec) for spec in config.tenants
+        self.handles: dict[str, TenantHandle] = {
+            spec.name: TenantHandle(spec) for spec in config.tenants
         }
-        self.handles: dict[str, InlineHandle | ProcessHandle] = {}
-        for spec in config.tenants:
-            if spec.placement == "process":
-                self.handles[spec.name] = ProcessHandle(spec)
-            else:
-                self.handles[spec.name] = InlineHandle(
-                    self.tenants[spec.name]
-                )
         self.supervisors: dict[str, Supervisor] = {}
         self.api = HttpApi(self)
         self.draining = False
-        # Set with ``draining``: what an idle pump sleeps on, so a drain
-        # starts at once instead of after the rest of ``poll_interval``.
-        self._drain_requested = asyncio.Event()
         self._crash_hook = None
         self._n_arrivals = 0
         self._event_waiters: dict[str, list[asyncio.Future]] = {}
@@ -195,22 +195,16 @@ class ServeDaemon:
             from repro.utils.fsio import install_fault_hook
 
             install_fault_hook(durable_fault_from_dict(config.fault))
-        if config.pump_fault is not None:
-            from repro.netsim.faults import pump_fault_from_dict
-
-            target = config.pump_fault.get("tenant")
-            for spec in config.tenants:
-                if spec.placement == "inline" and target in (None, spec.name):
-                    self.tenants[spec.name].fault_hook = (
-                        pump_fault_from_dict(config.pump_fault)
-                    )
 
     # --------------------------------------------------------- lifecycle
 
     def request_drain(self) -> None:
         """Begin graceful shutdown (idempotent; SIGTERM/SIGINT/POST)."""
         self.draining = True
-        self._drain_requested.set()
+        # Wake every watch loop now, not at its next note or timeout.
+        for handle in self.handles.values():
+            if handle.life is not None:
+                handle.life.notes.put_nowait({"kind": "drain"})
         # Long-pollers must not ride out the drain: wake them all so
         # they return their current page and the server can stop.
         for name in list(self._event_waiters):
@@ -292,26 +286,20 @@ class ServeDaemon:
             loop.add_signal_handler(sig, self.request_drain)
         workdir = Path(self.config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        for runtime in self.tenants.values():
-            runtime.workdir.mkdir(parents=True, exist_ok=True)
-        for spec in self.config.tenants:
-            self.supervisors[spec.name] = Supervisor(
-                spec.name,
+        for name, handle in self.handles.items():
+            handle.workdir.mkdir(parents=True, exist_ok=True)
+            self.supervisors[name] = Supervisor(
+                name,
                 max_restarts=self.config.max_restarts,
                 base_delay=self.config.base_delay,
                 progress_deadline=self.config.progress_deadline,
-                journal=TransitionJournal(
-                    self.tenants[spec.name].supervisor_path
-                ),
+                journal=TransitionJournal(handle.workdir / SUPERVISOR_FILE),
             )
         await self.api.start(self.config.host, self.config.port)
         (workdir / PORT_FILE).write_text(str(self.api.port))
         try:
             await asyncio.gather(
-                *(
-                    self._supervise(name)
-                    for name in self.tenants
-                )
+                *(self._supervise(name) for name in self.handles)
             )
         finally:
             await self.api.stop()
@@ -322,131 +310,31 @@ class ServeDaemon:
     # -------------------------------------------------------- supervision
 
     async def _supervise(self, name: str) -> None:
-        """One tenant's supervision loop: pump, watch, restart, drain."""
-        runtime = self.tenants[name]
-        if runtime.spec.placement == "process":
-            await self._supervise_process(name)
-            return
-        supervisor = self.supervisors[name]
-        watch = max(0.02, min(1.0, supervisor.progress_deadline / 5))
-        degraded = False
-        while True:
-            pump = asyncio.ensure_future(self._pump(name, degraded))
-            try:
-                while not pump.done():
-                    await asyncio.wait({pump}, timeout=watch)
-                    if pump.done():
-                        break
-                    if supervisor.stuck(pending=runtime.pending > 0):
-                        pump.cancel()
-                        try:
-                            await pump
-                        except BaseException:
-                            pass
-                        raise _PipelineStuck(
-                            f"no batch progress in "
-                            f"{supervisor.progress_deadline}s"
-                        )
-                pump.result()  # re-raises the pipeline's exception
-                break  # clean exit: drain requested or sources exhausted
-            except asyncio.CancelledError:
-                pump.cancel()
-                raise
-            except Exception as exc:
-                runtime.halt()
-                decision = supervisor.on_failure(
-                    f"{type(exc).__name__}: {exc}"
-                )
-                if decision.action == "fail":
-                    return
-                if decision.action == "degrade":
-                    degraded = True
-                await asyncio.sleep(decision.delay)
-        runtime.drain()
-        supervisor.note_drained()
-
-    async def _pump(self, name: str, degraded: bool) -> None:
-        """One life of a tenant pipeline: boot, then batch until done."""
-        runtime = self.tenants[name]
-        supervisor = self.supervisors[name]
-        runtime.start(degraded=degraded)
-        if degraded:
-            supervisor.note_degraded_started()
-        else:
-            supervisor.note_started()
-        events_seen = len(runtime.events)
-        breaches_seen = len(runtime.budget_breached)
-        while not self.draining:
-            n = runtime.process_batch()
-            if n:
-                supervisor.note_progress()
-                self._count_arrivals(n)
-                if len(runtime.events) != events_seen:
-                    events_seen = len(runtime.events)
-                    self.notify_events(name)
-                self.publish_budgets(name, runtime.budget_health())
-                if len(runtime.budget_breached) > breaches_seen:
-                    fresh = runtime.budget_breached[breaches_seen:]
-                    breaches_seen = len(runtime.budget_breached)
-                    supervisor.note_budget_degraded(fresh)
-                await asyncio.sleep(0)  # yield to HTTP handlers
-            elif runtime.refill() == 0:
-                if self.config.once:
-                    return
-                try:
-                    await asyncio.wait_for(
-                        self._drain_requested.wait(),
-                        self.config.poll_interval,
-                    )
-                except asyncio.TimeoutError:
-                    pass
-
-    def _count_arrivals(self, n: int) -> None:
-        self._n_arrivals += n
-        if self._crash_hook is not None:
-            self._crash_hook(self._n_arrivals)
-
-    # ------------------------------------------------- process placement
-
-    def _worker_init(self, spec: TenantSpec, degraded: bool) -> dict:
-        """The ``init`` frame a freshly spawned worker boots from."""
-        return {
-            "spec": spec.to_dict(),
-            "degraded": degraded,
-            "once": self.config.once,
-            "poll_interval": self.config.poll_interval,
-            "fault": self.config.fault,
-            "pump_fault": self.config.pump_fault,
-        }
-
-    async def _supervise_process(self, name: str) -> None:
-        """Supervision loop for a ``placement = "process"`` tenant.
-
-        Same state machine as the inline path — the Supervisor cannot
-        tell the placements apart — but failure evidence is worker
-        death (pipe EOF + ``waitpid``), a ``fatal`` notification, the
-        stuck detector over ``batch`` notifications, or a latched RPC
-        deadline timeout.  Every spawned child is reaped on every path.
-        """
-        spec = self.tenants[name].spec
+        """One tenant's supervision loop — spawn a life, watch it, then
+        restart or drain — the same for both placements."""
         handle = self.handles[name]
         supervisor = self.supervisors[name]
         registry = get_registry()
         degraded = False
         while True:
             try:
-                client = await WorkerClient.spawn(
-                    self._worker_init(spec, degraded)
+                life = await _transport(handle.spec).spawn(
+                    {
+                        "spec": handle.spec.to_dict(),
+                        "degraded": degraded,
+                        "once": self.config.once,
+                        "poll_interval": self.config.poll_interval,
+                        "fault": self.config.fault,
+                        "pump_fault": self.config.pump_fault,
+                    }
                 )
             except OSError as exc:
                 outcome, reason = "spawn", f"spawn failed: {exc}"
             else:
-                handle.attach(client)
+                handle.attach(life)
                 registry.set_gauge(PLACEMENT_WORKERS, 1, tenant=name)
-                outcome, reason = await self._watch_worker(
-                    name, handle, client, degraded
-                )
-                handle.detach()
+                outcome, reason = await self._watch(name, life, degraded)
+                handle.life = None
                 registry.set_gauge(PLACEMENT_WORKERS, 0, tenant=name)
             if outcome == "drained":
                 supervisor.note_drained()
@@ -462,36 +350,38 @@ class ServeDaemon:
                 degraded = True
             await asyncio.sleep(decision.delay)
 
-    async def _watch_worker(
-        self, name: str, handle: ProcessHandle, client: WorkerClient,
-        degraded: bool,
+    async def _watch(
+        self, name: str, life, degraded: bool
     ) -> tuple[str, str]:
-        """Follow one worker life; returns ``(outcome, reason)``.
+        """Follow one life; returns ``(outcome, reason)``.
 
         Outcomes: ``drained`` (graceful end), or a death reason fed to
-        :meth:`Supervisor.on_failure` — ``exit`` (process died),
+        :meth:`Supervisor.on_failure` — ``exit`` (the life died),
         ``stuck`` (pending input, no batch progress past the deadline),
-        ``rpc-deadline`` (an RPC to the worker timed out — it is hung).
+        ``rpc-deadline`` (an RPC to the life timed out — it is hung).
         """
-        spec = self.tenants[name].spec
+        handle = self.handles[name]
         supervisor = self.supervisors[name]
         watch = max(0.02, min(1.0, supervisor.progress_deadline / 5))
-        exhausted = False
+        loop = asyncio.get_running_loop()
         while True:
-            if self.draining or (exhausted and self.config.once):
-                return await self._drain_worker(name, client)
+            if self.draining:
+                return await self._drain(name, life)
             if handle.rpc_timed_out:
-                client.kill()
-                await client.reap()
+                life.kill()
+                await life.reap()
                 return (
                     "rpc-deadline",
-                    f"no RPC reply in {spec.budget.rpc_deadline}s",
+                    f"no RPC reply in {handle.spec.budget.rpc_deadline}s",
                 )
-            note = await client.channel.next_note(timeout=watch)
+            # Not wait_for: its inner task costs a loop turn per note.
+            tick = loop.call_later(watch, life.notes.put_nowait, None)
+            note = await life.notes.get()
+            tick.cancel()
             if note is None:
                 if supervisor.stuck(pending=handle.pending > 0):
-                    client.kill()
-                    await client.reap()
+                    life.kill()
+                    await life.reap()
                     return (
                         "stuck",
                         "no batch progress in "
@@ -499,12 +389,9 @@ class ServeDaemon:
                     )
                 continue
             kind = note.get("kind")
-            if kind == "closed":
-                code = await client.reap()
-                return ("exit", f"worker exited {code}")
-            if kind == "fatal":
-                await client.reap()
-                return ("exit", note.get("error", "worker fatal"))
+            if kind in ("closed", "fatal"):  # pipe EOF, or a pipeline error
+                code = await life.reap()
+                return ("exit", note.get("error", f"worker exited {code}"))
             if kind == "started":
                 if degraded:
                     supervisor.note_degraded_started()
@@ -512,47 +399,42 @@ class ServeDaemon:
                     supervisor.note_started()
             elif kind == "batch":
                 supervisor.note_progress()
-                self._count_arrivals(int(note.get("n", 0)))
+                self._n_arrivals += int(note.get("n", 0))
+                if self._crash_hook is not None:
+                    self._crash_hook(self._n_arrivals)
                 handle.pending = int(note.get("pending", 0))
                 total = int(note.get("events_total", 0))
                 if total != handle.events_total:
                     handle.events_total = total
                     self.notify_events(name)
-                if "budgets" in note:
-                    self.publish_budgets(name, note["budgets"])
+                self.publish_budgets(name, note["budgets"])
             elif kind == "budget":
                 supervisor.note_budget_degraded(
                     list(note.get("breached", []))
                 )
-            elif kind == "exhausted":
-                exhausted = True
-                handle.events_total = int(
-                    note.get("events_total", handle.events_total)
-                )
+            elif kind == "exhausted":  # sent only under ``once``
+                return await self._drain(name, life)
 
-    async def _drain_worker(
-        self, name: str, client: WorkerClient
-    ) -> tuple[str, str]:
-        """Graceful worker shutdown with SIGKILL escalation; exits 0 either way.
+    async def _drain(self, name: str, life) -> tuple[str, str]:
+        """Graceful shutdown with SIGKILL escalation; drained either way.
 
-        The drain RPC makes the worker flush, final-checkpoint, dump
-        its quarantine, reply, and exit.  A worker that cannot finish
-        inside ``drain_deadline`` is SIGKILLed *after* its last cadence
-        checkpoint is already durable — the cost is un-checkpointed
-        progress, i.e. exactly a crash resume, never a failed drain.
+        The drain request makes the life flush, final-checkpoint, dump
+        its quarantine and reply with its final snapshot, then end.  A
+        life that cannot finish inside ``drain_deadline`` is killed
+        *after* its last cadence checkpoint is already durable — the
+        cost is un-checkpointed progress, i.e. exactly a crash resume,
+        never a failed drain.
         """
+        handle = self.handles[name]
         deadline = self.config.drain_deadline
         try:
-            await client.request("drain", timeout=deadline)
-            await asyncio.wait_for(client.proc.wait(), timeout=deadline)
-            await client.channel.close()
+            await handle.drain(timeout=deadline)
+            await asyncio.wait_for(life.reap(), timeout=deadline)
         except (RpcError, RpcClosed, RpcTimeout, asyncio.TimeoutError) as exc:
-            client.kill()
-            await client.reap()
+            life.kill()
+            await life.reap()
             try:
-                TransitionJournal(
-                    self.tenants[name].supervisor_path
-                ).append(
+                TransitionJournal(handle.workdir / SUPERVISOR_FILE).append(
                     {
                         "tenant": name,
                         "kind": "drain-escalated",

@@ -2,9 +2,10 @@
 
 A deliberately small HTTP/1.0 server on raw asyncio streams — no
 framework, no threads, one read per request, connection closed after
-the response.  Routes talk to tenants through their placement handle
-(:mod:`repro.serve.placement`), so a tenant living in its own worker
-process and one living on the daemon's loop answer identically.
+the response.  Routes talk to tenants through their
+:class:`~repro.serve.placement.TenantHandle`, so a tenant living in its
+own worker process and one living on the daemon's loop answer
+identically.
 
 Hardening (DESIGN.md §15): a connection gets one read deadline to
 deliver its request head (``408`` past it), the head is size-bounded
@@ -50,8 +51,9 @@ MAX_EVENTS_PAGE = 500
 def events_page(journal, cursor: int, limit: int) -> dict:
     """One cursor page of a tenant's event journal, JSON-safe.
 
-    Shared by the inline route and the worker's ``events`` RPC command
-    (DESIGN.md §15), so both placements paginate byte-identically.
+    Shared by the tenant loop's ``events`` command and a detached
+    handle's journal-file fallback (DESIGN.md §15), so every read
+    paginates byte-identically.
     """
     limit = min(limit, MAX_EVENTS_PAGE)
     events = journal.read(cursor, limit)
@@ -258,7 +260,7 @@ class HttpApi:
                     "draining": daemon.draining,
                     "tenants": {
                         name: daemon.supervisors[name].state
-                        for name in daemon.tenants
+                        for name in daemon.handles
                     },
                 }
             if path == ["metrics"]:
@@ -266,7 +268,6 @@ class HttpApi:
             if path == ["tenants"]:
                 rows = []
                 for name, handle in daemon.handles.items():
-                    summary = await handle.summary()
                     rows.append(
                         {
                             "name": name,
@@ -275,10 +276,8 @@ class HttpApi:
                             "restarts": (
                                 daemon.supervisors[name].total_restarts
                             ),
-                            "pending_arrivals": (
-                                summary["pending_arrivals"]
-                            ),
-                            "events": summary["events"],
+                            "pending_arrivals": handle.pending,
+                            "events": handle.events_total,
                         }
                     )
                 return rows
@@ -303,14 +302,14 @@ class HttpApi:
             if len(path) == 3 and path[0] == "tenants":
                 handle = self._handle_for(path[1])
                 if path[2] == "promote":
-                    return await handle.promote()
+                    return await handle.request("promote")
                 if path[2] == "rollback":
                     to = query.get("to")
-                    return await handle.rollback(
-                        to=int(to) if to is not None else None
+                    return await handle.request(
+                        "rollback", {"to": int(to) if to is not None else None}
                     )
                 if path[2] == "requeue":
-                    return await handle.requeue()
+                    return await handle.request("requeue")
         raise HttpError(404, f"no route for {method} /{'/'.join(path)}")
 
     def _handle_for(self, name: str):
@@ -327,7 +326,7 @@ class HttpApi:
         request is refused with 429, counted ``reason="waiters"``) and
         re-reads its page when woken or timed out.  Works identically
         for both placements: the parent owns the waiters, journal
-        growth is observed from batch bookkeeping either way.
+        growth is observed from the tenant's ``batch`` notes.
         """
         daemon = self._daemon
         try:

@@ -1,40 +1,23 @@
-"""Bulkhead tenant placement: per-tenant worker processes (DESIGN.md §15).
+"""One tenant loop, two transports, one handle (DESIGN.md §15).
 
-``placement = "inline"`` runs a tenant's pipeline on the daemon's own
-event loop — the pre-placement behavior.  ``placement = "process"``
-gives the tenant a supervised OS worker process of its own: the worker
-owns the *full* stack (tail → ingest → DigestStream → checkpoint /
-journal / quarantine) and talks to the parent daemon over the framed
-JSON RPC of :mod:`repro.serve.rpc` on its stdin/stdout.  The parent
-keeps only the HTTP control plane and the per-tenant
-:class:`~repro.serve.supervisor.Supervisor` — so one tenant's crash,
-hang, or poison batch cannot disturb its neighbors, and an N-core box
-actually digests N tenants concurrently.
+A tenant *life* is one boot of its :class:`~repro.serve.tenant.TenantRuntime`,
+from an ``init`` dict to drain or death.  :class:`TenantLife` is the
+tenant's only command surface — boot, :meth:`~TenantLife.execute`,
+:meth:`~TenantLife.step` — and placement decides only where it runs:
 
-Three pieces live here:
+* ``"process"`` — :func:`worker_main` drives it in a worker process of
+  its own over the framed JSON RPC of :mod:`repro.serve.rpc`
+  (:class:`WorkerClient` is the parent's end), so one tenant's crash,
+  hang or poison batch cannot disturb its neighbors.  EOF on stdin means
+  the parent is gone: the worker dies with crash semantics, the recovery
+  path the kill -9 fingerprint gate already pins.
+* ``"inline"`` — :class:`InlineLife` drives it as a task on the daemon's
+  own loop, handing over dicts instead of frames.
 
-* :func:`worker_main` — the worker side.  Boots a
-  :class:`~repro.serve.tenant.TenantRuntime` from the ``init`` frame,
-  then loops: serve queued RPC commands (health / sources / events /
-  journal / promote / rollback / requeue / ping / drain), process one
-  batch, emit ``batch`` / ``budget`` / ``exhausted`` notifications.
-  EOF on stdin means the parent is gone; the worker dies immediately
-  with crash semantics — un-checkpointed progress is discarded exactly
-  as a kill -9 would discard it, which is the recovery path the
-  fingerprint gate pins.
-
-* :class:`WorkerClient` — the parent side of one worker's pipes:
-  spawn, RPC with the tenant's ``rpc_deadline`` budget, kill, reap.
-
-* :class:`InlineHandle` / :class:`ProcessHandle` — the uniform async
-  facade the HTTP layer talks to, so routes never branch on placement.
-  A :class:`ProcessHandle` whose worker is gone serves events straight
-  from the journal file and health from its last-known snapshot — a
-  drained or dead worker does not take its tenant's history with it.
-
-Clean runs are ``stream_fingerprint``-byte-identical between the two
-placements: the worker executes the very same :class:`TenantRuntime`
-methods the inline pump does, in the same order.
+:class:`TenantHandle` is what the HTTP layer talks to for either
+placement; with no life attached it serves the last life's snapshot and
+the journals on disk.  Both placements run this one loop, so clean runs
+are ``stream_fingerprint``-byte-identical between them.
 """
 
 from __future__ import annotations
@@ -70,134 +53,166 @@ def _src_root() -> str:
     return str(Path(__file__).resolve().parents[2])
 
 
-# ------------------------------------------------------------ worker side
+def pump_fault_for(pump_fault: dict | None, tenant: str):
+    """The hook a serve config's ``pump_fault`` block arms on ``tenant``
+    (``None`` when the block is off or names another tenant)."""
+    if pump_fault is None or pump_fault.get("tenant") not in (None, tenant):
+        return None
+    from repro.netsim.faults import pump_fault_from_dict
+
+    return pump_fault_from_dict(pump_fault)
 
 
-def _execute(runtime: TenantRuntime, cmd: str, args: dict) -> dict:
-    """Run one RPC command against the live runtime; never raises."""
-    try:
-        if cmd == "ping":
-            result = {"pong": True}
-        elif cmd == "health":
-            health = runtime.health()
-            health["worker_pid"] = os.getpid()
-            result = health
-        elif cmd == "sources":
-            result = runtime.ingest.source_summaries()
-        elif cmd == "journal":
-            result = {
-                "supervisor": runtime.transitions.read(),
-                "breaker": runtime.ingest.journal(),
-            }
-        elif cmd == "events":
-            result = events_page(
-                runtime.events,
-                int(args.get("cursor", 0)),
-                int(args.get("limit", 50)),
+def _fatal(exc: Exception) -> dict:
+    return {"id": 0, "kind": "fatal", "error": f"{type(exc).__name__}: {exc}"}
+
+
+# ------------------------------------------------------------ the loop
+
+
+class TenantLife:
+    """One life of a tenant: boot, the command table, pipeline steps.
+
+    ``emit`` receives every note; ``pid`` is what ``health`` reports as
+    ``worker_pid`` (``None`` for a life on the daemon's own loop).
+    """
+
+    def __init__(self, init: dict, emit, *, pid: int | None) -> None:
+        self.init = init
+        self.runtime = TenantRuntime(TenantSpec.from_dict(init["spec"]))
+        self.poll_interval = float(init["poll_interval"])
+        #: Set by the ``drain`` command: the life is over, stop stepping.
+        self.drained = False
+        self._emit = emit
+        self._pid = pid
+        self._exhausted = False
+        self._breaches_seen = 0
+
+    def boot(self) -> None:
+        """Arm the pump fault, start (or restore) the runtime, note it."""
+        runtime = self.runtime
+        runtime.fault_hook = pump_fault_for(
+            self.init.get("pump_fault"), runtime.spec.name
+        )
+        runtime.start(degraded=bool(self.init.get("degraded")))
+        self._emit({"id": 0, "kind": "started"})
+
+    def step(self) -> bool:
+        """One batch, or one refill when nothing is pending.
+
+        Returns ``False`` when the step found no input: the transport
+        then waits up to ``poll_interval`` before the next one.
+        """
+        runtime = self.runtime
+        n = runtime.process_batch()
+        if n:
+            self._emit(
+                {
+                    "id": 0,
+                    "kind": "batch",
+                    "n": n,
+                    "pending": runtime.pending,
+                    "events_total": len(runtime.events),
+                    "budgets": runtime.budget_health(),
+                }
             )
-        elif cmd == "promote":
-            result = runtime.promote()
-        elif cmd == "rollback":
-            to = args.get("to")
-            result = runtime.rollback(to=int(to) if to is not None else None)
-        elif cmd == "requeue":
-            result = runtime.requeue()
-        else:
-            return {"ok": False, "error": f"unknown command {cmd!r}"}
-    except Exception as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    return {"ok": True, "result": result}
+            if len(runtime.budget_breached) > self._breaches_seen:
+                fresh = runtime.budget_breached[self._breaches_seen:]
+                self._breaches_seen = len(runtime.budget_breached)
+                self._emit({"id": 0, "kind": "budget", "breached": fresh})
+            return True
+        if runtime.refill():
+            return True
+        if self.init.get("once") and not self._exhausted:
+            self._exhausted = True
+            self._emit({"id": 0, "kind": "exhausted"})
+        return False
+
+    def execute(self, cmd: str, args: dict) -> dict:
+        """Run one command against this life's runtime; never raises."""
+        runtime = self.runtime
+        try:
+            if cmd == "ping":
+                result = {"pong": True}
+            elif cmd == "health":
+                result = runtime.health()
+                result["worker_pid"] = self._pid
+            elif cmd == "sources":
+                result = runtime.ingest.source_summaries()
+            elif cmd == "journal":
+                result = {
+                    "supervisor": runtime.transitions.read(),
+                    "breaker": runtime.ingest.journal(),
+                }
+            elif cmd == "events":
+                result = events_page(
+                    runtime.events,
+                    int(args.get("cursor", 0)),
+                    int(args.get("limit", 50)),
+                )
+            elif cmd == "promote":
+                result = runtime.promote()
+            elif cmd == "rollback":
+                to = args.get("to")
+                result = runtime.rollback(
+                    to=int(to) if to is not None else None
+                )
+            elif cmd == "requeue":
+                result = runtime.requeue()
+            elif cmd == "drain":
+                # The last live snapshot rides the reply: what the handle
+                # serves once no life is attached.  Health is read first
+                # because the drain shuts the stream lane's workers down.
+                health = runtime.health()
+                result = {
+                    "flushed": runtime.drain(),
+                    "health": health,
+                    "breaker": runtime.ingest.journal(),
+                }
+                self.drained = True
+            else:
+                return {"ok": False, "error": f"unknown command {cmd!r}"}
+        except Exception as exc:
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return {"ok": True, "result": result}
+
+
+# ------------------------------------------------ transport: a process
 
 
 def worker_main(in_fh, out_fh) -> int:
     """One tenant worker's whole life; returns the process exit code.
 
-    The first frame on stdin is ``init``: the tenant spec, the degraded
-    flag for this life, ``once`` / ``poll_interval``, and any armed
-    fault dicts.  Everything after is RPC commands, interleaved with
-    batch work — commands are polled with a zero timeout while arrivals
-    are pending, so admin calls never stall the pipeline and the
-    pipeline never starves admin calls.
+    The first frame on stdin is the life's ``init`` dict; everything
+    after is RPC commands, interleaved with pipeline steps — polled with
+    a zero timeout while the last step found work, so admin calls never
+    stall the pipeline and the pipeline never starves admin calls.
     """
     try:
         init = read_frame(in_fh)
-    except (EOFError, FrameError):
-        return 1
-    spec = TenantSpec.from_dict(init["spec"])
-    once = bool(init.get("once"))
-    poll_interval = float(init.get("poll_interval", 0.2))
-    if init.get("fault") is not None:
-        from repro.netsim.faults import durable_fault_from_dict
-        from repro.utils.fsio import install_fault_hook
+        if init.get("fault") is not None:
+            from repro.netsim.faults import durable_fault_from_dict
+            from repro.utils.fsio import install_fault_hook
 
-        install_fault_hook(durable_fault_from_dict(init["fault"]))
-    runtime = TenantRuntime(spec)
-    pump_fault = init.get("pump_fault")
-    if pump_fault and pump_fault.get("tenant") in (None, spec.name):
-        from repro.netsim.faults import pump_fault_from_dict
-
-        runtime.fault_hook = pump_fault_from_dict(pump_fault)
-    try:
-        runtime.start(degraded=bool(init.get("degraded")))
-        write_frame(
-            out_fh,
-            {
-                "id": 0,
-                "kind": "started",
-                "degraded": runtime.degraded,
-                "resumed": runtime.resumed,
-                "pid": os.getpid(),
-            },
+            install_fault_hook(durable_fault_from_dict(init["fault"]))
+        life = TenantLife(
+            init, lambda note: write_frame(out_fh, note), pid=os.getpid()
         )
-        exhausted = False
-        breaches_seen = 0
+        life.boot()
+        busy = True
         while True:
-            timeout = 0.0 if runtime.pending else poll_interval
-            frame = poll_frame(in_fh, timeout)
+            frame = poll_frame(in_fh, 0.0 if busy else life.poll_interval)
             if frame is not None:
-                cmd = frame.get("cmd")
-                rid = frame.get("id", 0)
-                if cmd == "drain":
-                    flushed = runtime.drain()
-                    write_frame(
-                        out_fh,
-                        {"id": rid, "ok": True,
-                         "result": {"flushed": flushed}},
-                    )
-                    return 0
-                reply = _execute(runtime, cmd, frame.get("args") or {})
-                reply["id"] = rid
+                reply = life.execute(
+                    frame.get("cmd"), frame.get("args") or {}
+                )
+                reply["id"] = frame.get("id", 0)
                 write_frame(out_fh, reply)
+                if life.drained:
+                    return 0
                 # Fall through to the pipeline: an idle tenant polled
                 # faster than poll_interval must still reach refill().
-            n = runtime.process_batch()
-            if n:
-                write_frame(
-                    out_fh,
-                    {
-                        "id": 0,
-                        "kind": "batch",
-                        "n": n,
-                        "pending": runtime.pending,
-                        "events_total": len(runtime.events),
-                        "degraded": runtime.degraded,
-                        "budgets": runtime.budget_health(),
-                    },
-                )
-                if len(runtime.budget_breached) > breaches_seen:
-                    fresh = runtime.budget_breached[breaches_seen:]
-                    breaches_seen = len(runtime.budget_breached)
-                    write_frame(
-                        out_fh,
-                        {"id": 0, "kind": "budget", "breached": fresh},
-                    )
-            elif runtime.refill() == 0 and once and not exhausted:
-                exhausted = True
-                write_frame(
-                    out_fh,
-                    {"id": 0, "kind": "exhausted",
-                     "events_total": len(runtime.events)},
-                )
+            busy = life.step()
     except (EOFError, FrameError):
         # Parent gone (its death closed our stdin): die right here with
         # crash semantics — no drain, no final checkpoint.  The next
@@ -205,18 +220,14 @@ def worker_main(in_fh, out_fh) -> int:
         return 1
     except Exception as exc:  # pipeline death: report, then crash-exit
         try:
-            write_frame(
-                out_fh,
-                {"id": 0, "kind": "fatal",
-                 "error": f"{type(exc).__name__}: {exc}"},
-            )
+            write_frame(out_fh, _fatal(exc))
         except Exception:
             pass
         return 1
 
 
 def main() -> int:
-    """``python -m repro.serve.placement`` — the worker entry point."""
+    """``python -m repro.serve.worker`` — the worker entry point."""
     # Frames own the real stdout; anything the pipeline prints is
     # repointed at stderr so it can never corrupt the frame stream.
     out_fh = os.fdopen(os.dup(1), "wb")
@@ -231,15 +242,13 @@ def main() -> int:
     return worker_main(in_fh, out_fh)
 
 
-# ------------------------------------------------------------ parent side
-
-
 class WorkerClient:
     """Parent-side handle on one spawned worker process + its channel."""
 
     def __init__(self, proc, channel: RpcChannel) -> None:
         self.proc = proc
         self.channel = channel
+        self.notes: asyncio.Queue = channel.notes
 
     @property
     def pid(self) -> int:
@@ -287,66 +296,92 @@ class WorkerClient:
         return code
 
 
-class InlineHandle:
-    """Async facade over a tenant running on the daemon's own loop."""
-
-    placement = "inline"
-
-    def __init__(self, runtime: TenantRuntime) -> None:
-        self.runtime = runtime
-
-    async def health(self) -> dict:
-        health = self.runtime.health()
-        health["worker_pid"] = None
-        return health
-
-    async def sources(self):
-        return self.runtime.ingest.source_summaries()
-
-    async def journal(self) -> dict:
-        return {
-            "supervisor": self.runtime.transitions.read(),
-            "breaker": self.runtime.ingest.journal(),
-        }
-
-    async def events_page(self, cursor: int, limit: int) -> dict:
-        return events_page(self.runtime.events, cursor, limit)
-
-    async def promote(self) -> dict:
-        return self.runtime.promote()
-
-    async def rollback(self, to: int | None) -> dict:
-        return self.runtime.rollback(to=to)
-
-    async def requeue(self) -> dict:
-        return self.runtime.requeue()
-
-    async def summary(self) -> dict:
-        return {
-            "pending_arrivals": self.runtime.pending,
-            "events": len(self.runtime.events),
-        }
+# ------------------------------------- transport: the daemon's own loop
 
 
-class ProcessHandle:
-    """Async facade over a tenant living in its own worker process.
+class InlineLife:
+    """A tenant life as a task on the daemon's event loop: the surface of
+    :class:`WorkerClient` without the process or the codec.  A request
+    runs :meth:`TenantLife.execute` in the caller — it cannot overlap a
+    step, nor time out (``timeout`` is unused)."""
 
-    RPCs are bounded by the tenant's ``rpc_deadline`` budget; a timeout
+    def __init__(self, init: dict) -> None:
+        self.notes: asyncio.Queue = asyncio.Queue()
+        self.life = TenantLife(init, self.notes.put_nowait, pid=None)
+        self._task = asyncio.ensure_future(self._run())
+
+    @classmethod
+    async def spawn(cls, init: dict) -> "InlineLife":
+        life = cls(init)
+        # The task is first in line: it boots (or fails) before this
+        # returns, so no request can reach an unbooted runtime.
+        await asyncio.sleep(0)
+        return life
+
+    @property
+    def alive(self) -> bool:
+        return not self._task.done()
+
+    async def _run(self) -> None:
+        try:
+            self.life.boot()
+            busy = True
+            while True:
+                if not busy:
+                    await asyncio.sleep(self.life.poll_interval)
+                # Two loop turns: a drain asked for during boot, and the
+                # watch taking the last note + the reader it wakes, go first.
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                busy = self.life.step()
+        except Exception as exc:
+            self.notes.put_nowait(_fatal(exc))
+
+    async def request(self, cmd: str, args: dict | None = None, *,
+                      timeout: float):
+        if not self.alive:  # the boot failed: nothing to run it on
+            raise RpcClosed("tenant life ended")
+        reply = self.life.execute(cmd, args or {})
+        if self.life.drained:
+            self._task.cancel()  # ends the idle wait at once
+        if not reply["ok"]:
+            raise RpcError(reply["error"])
+        return reply["result"]
+
+    def kill(self) -> None:
+        self._task.cancel()
+
+    async def reap(self) -> None:
+        """Wait for the task to end, then tear the runtime down without
+        draining (a no-op after a drain) and close its journal."""
+        await asyncio.wait({self._task})
+        runtime = self.life.runtime
+        runtime.halt()
+        if runtime.events is not None:
+            runtime.events.close()
+
+
+# ------------------------------------------------------------ the handle
+
+
+class TenantHandle:
+    """Async facade over a tenant's current life, for either placement.
+
+    Requests are bounded by the tenant's ``rpc_deadline``; a timeout
     raises *and* latches :attr:`rpc_timed_out`, which the supervision
-    loop reads as "the worker is hung" and escalates.  When no worker
-    is attached (death gap, or drained), reads fall back to the files
-    the worker left behind — the event journal and transition journal
-    are on disk, so history survives its process.
+    loop reads as "the life is hung".  With no life attached (death gap,
+    or drained), reads serve what the last one left: the snapshot of its
+    last ``health`` or ``drain`` reply, and the journals on disk.
     """
-
-    placement = "process"
 
     def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
-        self.client: WorkerClient | None = None
-        #: Every process ever spawned for this tenant (reap audit).
-        self.procs: list = []
+        self.placement = spec.placement
+        self.life: WorkerClient | InlineLife | None = None
+        #: Every life ever attached to this tenant (reap audit).
+        self.lives: list = []
         self.last_health: dict = {}
+        self.last_breaker: list = []
         self.pending = 0
         self.events_total = 0
         self.rpc_timed_out = False
@@ -357,33 +392,40 @@ class ProcessHandle:
 
     @property
     def alive(self) -> bool:
-        return self.client is not None and self.client.alive
+        return self.life is not None and self.life.alive
 
-    def attach(self, client: WorkerClient) -> None:
-        self.client = client
-        self.procs.append(client.proc)
+    def attach(self, life) -> None:
+        self.life = life
+        self.lives.append(life)
         self.rpc_timed_out = False
 
-    def detach(self) -> None:
-        self.client = None
-
-    async def _call(self, cmd: str, args: dict | None = None):
+    async def request(self, cmd: str, args: dict | None = None):
+        """One command to the attached life (RpcClosed when none is)."""
         if not self.alive:
             raise RpcClosed(f"tenant {self.spec.name}: no live worker")
         try:
-            return await self.client.request(
+            return await self.life.request(
                 cmd, args, timeout=self.spec.budget.rpc_deadline
             )
         except RpcTimeout:
             self.rpc_timed_out = True
             raise
 
+    async def drain(self, timeout: float) -> None:
+        """Drain the attached life and keep its last live snapshot."""
+        final = await self.life.request("drain", timeout=timeout)
+        self.last_health = final["health"]
+        self.last_breaker = final["breaker"]
+        self.pending = 0
+        self.events_total = (
+            self.last_health["events_journaled"] + final["flushed"]
+        )
+
     async def health(self) -> dict:
         if self.alive:
             try:
-                health = await self._call("health")
-                self.last_health = health
-                return health
+                self.last_health = await self.request("health")
+                return self.last_health
             except (RpcClosed, RpcTimeout, RpcError):
                 pass
         health = dict(self.last_health)
@@ -393,49 +435,25 @@ class ProcessHandle:
 
     async def sources(self):
         if self.alive:
-            return await self._call("sources")
+            return await self.request("sources")
         return self.last_health.get("sources", [])
 
     async def journal(self) -> dict:
         if self.alive:
-            return await self._call("journal")
-        path = self.workdir / SUPERVISOR_FILE
-        supervisor = (
-            TransitionJournal(path).read() if path.exists() else []
-        )
-        return {"supervisor": supervisor, "breaker": []}
+            return await self.request("journal")
+        supervisor = TransitionJournal(self.workdir / SUPERVISOR_FILE)
+        return {"supervisor": supervisor.read(), "breaker": self.last_breaker}
 
     async def events_page(self, cursor: int, limit: int) -> dict:
         if self.alive:
-            return await self._call(
+            return await self.request(
                 "events", {"cursor": cursor, "limit": limit}
             )
-        # Worker gone: serve the journal file it left behind.  Safe —
-        # no process is appending while no worker is attached.
-        path = self.workdir / EVENTS_FILE
-        if not path.exists():
-            return {"events": [], "next_cursor": None, "total": 0}
-        journal = EventJournal(path)
+        # No life attached: serve the journal file the last one left
+        # behind.  Safe — nothing appends while no life is attached.
+        journal = EventJournal(self.workdir / EVENTS_FILE)
         try:
             return events_page(journal, cursor, limit)
         finally:
             journal.close()
 
-    async def promote(self) -> dict:
-        return await self._call("promote")
-
-    async def rollback(self, to: int | None) -> dict:
-        return await self._call("rollback", {"to": to})
-
-    async def requeue(self) -> dict:
-        return await self._call("requeue")
-
-    async def summary(self) -> dict:
-        return {
-            "pending_arrivals": self.pending,
-            "events": self.events_total,
-        }
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

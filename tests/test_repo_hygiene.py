@@ -5,6 +5,9 @@ and docs that only cite evidence that exists.
   forms live in ``tests/oracle.py``.  The retired mode switch must not
   come back under another import, in a bench, or in the Makefile, and
   ``repro/hotpath.py`` — imported by everything — holds no module state.
+* One tenant protocol: under ``src/repro/serve/`` placement is compared
+  to a literal in exactly one place — where a life's transport is
+  chosen — and the retired per-placement paths stay gone.
 * README.md / DESIGN.md / EXPERIMENTS.md may name a results file, a
   bench node or a make target only if it is there to be opened or run.
 """
@@ -21,6 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 RETIRED = re.compile(r"reference_mode|reference_enabled|match_reference")
+RETIRED_TENANT_PATHS = re.compile(
+    r"\bInlineHandle\b|\b_pump\b|_supervise_process"
+)
 
 
 def _text_files(*roots: str):
@@ -61,6 +67,38 @@ def test_hotpath_module_holds_no_state():
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert not stateful, stateful
+
+
+def _names_placement(node) -> bool:
+    name = getattr(node, "id", None) or getattr(node, "attr", "")
+    return "placement" in name
+
+
+def _is_str_literal(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_str_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_placement_is_read_in_one_place():
+    """Placement decides only where a life runs: one comparison picks
+    the transport, and no per-placement path comes back."""
+    compares = [
+        f"{file.relative_to(ROOT)}:{node.lineno}"
+        for file in sorted((ROOT / "src/repro/serve").glob("*.py"))
+        for node in ast.walk(ast.parse(file.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(map(_names_placement, [node.left, *node.comparators]))
+        and any(map(_is_str_literal, [node.left, *node.comparators]))
+    ]
+    assert len(compares) == 1, compares
+    retired = [
+        f"{file.relative_to(ROOT)}:{n}: {line.strip()}"
+        for file, text in _text_files("src")
+        for n, line in enumerate(text.splitlines(), 1)
+        if RETIRED_TENANT_PATHS.search(line)
+    ]
+    assert not retired, "\n".join(retired)
 
 
 def _make_targets() -> set[str]:

@@ -1,63 +1,84 @@
 """HTTP API: routing, payload shapes, pagination, error handling.
 
-Routing logic is exercised synchronously through ``HttpApi._dispatch``
-(handlers run on the event loop between batches, so dispatch *is* the
-whole request path minus socket I/O), plus one real-socket round trip
-to cover the asyncio server itself.
+Routing logic is exercised through ``HttpApi._dispatch`` (handlers run
+on the event loop between tenant steps, so dispatch *is* the whole
+request path minus socket I/O), plus one real-socket round trip to
+cover the asyncio server itself.
+
+The fixture daemon is the real one, run with ``once=True`` to its
+drained end, so the routes answer from what a finished life left
+behind: the snapshot of its ``drain`` reply and the journals on disk.
+Every route class runs once per placement (the ``Process`` subclasses),
+and :class:`TestPlacementParity` holds the two to the same bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
+import time
 
 import pytest
 
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.http import MAX_EVENTS_PAGE, HttpApi
+from repro.serve.tenant import PLACEMENTS
 from repro.syslog.stream import write_log
 
 pytestmark = pytest.mark.serve
 
 
 @pytest.fixture(scope="module")
-def daemon(system_a, live_a, tmp_path_factory):
-    """A daemon with one tenant, pumped to completion synchronously."""
+def farm(system_a, live_a, tmp_path_factory):
+    """One kb and one source log, shared by every daemon below."""
     root = tmp_path_factory.mktemp("http")
     kb_path = root / "kb.json"
     system_a.kb.save(kb_path)
-    messages = [m.message for m in live_a.messages][:400]
-    write_log(root / "s1.log", messages)
-    config = ServeConfig.from_dict(
-        {
-            "workdir": str(root),
-            "once": True,
-            "tenants": [
-                {
-                    "name": "net-a",
-                    "sources": [str(root / "s1.log")],
-                    "workdir": str(root / "net-a"),
-                    "kb_path": str(kb_path),
-                }
-            ],
-        }
-    )
-    daemon = ServeDaemon(config)
-    from repro.serve.journal import TransitionJournal
-    from repro.serve.supervisor import Supervisor
+    write_log(root / "s1.log", [m.message for m in live_a.messages][:400])
+    return root
 
-    runtime = daemon.tenants["net-a"]
-    runtime.workdir.mkdir(parents=True, exist_ok=True)
-    daemon.supervisors["net-a"] = Supervisor(
-        "net-a", journal=TransitionJournal(runtime.supervisor_path)
+
+def _daemon(root, label: str, placement: str, once: bool) -> ServeDaemon:
+    workdir = root / label
+    return ServeDaemon(
+        ServeConfig.from_dict(
+            {
+                "workdir": str(workdir),
+                "once": once,
+                "poll_interval": 0.05,
+                "tenants": [
+                    {
+                        "name": "net-a",
+                        "sources": [str(root / "s1.log")],
+                        "workdir": str(workdir / "net-a"),
+                        "kb_path": str(root / "kb.json"),
+                        "placement": placement,
+                    }
+                ],
+            }
+        )
     )
-    runtime.start()
-    daemon.supervisors["net-a"].note_started()
-    while runtime.pending:
-        runtime.process_batch()
-    runtime.drain()
-    daemon.supervisors["net-a"].note_drained()
-    return daemon
+
+
+@pytest.fixture(scope="module")
+def drained(farm):
+    """Per placement: a one-tenant daemon run with ``once`` to its end."""
+    daemons = {}
+    for placement in PLACEMENTS:
+        daemons[placement] = _daemon(farm, placement, placement, once=True)
+        assert asyncio.run(daemons[placement].run()) == 0
+    return daemons
+
+
+@pytest.fixture
+def placement():
+    return "inline"
+
+
+@pytest.fixture
+def daemon(drained, placement):
+    return drained[placement]
 
 
 def _get(daemon, target: str):
@@ -119,7 +140,7 @@ class TestRoutes:
 
 class TestEventsPagination:
     def test_cursor_walk_covers_everything_once(self, daemon):
-        total = len(daemon.tenants["net-a"].events)
+        total = daemon.handles["net-a"].events_total
         assert total > 0
         seen = []
         cursor = 0
@@ -178,10 +199,64 @@ class TestErrors:
         )
         assert status == 405
 
-    def test_promote_without_store_is_an_error(self, daemon):
-        status, body, _ = _post(daemon, "/tenants/net-a/promote")
+    def test_promote_without_store_is_an_error(self, farm, placement):
+        """Mutations need a live life: asked while one is attached."""
+        daemon = _daemon(farm, f"promote-{placement}", placement, once=False)
+
+        async def scenario():
+            run = asyncio.create_task(daemon.run())
+            deadline = time.monotonic() + 120.0
+            while not daemon.handles["net-a"].alive:
+                assert not run.done() and time.monotonic() < deadline
+                await asyncio.sleep(0.02)
+            reply = await daemon.api._dispatch(
+                b"POST /tenants/net-a/promote HTTP/1.0\r\n\r\n"
+            )
+            daemon.request_drain()
+            assert await run == 0
+            return reply
+
+        status, body, _ = asyncio.run(scenario())
         assert status == 500
         assert "store_dir" in json.loads(body)["error"]
+
+
+class TestRoutesProcess(TestRoutes):
+    @pytest.fixture
+    def placement(self):
+        return "process"
+
+
+class TestEventsPaginationProcess(TestEventsPagination):
+    @pytest.fixture
+    def placement(self):
+        return "process"
+
+
+class TestErrorsProcess(TestErrors):
+    @pytest.fixture
+    def placement(self):
+        return "process"
+
+
+class TestPlacementParity:
+    #: A monotonic clock reading, not served state.
+    CLOCK = re.compile(r'"checkpoint_age_seconds": [^,}]+')
+
+    @pytest.mark.parametrize(
+        "route", ["health", "sources", "journal", "events"]
+    )
+    def test_bodies_are_byte_identical_across_placements(
+        self, drained, route
+    ):
+        bodies = {}
+        for placement, daemon in drained.items():
+            status, body, _ = _get(daemon, f"/tenants/net-a/{route}")
+            assert status == 200
+            bodies[placement] = self.CLOCK.sub("", body).replace(
+                f'"placement": "{placement}"', '"placement": ""'
+            )
+        assert bodies["inline"] == bodies["process"]
 
 
 class TestRealSocket:

@@ -5,18 +5,20 @@ worker subprocesses, no CLI wrapper) for the DESIGN.md §15 contracts:
 
 * a clean ``placement = "process"`` run is ``stream_fingerprint``
   byte-identical to the inline pipeline over the same data;
-* the supervisor restart-backoff machine runs unchanged on worker
-  death — SIGKILL, an unhandled pipeline exception, and an RPC
-  progress-deadline timeout all restart from the latest checkpoint and
-  escalate to degraded shed mode after ``max_restarts``;
-* a budget breach degrades deterministically — journaled, metered,
-  never killed — and a drain that a hung worker cannot honor is
+* one supervise path: the scenarios whose fault applies to both
+  placements — a raise-mode poison batch escalating to degraded, a
+  deterministic budget shed, long-poll wake and 429, a drain waking an
+  idle tenant — run on both and must leave the same supervisor arc,
+  transition kinds and fingerprint;
+* worker death — SIGKILL and an RPC progress-deadline timeout (process
+  only: an inline life cannot be killed from outside) — restarts from
+  the latest checkpoint, and a drain that a hung worker cannot honor is
   SIGKILL-escalated after its deadline while the daemon still exits 0
   with every child reaped;
-* long-poll event subscriptions wake on append and are bounded (429),
-  and the HTTP head/body/deadline hardening answers 408/431/413;
-* the inline pump: a drain wakes it out of its idle wait, and a
-  checkpoint it cannot resume from is refused and journaled.
+* the HTTP head/body/deadline hardening answers 408/431/413;
+* the tenant loop's replies and notes survive the RPC codec unchanged
+  (the inline transport passes them as dicts), and a checkpoint a life
+  cannot resume from is refused and journaled.
 
 Run via ``make placement`` (the cross-process smoke gate lives in
 ``tests/test_placement_smoke.py``).
@@ -46,7 +48,9 @@ from repro.obs import (
     get_registry,
 )
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.tenant import TenantRuntime, TenantSpec
+from repro.serve.placement import InlineLife
+from repro.serve.rpc import decode_payload, encode_frame
+from repro.serve.tenant import PLACEMENTS, TenantRuntime, TenantSpec
 from repro.syslog.parse import format_line
 from repro.syslog.stream import write_log
 
@@ -127,9 +131,27 @@ async def _pushed(handle, want: int) -> bool:
 
 
 def _reaped(handle) -> None:
-    assert handle.procs, "no worker was ever spawned"
-    for proc in handle.procs:
-        assert proc.returncode is not None, "worker left unreaped (zombie)"
+    assert handle.lives, "no life was ever spawned"
+    for life in handle.lives:
+        assert not life.alive, "life left running"
+        proc = getattr(life, "proc", None)
+        assert proc is None or proc.returncode is not None, (
+            "worker left unreaped (zombie)"
+        )
+
+
+def _outcome(tenant: dict) -> tuple:
+    """What a supervise path leaves on disk: arc, kinds, fingerprint."""
+    workdir = tenant["workdir"]
+    return (
+        supervisor_arc(workdir),
+        transition_kinds(workdir),
+        tenant_fingerprint(workdir),
+    )
+
+
+async def _total(handle) -> int:
+    return (await handle.events_page(0, 1))["total"]
 
 
 async def _http_get(port: int, target: str):
@@ -179,10 +201,10 @@ class TestWorkerDeath:
                 lambda: handle.alive and handle.events_total > 0,
                 "first events", run,
             )
-            pid = handle.client.pid
+            pid = handle.life.pid
             os.kill(pid, signal.SIGKILL)
             await _wait(
-                lambda: handle.alive and handle.client.pid != pid,
+                lambda: handle.alive and handle.life.pid != pid,
                 "worker respawn", run,
             )
             await _wait(
@@ -196,43 +218,48 @@ class TestWorkerDeath:
         arc = supervisor_arc(tenant["workdir"])
         assert "restarting" in arc and arc[-1] == "drained"
         assert daemon.supervisors["net-a"].total_restarts >= 1
-        assert len(daemon.handles["net-a"].procs) >= 2
+        assert len(daemon.handles["net-a"].lives) >= 2
         _reaped(daemon.handles["net-a"])
 
     def test_poison_batch_degrades_tenant_neighbor_untouched(self, farm):
         """An unhandled exception in one tenant's pipeline crash-loops
-        its worker into degraded shed mode; the neighbor's run stays a
-        strict byte-identical no-op.
+        its life into degraded shed mode; the neighbor's run stays a
+        strict byte-identical no-op — the same arcs on both placements.
 
         The poison sits at arrival 30 — inside the first batch of every
         life, before the first checkpoint — so no life ever reports
         progress and the failures count as *consecutive* (progress
         resets the supervisor's restart budget by design)."""
-        bad = _tenant(farm, "poison", "net-bad", 300)
-        good = _tenant(farm, "poison", "net-good", 300)
-        want = reference_fingerprint(
-            dict(good, workdir=str(farm["root"] / "poison" / "ref"))
-        )
-        daemon = ServeDaemon(
-            _config(
-                farm, "poison", [bad, good],
-                pump_fault={
-                    "kind": "pump_poison",
-                    "tenant": "net-bad",
-                    "at": 30,
-                },
+        want = None
+        outcomes = {}
+        for placement in PLACEMENTS:
+            label = f"poison-{placement}"
+            bad = _tenant(farm, label, "net-bad", 300, placement=placement)
+            good = _tenant(farm, label, "net-good", 300, placement=placement)
+            if want is None:
+                want = reference_fingerprint(
+                    dict(good, workdir=str(farm["root"] / "poison-ref"))
+                )
+            daemon = ServeDaemon(
+                _config(
+                    farm, label, [bad, good],
+                    pump_fault={
+                        "kind": "pump_poison",
+                        "tenant": "net-bad",
+                        "at": 30,
+                    },
+                )
             )
-        )
-        assert asyncio.run(daemon.run()) == 0
-        bad_arc = supervisor_arc(bad["workdir"])
-        assert "restarting" in bad_arc and "degraded" in bad_arc
-        assert bad_arc[-1] == "drained"
-        # The bulkhead held: the neighbor never saw the blast.
-        assert supervisor_arc(good["workdir"]) == ["healthy", "drained"]
-        assert transition_kinds(good["workdir"]) == []
-        assert tenant_fingerprint(good["workdir"]) == want
-        _reaped(daemon.handles["net-bad"])
-        _reaped(daemon.handles["net-good"])
+            assert asyncio.run(daemon.run()) == 0
+            bad_arc = supervisor_arc(bad["workdir"])
+            assert "restarting" in bad_arc and "degraded" in bad_arc
+            assert bad_arc[-1] == "drained"
+            # The bulkhead held: the neighbor never saw the blast.
+            assert _outcome(good) == (["healthy", "drained"], [], want)
+            _reaped(daemon.handles["net-bad"])
+            _reaped(daemon.handles["net-good"])
+            outcomes[placement] = _outcome(bad)
+        assert outcomes["inline"] == outcomes["process"]
 
     def test_rpc_deadline_timeout_escalates_like_a_death(self, farm):
         """A hung worker (poison batch that spins forever) is detected
@@ -292,25 +319,27 @@ class TestBudgets:
         registry = get_registry()
         before = registry.counter_value(BUDGET_BREACHES, tenant="net-a")
 
-        def one_run(label: str) -> str:
+        def one_run(placement: str) -> tuple:
             tenant = _tenant(
-                farm, label, "net-a", 300,
-                budget={"journal_max_bytes": 2048},
+                farm, f"budget-{placement}", "net-a", 300,
+                budget={"journal_max_bytes": 2048}, placement=placement,
             )
-            daemon = ServeDaemon(_config(farm, label, [tenant]))
+            daemon = ServeDaemon(
+                _config(farm, f"budget-{placement}", [tenant])
+            )
             assert asyncio.run(daemon.run()) == 0
             kinds = transition_kinds(tenant["workdir"])
             assert "budget-breach" in kinds
             arc = supervisor_arc(tenant["workdir"])
             assert "degraded" in arc and "restarting" not in arc
             assert arc[-1] == "drained"
-            # Degrade, don't kill: the same worker life finished the run.
+            # Degrade, don't kill: the same life finished the run.
             assert daemon.supervisors["net-a"].total_restarts == 0
-            assert len(daemon.handles["net-a"].procs) == 1
+            assert len(daemon.handles["net-a"].lives) == 1
             _reaped(daemon.handles["net-a"])
-            return tenant_fingerprint(tenant["workdir"])
+            return _outcome(tenant)
 
-        first = one_run("budget-1")
+        first = one_run("inline")
         # Budget metrics are published parent-side, for both placements.
         assert (
             registry.counter_value(BUDGET_BREACHES, tenant="net-a") > before
@@ -322,8 +351,9 @@ class TestBudgets:
             )
             > 2048
         )
-        # Deterministic shed: same input, same breach, same bytes out.
-        assert one_run("budget-2") == first
+        # Deterministic shed: same input, same breach, same bytes out —
+        # on the other placement too.
+        assert one_run("process") == first
 
 
     def test_stream_proc_budget_clamps_the_all_cores_knob(
@@ -438,63 +468,69 @@ class TestControlPlane:
 class TestLongPoll:
     def test_wakes_on_append_and_bounds_waiters(self, farm):
         messages = farm["messages"]
-        tenant = _tenant(
-            farm, "longpoll", "net-a", 300, placement="inline"
-        )
-        config = _config(
-            farm, "longpoll", [tenant],
-            once=False,
-            http={"max_longpoll_waiters": 1},
-        )
-        daemon = ServeDaemon(config)
         registry = get_registry()
         rejected_before = registry.counter_value(
             SERVE_HTTP_REJECTED, reason="waiters"
         )
 
-        async def scenario():
-            run = asyncio.create_task(daemon.run())
-            handle = daemon.handles["net-a"]
-            await _wait(
-                lambda: daemon.api.port is not None, "http bind", run
+        def one_run(placement: str) -> tuple:
+            label = f"longpoll-{placement}"
+            tenant = _tenant(farm, label, "net-a", 300, placement=placement)
+            config = _config(
+                farm, label, [tenant],
+                once=False,
+                http={"max_longpoll_waiters": 1},
             )
-            await _wait(
-                lambda: _pushed(handle, 300), "phase-1 consumed", run
-            )
-            total = len(daemon.tenants["net-a"].events)
-            poll = asyncio.create_task(
-                _http_get(
+            daemon = ServeDaemon(config)
+
+            async def scenario():
+                run = asyncio.create_task(daemon.run())
+                handle = daemon.handles["net-a"]
+                await _wait(
+                    lambda: daemon.api.port is not None, "http bind", run
+                )
+                await _wait(
+                    lambda: _pushed(handle, 300), "phase-1 consumed", run
+                )
+                total = await _total(handle)
+                poll = asyncio.create_task(
+                    _http_get(
+                        daemon.api.port,
+                        f"/tenants/net-a/events?cursor={total}&wait=30",
+                    )
+                )
+                await _wait(
+                    lambda: daemon._event_waiters.get("net-a"),
+                    "waiter parked", run,
+                )
+                # Waiter budget is 1: the second long-poll is refused.
+                status_429, _ = await _http_get(
                     daemon.api.port,
                     f"/tenants/net-a/events?cursor={total}&wait=30",
                 )
-            )
-            await _wait(
-                lambda: daemon._event_waiters.get("net-a"),
-                "waiter parked", run,
-            )
-            # Waiter budget is 1: the second long-poll is refused.
-            status_429, _ = await _http_get(
-                daemon.api.port,
-                f"/tenants/net-a/events?cursor={total}&wait=30",
-            )
-            with open(tenant["sources"][0], "a", encoding="utf-8") as fh:
-                for message in messages[300:]:
-                    fh.write(format_line(message) + "\n")
-            status, body = await poll
-            daemon.request_drain()
-            code = await run
-            return code, total, status, body, status_429
+                with open(tenant["sources"][0], "a", encoding="utf-8") as fh:
+                    for message in messages[300:]:
+                        fh.write(format_line(message) + "\n")
+                status, body = await poll
+                daemon.request_drain()
+                code = await run
+                return code, total, status, body, status_429
 
-        code, total, status, body, status_429 = asyncio.run(scenario())
-        assert code == 0
-        assert status_429 == 429
-        assert status == 200
-        page = json.loads(body)
-        assert page["events"], "long-poll returned without fresh events"
-        assert page["events"][0]["cursor"] == total
+            code, total, status, body, status_429 = asyncio.run(scenario())
+            assert code == 0
+            assert status_429 == 429
+            assert status == 200
+            page = json.loads(body)
+            assert page["events"], "long-poll returned without fresh events"
+            assert page["events"][0]["cursor"] == total
+            return _outcome(tenant)
+
+        outcomes = {placement: one_run(placement) for placement in PLACEMENTS}
+        assert outcomes["inline"] == outcomes["process"]
+        assert outcomes["inline"][:2] == (["healthy", "drained"], [])
         assert (
             registry.counter_value(SERVE_HTTP_REJECTED, reason="waiters")
-            > rejected_before
+            >= rejected_before + len(PLACEMENTS)
         )
 
 
@@ -580,32 +616,41 @@ class TestHttpHardening:
 
 class TestInlinePump:
     def test_drain_wakes_an_idle_pump(self, farm):
-        """``request_drain`` must not ride out the idle wait: with a
-        30 s ``poll_interval`` the drain still completes in a fraction
-        of it."""
-        tenant = _tenant(farm, "idle-drain", "net-a", 100, placement="inline")
-        daemon = ServeDaemon(
-            _config(
-                farm, "idle-drain", [tenant], once=False, poll_interval=30.0
+        """``request_drain`` must not ride out an idle wait — neither the
+        tenant's 30 s ``poll_interval`` nor the watch loop's 1 s note
+        timeout: the tenant is told to drain at once, on both
+        placements."""
+        for placement in PLACEMENTS:
+            label = f"idle-drain-{placement}"
+            tenant = _tenant(farm, label, "net-a", 100, placement=placement)
+            daemon = ServeDaemon(
+                _config(farm, label, [tenant], once=False, poll_interval=30.0)
             )
-        )
-        runtime = daemon.tenants["net-a"]
+            handle = daemon.handles["net-a"]
+            told = []
+            drain = handle.drain
 
-        async def scenario() -> float:
-            run = asyncio.create_task(daemon.run())
-            await _wait(
-                lambda: runtime.ingest is not None
-                and sum(runtime.ingest.pushed_counts().values()) == 100,
-                "ingest of every line", run,
-            )
-            await asyncio.sleep(0.1)  # the pump finds nothing, goes idle
-            asked = time.monotonic()
-            daemon.request_drain()
-            assert await asyncio.wait_for(run, timeout=10.0) == 0
-            return time.monotonic() - asked
+            async def drain_now(timeout: float) -> None:
+                told.append(time.monotonic())
+                await drain(timeout)
 
-        assert asyncio.run(scenario()) < 3.0
-        assert supervisor_arc(tenant["workdir"]) == ["healthy", "drained"]
+            handle.drain = drain_now
+
+            async def scenario() -> tuple[float, float]:
+                run = asyncio.create_task(daemon.run())
+                await _wait(
+                    lambda: _pushed(handle, 100), "ingest of every line", run
+                )
+                await asyncio.sleep(0.1)  # the tenant finds nothing, idles
+                asked = time.monotonic()
+                daemon.request_drain()
+                assert await asyncio.wait_for(run, timeout=10.0) == 0
+                return told[0] - asked, time.monotonic() - asked
+
+            to_drain, to_exit = asyncio.run(scenario())
+            assert to_drain < 0.25, (placement, to_drain)
+            assert to_exit < 3.0, (placement, to_exit)
+            assert supervisor_arc(tenant["workdir"]) == ["healthy", "drained"]
 
     def test_checkpoint_without_tail_cursors(self, farm):
         """Nothing consumed yet: fresh tailers.  Arrivals consumed: the
@@ -638,3 +683,47 @@ class TestInlinePump:
             os.path.join(tenant["workdir"], "supervisor.jsonl")
         ).read()
         assert "no tail cursors" in journal
+
+
+class TestCodec:
+    def test_replies_and_notes_survive_the_codec(self, farm):
+        """The inline transport hands dicts over without the RPC codec;
+        every reply and note of a life must therefore be exactly what a
+        worker's frames would carry: ``encode_frame`` → ``decode_payload``
+        gives back an equal object.  The budget makes the life emit
+        every note kind a clean run can."""
+        tenant = _tenant(
+            farm, "codec", "net-a", 300, placement="inline",
+            budget={"journal_max_bytes": 2048},
+        )
+        init = {
+            "spec": tenant, "degraded": False, "once": True,
+            "poll_interval": 0.05, "fault": None, "pump_fault": None,
+        }
+        commands = [
+            ("ping", {}), ("health", {}), ("sources", {}), ("journal", {}),
+            ("events", {"cursor": 0, "limit": 500}), ("requeue", {}),
+            ("drain", {}),
+        ]
+
+        async def scenario():
+            life = await InlineLife.spawn(init)
+            notes = []
+            while not notes or notes[-1]["kind"] != "exhausted":
+                notes.append(
+                    await asyncio.wait_for(life.notes.get(), WAIT_TIMEOUT)
+                )
+            replies = [
+                await life.request(cmd, args, timeout=WAIT_TIMEOUT)
+                for cmd, args in commands
+            ]
+            await life.reap()
+            return notes, replies
+
+        notes, replies = asyncio.run(scenario())
+        assert {note["kind"] for note in notes} == {
+            "started", "batch", "budget", "exhausted"
+        }
+        assert replies[-1]["health"]["sources"] == replies[2]
+        for message in notes + replies:
+            assert decode_payload(encode_frame(message)[4:]) == message

@@ -154,6 +154,33 @@ class TestConfigErrors:
         (line,) = captured.err.splitlines()
         assert "'net-a'" in line and "'tail'" in line
 
+    def test_hang_poison_on_an_inline_tenant_is_refused(
+        self, tmp_path, capsys
+    ):
+        """A hang sleeps on the daemon's own loop when it arms an inline
+        tenant — HTTP, signals and drain would all stop — so the config
+        is refused; on a process tenant it stays a chaos scenario."""
+        hang = {"kind": "pump_poison", "tenant": None, "at": 0,
+                "mode": "hang"}
+        process = {**self.TENANT, "name": "net-b", "placement": "process"}
+        with pytest.raises(ValueError, match="hang.*inline tenant 'net-a'"):
+            ServeConfig.from_dict(
+                {"tenants": [self.TENANT, process], "pump_fault": hang}
+            )
+        ServeConfig.from_dict(
+            {"tenants": [self.TENANT, process],
+             "pump_fault": {**hang, "tenant": "net-b"}}
+        )
+        path = tmp_path / "serve.json"
+        path.write_text(
+            json.dumps({"tenants": [process], "pump_fault": hang})
+        )
+        argv = ["serve", "--config", str(path), "--placement", "inline"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert "inline tenant 'net-b'" in line
+
 
 class TestHealthContract:
     """health() is the HTTP API payload: complete, documented, JSON-safe."""
