@@ -166,9 +166,7 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
 
     Returns ``(ingest, events, quarantine, interrupted)``.  Normally the
     stream is closed with all events finalized; under SIGTERM/SIGINT the
-    run instead checkpoints (when ``--checkpoint`` was given) and stops
-    cleanly mid-feed — open groups stay open inside the checkpoint, and
-    ``interrupted`` is True.
+    run instead stops cleanly mid-feed with ``interrupted`` True.
     """
     from repro.core.config import IngestConfig
     from repro.core.stream import DigestStream
@@ -200,7 +198,6 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
     # reads it whole), so `syslogdigest sources` reports tail cursors.
     tails = TailSet(paths)
     ingest.attach_tails(tails)
-    checkpoint_path = getattr(args, "checkpoint", None)
     events = []
     tails.poll()
     arrivals = interleave_arrivals(
@@ -209,7 +206,7 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
     with GracefulShutdown() as stop:
         for source, (_ts, line) in arrivals:
             if stop:
-                _checkpoint_on_signal(stream, checkpoint_path, stop)
+                _checkpoint_on_signal(stream, None, stop)
                 return ingest, events, quarantine, True
             events.extend(ingest.push_line(source, line))
             tails.note_pushed(source)
@@ -231,29 +228,43 @@ def _checkpoint_on_signal(stream, checkpoint_path, stop) -> None:
         )
     else:
         print(
-            f"# {stop.signal_name}: stopping cleanly (no --checkpoint, "
+            f"# {stop.signal_name}: stopping cleanly (no checkpoint, "
             "state discarded)",
             file=sys.stderr,
         )
 
 
 def _push_interruptible(
-    stream, messages, checkpoint_path, chunk: int = 2048
+    stream, messages, checkpoint_path, interval=0.0, chunk: int = 2048
 ) -> tuple[list, bool]:
-    """Push ``messages`` in chunks, honoring SIGTERM/SIGINT between them.
+    """Push sorted ``messages`` in chunks, honoring SIGTERM/SIGINT between
+    them.
 
     Returns ``(events, interrupted)``; on interrupt the stream is
     checkpointed (when a path is configured) instead of dying mid-batch.
+    A positive ``interval`` also cuts a checkpoint after the first chunk
+    and then whenever the stream clock has advanced that many seconds.
     """
+    from repro.core.checkpoint import write_checkpoint
     from repro.serve.drain import GracefulShutdown
 
     events: list = []
+    last_cut = None
     with GracefulShutdown() as stop:
         for i in range(0, len(messages), chunk):
             if stop:
                 _checkpoint_on_signal(stream, checkpoint_path, stop)
                 return events, True
-            events.extend(stream.push_many(messages[i : i + chunk]))
+            part = messages[i : i + chunk]
+            events.extend(stream.push_many(part))
+            clock = part[-1].timestamp
+            if (
+                checkpoint_path is not None
+                and interval > 0
+                and (last_cut is None or clock - last_cut >= interval)
+            ):
+                write_checkpoint(checkpoint_path, stream)
+                last_cut = clock
     return events, False
 
 
@@ -306,12 +317,24 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     The checkpoint records how many messages had been admitted; replay
     skips exactly that many from the (sorted) log and pushes the rest,
     which makes the resumed output identical to an uninterrupted run —
-    the property ``tests/test_core_checkpoint.py`` pins.
+    the property ``tests/test_core_checkpoint.py`` pins.  A checkpoint
+    carrying ingest state is refused (exit 2): its arrivals were
+    reordered, deduplicated and late-dropped, so skipping lines of one
+    sorted log would not replay the same feed.
     """
     from repro.core.checkpoint import checkpoint_info, restore_stream
     from repro.core.present import present_digest
     from repro.syslog.stream import sort_messages
 
+    info = checkpoint_info(args.checkpoint)
+    if info.has_ingest:
+        print(
+            f"resume: {args.checkpoint} carries ingest state "
+            f"({info.n_buffered} buffered arrivals); it resumes only "
+            "through its ingest front-end",
+            file=sys.stderr,
+        )
+        return 2
     if args.kb is not None:
         stream = restore_stream(
             args.checkpoint,
@@ -333,7 +356,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     else:
         print("resume needs --kb or --store", file=sys.stderr)
         return 1
-    info = checkpoint_info(args.checkpoint)
     ordered = sort_messages(read_log(args.log))
     tail = ordered[info.n_admitted :]
     print(
@@ -349,12 +371,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         print(
             f"# resumed digest interrupted: {len(events)} events so far"
         )
-        print(present_digest(events, top=args.top))
-        _maybe_write_metrics(args.metrics)
-        return 0
-    events.extend(stream.close())
-    events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
-    print(f"# resumed digest: {len(events)} newly finalized events")
+    else:
+        events.extend(stream.close())
+        events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
+        print(f"# resumed digest: {len(events)} newly finalized events")
     print(present_digest(events, top=args.top))
     _maybe_write_metrics(args.metrics)
     return 0
@@ -594,9 +614,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.apps.reportgen import daily_report
 
+    messages = list(read_log(args.log))
+    if not messages:
+        print("empty log", file=sys.stderr)
+        return 1
     kb = KnowledgeBase.load(args.kb)
     system = SyslogDigest(kb, DigestConfig(n_workers=args.workers))
-    messages = list(read_log(args.log))
     result = system.digest(messages)
     origin = messages[0].timestamp - (messages[0].timestamp % DAY)
     print(daily_report(result, origin))
@@ -614,12 +637,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     registry.reset()
     kb, kb_version = _kb_from_args(args)
     config = DigestConfig(
-        n_workers=args.workers,
-        stream_workers=args.stream_workers,
-        checkpoint_path=args.checkpoint,
-        checkpoint_interval=(
-            args.checkpoint_interval if args.checkpoint else 0.0
-        ),
+        n_workers=args.workers, stream_workers=args.stream_workers
     )
     quarantine = None
     if args.quarantine is not None:
@@ -630,34 +648,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         messages = list(read_log(args.log))
     if args.stream:
-        from repro.syslog.resilient import push_safe
-
         stream = DigestStream(kb, config, kb_version=kb_version)
         if quarantine is not None:
             stream.attach_quarantine(quarantine)
-        from repro.serve.drain import GracefulShutdown
-
         with stage_timer("sort"):
             ordered = sort_messages(messages)
-        interrupted = False
         with stage_timer("stream_push"):
-            if quarantine is not None:
-                events = []
-                with GracefulShutdown() as stop:
-                    for message in ordered:
-                        if stop:
-                            _checkpoint_on_signal(
-                                stream, args.checkpoint, stop
-                            )
-                            interrupted = True
-                            break
-                        events.extend(
-                            push_safe(stream, message, quarantine)
-                        )
-            else:
-                events, interrupted = _push_interruptible(
-                    stream, ordered, args.checkpoint
-                )
+            events, interrupted = _push_interruptible(
+                stream, ordered, args.checkpoint, args.checkpoint_interval
+            )
         if not interrupted:
             with stage_timer("stream_close"):
                 events.extend(stream.close())
@@ -741,6 +740,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags several subcommands share, each declared (with its help) once
+    # here and inherited through ``parents=``.
+    knowledge = argparse.ArgumentParser(add_help=False)
+    knowledge.add_argument("--kb", default=None, help="learned kb JSON file")
+    knowledge.add_argument(
+        "--store",
+        default=None,
+        metavar="DIR",
+        help="serve the active version of this model store instead of "
+        "--kb (a checkpoint records the version for resume --store)",
+    )
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="shard grouping by router over N shards (0 = all cores)",
+    )
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument(
+        "--metrics",
+        default=None,
+        help="dump pipeline metrics to this path (*.json = JSON, "
+        "else Prometheus text)",
+    )
+    ingest = argparse.ArgumentParser(add_help=False)
+    ingest.add_argument(
+        "--max-reorder-delay",
+        type=float,
+        default=60.0,
+        help="ingest reorder window in seconds (default 60)",
+    )
+    ingest.add_argument(
+        "--dedup-window",
+        type=float,
+        default=0.0,
+        help="suppress content-identical arrivals within this many "
+        "seconds (default 0 = off)",
+    )
+
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     p.add_argument("--dataset", choices=["A", "B", "a", "b"], default="A")
     p.add_argument("--days", type=float, default=14.0)
@@ -763,9 +802,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fit", action="store_true", help="skip alpha/beta sweep")
     p.set_defaults(fn=_cmd_learn)
 
-    p = sub.add_parser("digest", help="digest a log with a learned kb")
+    p = sub.add_parser(
+        "digest",
+        help="digest a log with a learned kb",
+        parents=[knowledge, workers, metrics, ingest],
+    )
     p.add_argument("--log", default=None)
-    p.add_argument("--kb", default=None)
+    p.add_argument("--top", type=int, default=20)
     p.add_argument(
         "--ingest",
         action="store_true",
@@ -781,32 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         "feeds are interleaved by timestamp)",
     )
     p.add_argument(
-        "--max-reorder-delay",
-        type=float,
-        default=60.0,
-        help="ingest reorder window in seconds (default 60)",
-    )
-    p.add_argument(
-        "--dedup-window",
-        type=float,
-        default=0.0,
-        help="suppress content-identical arrivals within this many "
-        "seconds (default 0 = off)",
-    )
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="serve the active version of this model store instead of --kb",
-    )
-    p.add_argument("--top", type=int, default=20)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard grouping by router over N processes (0 = all cores)",
-    )
-    p.add_argument(
         "--stream-workers",
         choices=["serial", "threads", "processes"],
         default="serial",
@@ -815,24 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
         "process per shard; all lanes group identically",
     )
     p.add_argument(
-        "--metrics",
-        default=None,
-        help="dump pipeline metrics to this path (*.json = JSON, "
-        "else Prometheus text)",
-    )
-    p.add_argument(
         "--quarantine",
         default=None,
         metavar="PATH",
         help="quarantine unparseable lines to this JSONL file instead "
         "of aborting on the first bad line",
-    )
-    p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="with --ingest/--source: on SIGTERM/SIGINT, write the "
-        "stream state here and exit cleanly instead of dying mid-batch",
     )
     p.set_defaults(fn=_cmd_digest)
 
@@ -872,8 +876,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "resume",
         help="resume a streaming digest from a checkpoint + log tail",
+        parents=[metrics],
     )
     p.add_argument("--checkpoint", required=True)
+    p.add_argument("--top", type=int, default=20)
     p.add_argument("--log", required=True)
     p.add_argument("--kb", default=None)
     p.add_argument(
@@ -891,52 +897,24 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the lane the checkpoint was taken under; the lane "
         "never changes output, so any checkpoint resumes on any lane)",
     )
-    p.add_argument("--top", type=int, default=20)
-    p.add_argument(
-        "--metrics",
-        default=None,
-        help="dump pipeline metrics to this path (*.json = JSON, "
-        "else Prometheus text)",
-    )
     p.set_defaults(fn=_cmd_resume)
 
-    p = sub.add_parser("report", help="daily/per-router digest report")
+    p = sub.add_parser(
+        "report",
+        help="daily/per-router digest report",
+        parents=[workers, metrics],
+    )
     p.add_argument("--log", required=True)
     p.add_argument("--kb", required=True)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard grouping by router over N processes (0 = all cores)",
-    )
-    p.add_argument(
-        "--metrics",
-        default=None,
-        help="dump pipeline metrics to this path (*.json = JSON, "
-        "else Prometheus text)",
-    )
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser(
         "stats",
         help="digest a log and print pipeline metrics "
         "(stage timings, shard balance, stream health)",
+        parents=[knowledge, workers],
     )
     p.add_argument("--log", required=True)
-    p.add_argument("--kb", default=None)
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="serve the active version of this model store instead of "
-        "--kb (checkpoints then record the version for resume --store)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard grouping by router over N processes (0 = all cores)",
-    )
     p.add_argument(
         "--stream-workers",
         choices=["serial", "threads", "processes"],
@@ -957,15 +935,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine",
         default=None,
         metavar="PATH",
-        help="read the log resiliently, quarantining bad lines (and "
-        "with --stream, skew-rejected messages) to this JSONL file",
+        help="read the log resiliently, quarantining bad lines to this "
+        "JSONL file",
     )
     p.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
-        help="with --stream: write periodic checkpoints here "
-        "(resume later with `syslogdigest resume`)",
+        help="with --stream: write periodic checkpoints here, and one "
+        "on SIGTERM/SIGINT (resume later with `syslogdigest resume`)",
     )
     p.add_argument(
         "--checkpoint-interval",
@@ -979,6 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sources",
         help="digest multi-source feeds through the ingest front-end "
         "and report per-source health (breakers, late drops, dedup)",
+        parents=[knowledge, workers, metrics, ingest],
     )
     p.add_argument(
         "--log",
@@ -987,43 +966,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="a per-source log feed (repeat once per source)",
     )
-    p.add_argument("--kb", default=None)
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="serve the active version of this model store instead of --kb",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard the stream's grouping by router over N shards "
-        "(0 = all cores)",
-    )
-    p.add_argument(
-        "--max-reorder-delay",
-        type=float,
-        default=60.0,
-        help="ingest reorder window in seconds (default 60)",
-    )
-    p.add_argument(
-        "--dedup-window",
-        type=float,
-        default=0.0,
-        help="suppress content-identical arrivals within this many "
-        "seconds (default 0 = off)",
-    )
     p.add_argument(
         "--journal",
         action="store_true",
         help="also print every breaker transition",
-    )
-    p.add_argument(
-        "--metrics",
-        default=None,
-        help="dump pipeline metrics to this path (*.json = JSON, "
-        "else Prometheus text)",
     )
     p.set_defaults(fn=_cmd_sources)
 
@@ -1031,28 +977,15 @@ def build_parser() -> argparse.ArgumentParser:
         "requeue",
         help="replay a dumped quarantine JSONL through the digester "
         "(exit 0 all requeued, 2 some failed again)",
+        parents=[knowledge, workers],
     )
+    p.add_argument("--top", type=int, default=20)
     p.add_argument(
         "--quarantine",
         required=True,
         metavar="PATH",
         help="quarantine JSONL previously written by "
         "digest/stats --quarantine",
-    )
-    p.add_argument("--kb", default=None)
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="serve the active version of this model store instead of --kb",
-    )
-    p.add_argument("--top", type=int, default=20)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard the stream's grouping by router over N shards "
-        "(0 = all cores)",
     )
     p.add_argument(
         "--keep",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.mining.temporal import TemporalParams
 from repro.utils.timeutils import HOUR
@@ -65,28 +65,11 @@ class DigestConfig:
     # comes from ``n_workers``.
     stream_workers: str = "serial"
 
-    # Fault tolerance (streaming).  ``checkpoint_path`` + a positive
-    # ``checkpoint_interval`` (stream-clock seconds between snapshots)
-    # make DigestStream persist its state atomically at sweep boundaries
-    # so a crashed digest can resume from the last checkpoint plus a
-    # replay of the log tail.
-    checkpoint_path: str | None = None
-    checkpoint_interval: float = 0.0
-
     # Bounded-memory load shedding: when more than this many messages
-    # are open at once, whole groups are force-finalized early until the
-    # bound holds again (0 = unbounded, the default — shedding changes
-    # output and must be opted into).  ``shed_policy`` picks the victim
-    # order: "oldest" closes the longest-idle groups first, "largest"
-    # the biggest groups first.
+    # are open at once, whole groups are force-finalized early, the
+    # longest-idle first, until the bound holds again (0 = unbounded,
+    # the default — shedding changes output and must be opted into).
     max_open_messages: int = 0
-    shed_policy: str = "oldest"
-
-    # Knowledge hot-swap policy (DESIGN.md §9): "defer" adopts a newly
-    # promoted knowledge base at the next epoch boundary (no groups
-    # open — output-preserving), "drain" force-finalizes all open groups
-    # and swaps immediately (bounded staleness, changes output).
-    swap_policy: str = "defer"
 
     @property
     def flush_after(self) -> float:
@@ -111,26 +94,17 @@ class DigestConfig:
                 f"stream_workers must be 'serial', 'threads' or "
                 f"'processes', got {self.stream_workers!r}"
             )
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
         if self.max_open_messages < 0:
             raise ValueError("max_open_messages must be >= 0 (0 = unbounded)")
-        if self.shed_policy not in ("oldest", "largest"):
-            raise ValueError(
-                f"shed_policy must be 'oldest' or 'largest', "
-                f"got {self.shed_policy!r}"
-            )
-        if self.swap_policy not in ("defer", "drain"):
-            raise ValueError(
-                f"swap_policy must be 'defer' or 'drain', "
-                f"got {self.swap_policy!r}"
-            )
 
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before ``shard_by_router`` was retired
-        # (always True) still carry it in their pickled configs.
-        state.pop("shard_by_router", None)
-        self.__dict__.update(state)
+        # Checkpoints written before a field was retired (the routing
+        # toggle, the shed/swap policies, the periodic-checkpoint pair)
+        # still carry it in their pickled configs: keep the live fields.
+        live = {f.name for f in fields(self)}
+        self.__dict__.update(
+            (key, value) for key, value in state.items() if key in live
+        )
 
     def with_temporal(self, params: TemporalParams) -> DigestConfig:
         """Copy with different temporal-grouping parameters."""
@@ -148,27 +122,9 @@ class DigestConfig:
         """Copy with a different association-rule window."""
         return replace(self, window=window)
 
-    def with_checkpointing(
-        self, path: str, interval: float
-    ) -> DigestConfig:
-        """Copy with periodic streaming checkpoints enabled."""
-        return replace(
-            self, checkpoint_path=path, checkpoint_interval=interval
-        )
-
-    def with_shedding(
-        self, max_open_messages: int, shed_policy: str = "oldest"
-    ) -> DigestConfig:
+    def with_shedding(self, max_open_messages: int) -> DigestConfig:
         """Copy with bounded-memory load shedding enabled."""
-        return replace(
-            self,
-            max_open_messages=max_open_messages,
-            shed_policy=shed_policy,
-        )
-
-    def with_swap_policy(self, swap_policy: str) -> DigestConfig:
-        """Copy with a different knowledge hot-swap policy."""
-        return replace(self, swap_policy=swap_policy)
+        return replace(self, max_open_messages=max_open_messages)
 
     def only_passes(
         self, temporal: bool = True, rules: bool = True, cross: bool = True

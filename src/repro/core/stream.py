@@ -24,21 +24,22 @@ finalize sweep.
 
 Fault tolerance (DESIGN.md §8): the full grouping state can be captured
 with :meth:`DigestStream.snapshot` and rebuilt with
-:meth:`DigestStream.restore` (periodic atomic checkpoints via
-``DigestConfig.checkpoint_path``/``checkpoint_interval``, see
-:mod:`repro.core.checkpoint`) — the process lane's worker states ride
-through the same snapshot, so checkpoints restore across lanes.  A shard
-whose step raises mid-batch is retried once and then resumed hook-free,
-always from *exactly* the first unapplied message
-(:func:`~repro.core.shards.run_ladder`).  ``max_open_messages`` turns on
-load shedding (whole groups force-finalized early, oldest first).
+:meth:`DigestStream.restore` — the process lane's worker states ride
+through the same snapshot, so checkpoints restore across lanes.  *When*
+to checkpoint is the driver's policy, not the stream's: the CLI cuts on
+a stream-clock cadence and on signal, a serve tenant every
+``checkpoint_every`` arrivals (atomic writes in
+:mod:`repro.core.checkpoint`).  A shard whose step raises mid-batch is
+retried once and then resumed hook-free, always from *exactly* the first
+unapplied message (:func:`~repro.core.shards.run_ladder`).
+``max_open_messages`` turns on load shedding (whole groups
+force-finalized early, oldest first).
 
 Knowledge lifecycle (DESIGN.md §9): a promoted
 :class:`~repro.core.knowledge.KnowledgeBase` can be hot-swapped into a
 live stream with :meth:`DigestStream.request_swap`.  The swap is
 deferred to an *epoch boundary* — the first moment no groups are open —
-so no event ever mixes two knowledge versions; ``swap_policy="drain"``
-force-finalizes the open groups instead of waiting.  A pending swap is
+so no event ever mixes two knowledge versions.  A pending swap is
 deliberately **not** checkpointed: a restored stream resumes under the
 version it was checkpointed with, and the swap must be re-requested.
 """
@@ -196,15 +197,12 @@ class DigestStream:
         self._quarantine = None  # attached via attach_quarantine()
         self._ingest = None  # attached via attach_ingest()
         self._restored_ingest: dict | None = None
-        # Checkpoint bookkeeping runs on two clocks.  The *interval*
-        # decision uses the stream clock (message time), so checkpoint
-        # cadence is deterministic and replayable.  The *age* health key
-        # uses an injected monotonic clock: message timestamps jump
-        # backwards across supervisor restarts and NTP steps, so wiring
-        # the age to them reported negative or absurd values.  The clock
-        # is injectable so supervisors and tests can pin it.
+        # The checkpoint *age* health key runs on an injected monotonic
+        # clock: message timestamps jump backwards across supervisor
+        # restarts and NTP steps, so wiring the age to them reported
+        # negative or absurd values.  The clock is injectable so
+        # supervisors and tests can pin it.
         self._clock = clock if clock is not None else time.monotonic
-        self._last_checkpoint_stream_ts: float | None = None
         self._last_checkpoint_mono: float | None = None
 
         # Knowledge lifecycle: the version id this stream serves (opaque
@@ -258,9 +256,7 @@ class DigestStream:
         """
         self._exec.shutdown()
 
-    def set_shedding(
-        self, max_open_messages: int, shed_policy: str = "oldest"
-    ) -> list[NetworkEvent]:
+    def set_shedding(self, max_open_messages: int) -> list[NetworkEvent]:
         """Re-bound load shedding on a live stream (degraded mode).
 
         Shedding knobs are runtime memory bounds, not grouping
@@ -278,9 +274,7 @@ class DigestStream:
         admission control refuses pushes until open count falls below
         the bound.
         """
-        self._config = self._config.with_shedding(
-            max_open_messages, shed_policy
-        )
+        self._config = self._config.with_shedding(max_open_messages)
         return self._shed()
 
     def _shard_index(self, router: str) -> int:
@@ -437,40 +431,21 @@ class DigestStream:
     ) -> list[NetworkEvent]:
         """Hot-swap to a newly promoted base without mixing versions.
 
-        Under the default ``swap_policy="defer"`` the swap happens at
-        the next *epoch boundary* — the first instant no groups are open
-        (checked before each subsequent push, so a quiet gap longer than
-        the flush horizon becomes the boundary).  Until then the stream
-        keeps serving its current base; a second request simply replaces
-        the pending candidate.  Under ``swap_policy="drain"`` all open
-        groups are force-finalized immediately instead.
+        The swap happens at the next *epoch boundary* — the first
+        instant no groups are open (checked before each subsequent push,
+        so a quiet gap longer than the flush horizon becomes the
+        boundary).  Until then the stream keeps serving its current
+        base; a second request simply replaces the pending candidate.
 
         Returns whatever events the boundary search finalized (empty
         when the swap stays pending).
         """
         self._pending_kb = kb
         self._pending_kb_version = version
-        if self._config.swap_policy == "drain":
-            return self.swap_now()
         if self._last_ts is None:
             self._adopt()  # nothing admitted yet: trivially a boundary
             return []
         return self._swap_boundary(self._last_ts)
-
-    def swap_now(self) -> list[NetworkEvent]:
-        """Drain: force-finalize every open group, then adopt.
-
-        Changes output relative to a never-swapped run (groups close
-        before their idle horizon) — that is the price of an immediate
-        swap; :meth:`request_swap` with the default deferred policy does
-        not pay it.
-        """
-        if self._pending_kb is None:
-            raise ValueError("no swap pending; call request_swap() first")
-        events = self._collect_groups(lambda _last: True)
-        self._adopt()
-        self.record_metrics()
-        return events
 
     def _swap_boundary(self, upcoming_ts: float) -> list[NetworkEvent]:
         """Finalize idle groups; adopt the pending base if none remain."""
@@ -662,27 +637,11 @@ class DigestStream:
             self._last_sweep = now
             events = self._finalize_idle(now)
             self.record_metrics()
-            self._maybe_checkpoint(now)
             return events
         return []
 
-    def _maybe_checkpoint(self, now: float) -> None:
-        cfg = self._config
-        if not cfg.checkpoint_path or cfg.checkpoint_interval <= 0:
-            return
-        if (
-            self._last_checkpoint_stream_ts is not None
-            and now - self._last_checkpoint_stream_ts
-            < cfg.checkpoint_interval
-        ):
-            return
-        from repro.core.checkpoint import write_checkpoint
-
-        write_checkpoint(cfg.checkpoint_path, self)
-
     def note_checkpoint(self) -> None:
         """Record that the current state was just checkpointed."""
-        self._last_checkpoint_stream_ts = self._last_ts
         self._last_checkpoint_mono = self._clock()
 
     def _finalize_idle(self, now: float) -> list[NetworkEvent]:
@@ -711,21 +670,17 @@ class DigestStream:
 
         Shedding is the bounded-memory escape hatch: it changes output
         (groups close before their idle horizon) and is therefore off by
-        default (``max_open_messages = 0``).  Victim order follows
-        ``shed_policy``: "oldest" closes the longest-idle groups first,
-        "largest" the biggest first; ties break on the earliest member
-        index so shedding is deterministic.
+        default (``max_open_messages = 0``).  The longest-idle groups
+        close first; ties break on the earliest member index so shedding
+        is deterministic.
         """
         limit = self._config.max_open_messages
         if not limit or len(self._open) <= limit:
             return []
-        groups = list(self._open_groups().values())
-        if self._config.shed_policy == "largest":
-            groups.sort(key=lambda m: (-len(m), m[0].index))
-        else:
-            groups.sort(
-                key=lambda m: (max(p.timestamp for p in m), m[0].index)
-            )
+        groups = sorted(
+            self._open_groups().values(),
+            key=lambda m: (max(p.timestamp for p in m), m[0].index),
+        )
         victims: list[list[SyslogPlus]] = []
         excess = len(self._open) - limit
         removed = 0

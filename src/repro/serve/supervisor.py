@@ -22,8 +22,8 @@ States::
   from :class:`repro.syslog.resilient.RetryPolicy` — the same
   deterministic schedule flaky sources get.
 * **degraded** — ``max_restarts`` consecutive failures; the tenant is
-  restarted once more in shed mode (tight ``max_open_messages`` bound
-  with the existing ``shed_policy``/admission control) and left running
+  restarted once more in shed mode (tight ``max_open_messages`` bound,
+  oldest groups shed first, plus admission control) and left running
   so it keeps serving health and whatever events it can still digest.
 * **drained** — terminal: intake stopped, reorder buffers flushed,
   final checkpoint written.  Reached only via graceful shutdown.

@@ -66,6 +66,9 @@ SUPERVISOR_FILE = "supervisor.jsonl"
 
 PLACEMENTS = ("inline", "process")
 
+#: Arrivals one :meth:`TenantRuntime.process_batch` pushes by default.
+PUMP_BATCH = 64
+
 #: Every key of :meth:`TenantRuntime.budget_health`, documented — the
 #: budget half of the health contract (DESIGN.md §15), same idiom as
 #: ``repro.core.stream.HEALTH_KEYS``.  Limits of 0 mean *unbounded*.
@@ -149,7 +152,6 @@ class TenantSpec:
     dedup_window: float = 0.0
     degraded_max_open: int = 500
     quarantine_max_bytes: int = 1 << 20
-    batch_size: int = 64
     #: Where this tenant's pipeline runs: ``"inline"`` on the daemon's
     #: own event loop (the pre-placement behavior), or ``"process"`` in
     #: a supervised worker process of its own behind framed-pipe RPC —
@@ -172,8 +174,6 @@ class TenantSpec:
             )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"tenant {self.name}: placement must be one of "
@@ -454,7 +454,7 @@ class TenantRuntime:
         emerge; a checkpoint is cut every ``checkpoint_every`` arrivals
         (journal fsync first — the crash-safety ordering invariant).
         """
-        limit = self.spec.batch_size if limit is None else limit
+        limit = PUMP_BATCH if limit is None else limit
         registry = get_registry()
         n = 0
         while self._arrivals and n < limit:

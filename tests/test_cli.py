@@ -82,6 +82,19 @@ class TestLearnDigestReport:
         assert rc == 0
         assert "per-day digest" in capsys.readouterr().out
 
+    def test_report_empty_log_exits_one(self, workdir, capsys, tmp_path):
+        empty = tmp_path / "empty.log"
+        empty.write_text("")
+        rc = main(
+            [
+                "report",
+                "--log", str(empty),
+                "--kb", str(workdir / "kb.json"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "empty log\n"
+
     def test_digest_metrics_flag(self, workdir, capsys, tmp_path):
         if not (workdir / "kb.json").exists():
             self.test_learn(workdir, capsys)
@@ -261,6 +274,41 @@ class TestFaultToleranceCli:
         captured = capsys.readouterr()
         assert "replaying" in captured.err
         assert "resumed digest" in captured.out
+
+    def test_resume_refuses_an_ingest_checkpoint(
+        self, workdir, capsys, tmp_path
+    ):
+        """An ingest checkpoint (what a serve tenant writes) cannot be
+        resumed by skipping lines of one sorted log: the front-end
+        reorders, deduplicates and drops late arrivals."""
+        from repro.core.checkpoint import write_checkpoint
+        from repro.core.knowledge import KnowledgeBase
+        from repro.core.stream import DigestStream
+        from repro.syslog.ingest import MultiSourceIngest
+
+        self._ensure_kb(workdir, capsys)
+        log = workdir / "syslog.log"
+        stream = DigestStream(KnowledgeBase.load(workdir / "kb.json"))
+        ingest = MultiSourceIngest(stream)
+        for line in log.read_text().splitlines()[:200]:
+            ingest.push_line("feed", line)
+        ckpt = tmp_path / "ingest.ckpt"
+        info = write_checkpoint(ckpt, stream)
+        assert info.has_ingest and info.n_buffered > 0
+
+        rc = main(
+            [
+                "resume",
+                "--checkpoint", str(ckpt),
+                "--log", str(log),
+                "--kb", str(workdir / "kb.json"),
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"({info.n_buffered} buffered arrivals)" in captured.err
 
 
 class TestIngestCli:

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import _push_interruptible
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_info,
@@ -216,8 +217,10 @@ class TestKillAndResume:
 class TestParentFormatCheckpoint:
     """Checkpoints written before ``core/shards.py`` existed must keep
     restoring: their pickles name ``repro.core.stream.StepItem`` and
-    carry a ``DigestConfig`` with the since-retired ``shard_by_router``
-    field and the old ``"threads"`` lane default."""
+    carry a ``DigestConfig`` with since-retired fields — the routing
+    toggle ``shard_by_router``, the shed/swap policies and the periodic
+    checkpoint pair, set to values no longer expressible — and the old
+    ``"threads"`` lane default."""
 
     @pytest.mark.parametrize("lane", [None, "serial", "threads", "processes"])
     def test_restores_and_continues_byte_identically(
@@ -245,8 +248,16 @@ class TestParentFormatCheckpoint:
             events.extend(first.push_many(part))
         # Hand-build the parent commit's bytes from a live snapshot:
         # StepItem pickled under its old module path, and the retired
-        # field back in the config's pickled state.
-        object.__setattr__(first._config, "shard_by_router", True)
+        # fields back in the config's pickled state.
+        retired = {
+            "shard_by_router": True,
+            "shed_policy": "largest",
+            "swap_policy": "drain",
+            "checkpoint_path": str(tmp_path / "periodic.ckpt"),
+            "checkpoint_interval": 1800.0,
+        }
+        for name, value in retired.items():
+            object.__setattr__(first._config, name, value)
         monkeypatch.setattr(StepItem, "__module__", "repro.core.stream")
         path = tmp_path / "parent-format.ckpt"
         info = write_checkpoint(path, first)
@@ -254,10 +265,10 @@ class TestParentFormatCheckpoint:
         blob = path.read_bytes()
         assert b"repro.core.stream" in blob and b"StepItem" in blob
         assert b"repro.core.shards" not in blob
-        assert b"shard_by_router" in blob
+        assert all(name.encode() in blob for name in retired)
 
         restored_config = read_checkpoint(path)["config"]
-        assert "shard_by_router" not in vars(restored_config)
+        assert not set(retired) & set(vars(restored_config))
         assert restored_config.stream_workers == "threads"
 
         resumed = restore_stream(path, system_a.kb, stream_workers=lane)
@@ -270,7 +281,7 @@ class TestParentFormatCheckpoint:
         finally:
             resumed.shutdown_workers()
         assert stream_fingerprint(events) == stream_fingerprint(full)
-
+        assert not (tmp_path / "periodic.ckpt").exists()
 
     @pytest.mark.parametrize("lane", ["serial", "threads", "processes"])
     def test_flat_windows_with_crowded_buckets_restore(
@@ -566,33 +577,53 @@ class TestPreviousGeneration:
 
 
 class TestAutomaticCheckpoints:
+    """Periodic checkpoints are the CLI's cadence (``stats --stream
+    --checkpoint``): the stream itself never writes one."""
+
     def test_stream_checkpoints_periodically(
         self, system_a, ordered_a, tmp_path
     ):
         path = tmp_path / "auto.ckpt"
-        config = system_a.config.with_checkpointing(str(path), 1800.0)
+        chunk, interval = 50, 1800.0
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            stream = DigestStream(system_a.kb, config)
-            events = []
-            for message in ordered_a:
-                events.extend(stream.push(message))
-            events.extend(stream.close())
-        assert path.exists()
-        assert registry.counter_value(CHECKPOINT_WRITES) >= 2
+            stream = DigestStream(system_a.kb, system_a.config)
+            full, interrupted = _push_interruptible(
+                stream, ordered_a, str(path), interval, chunk=chunk
+            )
+        full.extend(stream.close())
+        assert not interrupted
+        # One cut after the first chunk, then one after each chunk that
+        # ends `interval` stream-clock seconds past the previous cut.
+        cuts = []
+        for end in range(chunk, len(ordered_a) + chunk, chunk):
+            clock = ordered_a[min(end, len(ordered_a)) - 1].timestamp
+            if not cuts or clock - cuts[-1] >= interval:
+                cuts.append(clock)
+        assert 2 <= len(cuts) < len(ordered_a) / chunk
+        assert registry.counter_value(CHECKPOINT_WRITES) == len(cuts)
         info = checkpoint_info(path)
-        assert 0 < info.n_admitted <= len(ordered_a)
+        older = checkpoint_info(previous_checkpoint_path(path))
+        assert (older.stream_clock, info.stream_clock) == tuple(cuts[-2:])
         assert stream.checkpoint_age >= 0.0
 
-        # And the periodic checkpoint is resumable like a manual one.
+        # The periodic checkpoint resumes like a manual one.  The prefix
+        # replay has a path but no interval: it checkpoints on signal
+        # only, as `resume` does.
+        signal_only = tmp_path / "signal-only.ckpt"
+        events, _ = _push_interruptible(
+            DigestStream(system_a.kb, system_a.config),
+            ordered_a[: info.n_admitted],
+            str(signal_only),
+            chunk=chunk,
+        )
+        assert not signal_only.exists()
         resumed = restore_stream(path, system_a.kb)
         tail = ordered_a[info.n_admitted :]
-        resumed_events = []
-        for message in tail:
-            resumed_events.extend(resumed.push(message))
-        resumed_events.extend(resumed.close())
-        full = _run(DigestStream(system_a.kb, config), list(ordered_a))
-        assert len(resumed_events) <= len(full)
+        for i in range(0, len(tail), chunk):
+            events.extend(resumed.push_many(tail[i : i + chunk]))
+        events.extend(resumed.close())
+        assert stream_fingerprint(events) == stream_fingerprint(full)
 
 
 class TestCheckpointAgeClock:

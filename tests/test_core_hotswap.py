@@ -133,28 +133,6 @@ class TestSwapSemantics:
         # but never content: same events, byte for byte.
         assert sorted(_rendered(events)) == sorted(_rendered(baseline))
 
-    def test_drain_policy_swaps_immediately(
-        self, system_a, kb2, ordered_a
-    ):
-        config = system_a.config.with_swap_policy("drain")
-        stream = DigestStream(system_a.kb, config, kb_version=1)
-        half = len(ordered_a) // 2
-        for message in ordered_a[:half]:
-            stream.push(message)
-        before = stream.health()["open_messages"]
-        drained = stream.request_swap(kb2, version=2)
-        # All open groups were force-finalized as the swap price.
-        assert len(drained) >= 1 or before == 0
-        assert stream.health()["open_messages"] == 0
-        assert not stream.swap_pending
-        assert stream.kb_version == 2
-        assert stream.n_swaps == 1
-
-    def test_swap_now_requires_pending(self, system_a):
-        stream = DigestStream(system_a.kb, system_a.config)
-        with pytest.raises(ValueError, match="request_swap"):
-            stream.swap_now()
-
     def test_second_request_replaces_pending(
         self, system_a, kb2, ordered_a
     ):

@@ -300,8 +300,8 @@ class TestLoadShedding:
     def test_shedding_is_deterministic(self, system_a, live_a):
         ordered = sort_messages(m.message for m in live_a.messages)
 
-        def run(policy):
-            config = system_a.config.with_shedding(60, policy)
+        def run():
+            config = system_a.config.with_shedding(60)
             stream = DigestStream(system_a.kb, config)
             events = []
             for message in ordered:
@@ -309,8 +309,7 @@ class TestLoadShedding:
             events.extend(stream.close())
             return [(e.indices, e.score) for e in events]
 
-        assert run("oldest") == run("oldest")
-        assert run("largest") == run("largest")
+        assert run() == run()
 
 
 def test_fault_smoke():

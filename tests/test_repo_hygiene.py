@@ -10,15 +10,25 @@ and docs that only cite evidence that exists.
   chosen — and the retired per-placement paths stay gone.
 * README.md / DESIGN.md / EXPERIMENTS.md may name a results file, a
   bench node or a make target only if it is there to be opened or run.
+* Knob ratchet: the field sets of the config dataclasses and the option
+  set of every CLI subcommand are pinned, so a knob is added or removed
+  only on purpose, and retired knobs stay gone from ``src/``.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
+from repro.core.config import DigestConfig, IngestConfig
+from repro.serve import ServeConfig
+from repro.serve.tenant import TenantBudget, TenantSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -138,3 +148,104 @@ def test_docs_cite_only_what_exists(doc):
         if target not in targets
     ]
     assert not missing, f"{doc} cites: " + "; ".join(sorted(set(missing)))
+
+
+CONFIG_FIELDS = {
+    DigestConfig: (
+        "tree_k tree_min_support max_messages_per_code window sp_min "
+        "conf_min temporal cross_router_window enable_temporal "
+        "enable_rules enable_cross_router idle_flush skew_tolerance "
+        "n_workers stream_workers max_open_messages"
+    ),
+    IngestConfig: (
+        "max_reorder_delay max_buffer_messages dedup_window "
+        "breaker_failure_threshold probe_base_delay probe_max_retries "
+        "stall_timeout admit_soft_limit admit_hard_limit"
+    ),
+    TenantSpec: (
+        "name sources workdir kb_path store_dir n_workers stream_workers "
+        "checkpoint_every max_reorder_delay dedup_window "
+        "degraded_max_open quarantine_max_bytes placement budget"
+    ),
+    TenantBudget: (
+        "max_open_messages journal_max_bytes max_stream_procs rpc_deadline"
+    ),
+    ServeConfig: (
+        "tenants host port workdir poll_interval once max_restarts "
+        "base_delay progress_deadline drain_deadline http_read_deadline "
+        "http_max_header_bytes http_max_body_bytes max_longpoll_waiters "
+        "longpoll_max_wait crash_after fault pump_fault"
+    ),
+}
+
+CLI_OPTIONS = {
+    "generate": "--dataset --days --out --scale --seed --start",
+    "learn": "--configs --kb --log --no-fit --store",
+    "digest": (
+        "--dedup-window --ingest --kb --log --max-reorder-delay --metrics "
+        "--quarantine --source --store --stream-workers --top --workers"
+    ),
+    "serve": "--config --once --placement --port",
+    "resume": (
+        "--checkpoint --kb --log --metrics --store --stream-workers --top"
+    ),
+    "report": "--kb --log --metrics --workers",
+    "stats": (
+        "--checkpoint --checkpoint-interval --format --kb --log "
+        "--quarantine --store --stream --stream-workers --workers"
+    ),
+    "sources": (
+        "--dedup-window --journal --kb --log --max-reorder-delay --metrics "
+        "--store --workers"
+    ),
+    "requeue": "--kb --keep --quarantine --store --top --workers",
+    "refresh": "--canary --configs --half-life --log --note --store",
+    "promote": "--canary --candidate --note --store",
+    "rollback": "--store --to",
+    "kb-log": "--json --store",
+    "trends": "--kb --log --min-factor --top",
+    "rhythms": "--kb --log --top",
+}
+
+RETIRED_KNOBS = re.compile(
+    r"\b(swap_now|with_swap_policy|with_checkpointing|_maybe_checkpoint"
+    r"|shed_policy|swap_policy|batch_size)\b"
+)
+
+
+@pytest.mark.parametrize("config", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(config):
+    assert [f.name for f in fields(config)] == CONFIG_FIELDS[config].split()
+
+
+def test_cli_options_are_pinned():
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: " ".join(
+            sorted(
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            )
+        )
+        for name, parser in subparsers.choices.items()
+    }
+    assert options == {
+        name: " ".join(sorted(flags.split()))
+        for name, flags in CLI_OPTIONS.items()
+    }
+
+
+def test_retired_knobs_stay_gone():
+    hits = [
+        f"{file.relative_to(ROOT)}:{n}: {line.strip()}"
+        for file, text in _text_files("src")
+        for n, line in enumerate(text.splitlines(), 1)
+        if RETIRED_KNOBS.search(line)
+    ]
+    assert not hits, "\n".join(hits)
