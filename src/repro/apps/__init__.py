@@ -1,13 +1,6 @@
 """Applications built on SyslogDigest (Section 6 of the paper)."""
 
-from repro.apps.api import digest_to_dict, digest_to_json, event_to_dict
 from repro.apps.digest_diff import DigestDelta, diff_digests, render_delta
-from repro.apps.figures import (
-    daily_counts_csv,
-    events_csv,
-    per_router_csv,
-    sweep_csv,
-)
 from repro.apps.healthmap import HealthMap, render_health_map
 from repro.apps.reportgen import daily_report
 from repro.apps.ticket_match import TicketMatchReport, match_tickets
@@ -21,24 +14,17 @@ from repro.apps.troubleshoot import EventBrowser
 
 __all__ = [
     "DigestDelta",
-    "digest_to_dict",
-    "digest_to_json",
-    "event_to_dict",
     "EventBrowser",
     "HealthMap",
     "LevelShift",
     "TicketMatchReport",
-    "daily_counts_csv",
     "daily_report",
     "detect_shifts",
-    "events_csv",
     "match_tickets",
-    "per_router_csv",
     "TimelineOptions",
     "diff_digests",
     "render_delta",
     "render_event_strip",
     "render_health_map",
     "render_timeline",
-    "sweep_csv",
 ]

@@ -57,7 +57,7 @@ import sys
 from pathlib import Path
 
 from repro.core.config import DigestConfig
-from repro.core.knowledge import KnowledgeBase
+from repro.core.knowledge import KnowledgeBase, KnowledgeFormatError
 from repro.core.pipeline import SyslogDigest
 from repro.netsim.datasets import dataset_a, dataset_b, generate_dataset
 from repro.syslog.stream import read_log, write_log
@@ -1075,7 +1075,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KnowledgeFormatError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

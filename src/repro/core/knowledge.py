@@ -29,20 +29,34 @@ from repro.templates.signature import Template
 KB_FORMAT_VERSION = 2
 
 
-class KnowledgeFormatError(ValueError):
-    """A knowledge-base payload has an unknown/unsupported format.
+#: Top-level keys every payload carries (``format_version`` is optional).
+_PAYLOAD_KEYS = (
+    "templates", "miner", "rules", "temporal", "frequencies",
+    "history_days", "dictionary",
+)
 
-    Carries the offending ``source`` (file path or ``"<string>"``) and
-    the ``found`` version so operators see *what* refused to load.
+
+class KnowledgeFormatError(ValueError):
+    """A knowledge base that cannot be loaded: a missing or unreadable
+    file, invalid JSON, a missing top-level key, or an unsupported
+    format version.
+
+    Carries the offending ``source`` (file path or ``"<string>"``) and,
+    for a version refusal, the ``found`` version, so operators see
+    *what* refused to load and why.
     """
 
-    def __init__(self, source: str, found: object) -> None:
+    def __init__(
+        self, source: str, found: object = None, reason: str | None = None
+    ) -> None:
         self.source = source
         self.found = found
-        super().__init__(
-            f"knowledge base {source} has format_version {found!r}; "
-            f"this build supports up to {KB_FORMAT_VERSION}"
-        )
+        if reason is None:
+            reason = (
+                f"has format_version {found!r}; "
+                f"this build supports up to {KB_FORMAT_VERSION}"
+            )
+        super().__init__(f"knowledge base {source} {reason}")
 
 
 @dataclass
@@ -123,13 +137,26 @@ class KnowledgeBase:
         """Reconstruct a knowledge base serialized by :meth:`to_json`.
 
         Payloads without a ``format_version`` field are treated as the
-        legacy version 1; anything newer than :data:`KB_FORMAT_VERSION`
-        raises :class:`KnowledgeFormatError` naming ``source``.
+        legacy version 1.  Invalid JSON, a missing top-level key, or a
+        version newer than :data:`KB_FORMAT_VERSION` raises
+        :class:`KnowledgeFormatError` naming ``source``.
         """
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise KnowledgeFormatError(
+                source, reason=f"is not valid JSON ({exc})"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise KnowledgeFormatError(source, reason="is not a JSON object")
         found = payload.get("format_version", 1)
         if not isinstance(found, int) or found > KB_FORMAT_VERSION:
             raise KnowledgeFormatError(source, found)
+        missing = [key for key in _PAYLOAD_KEYS if key not in payload]
+        if missing:
+            raise KnowledgeFormatError(
+                source, reason=f"lacks top-level key(s) {', '.join(missing)}"
+            )
         templates = TemplateSet(
             by_code={
                 code: [
@@ -170,10 +197,19 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path) -> KnowledgeBase:
-        """Read a knowledge base serialized by :meth:`save`."""
-        return cls.from_json(
-            Path(path).read_text(encoding="utf-8"), source=str(path)
-        )
+        """Read a knowledge base serialized by :meth:`save`.
+
+        A file that cannot be read raises :class:`KnowledgeFormatError`
+        naming ``path``, like a payload that cannot be parsed.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or str(exc)
+            raise KnowledgeFormatError(
+                str(path), reason=f"cannot be read ({reason})"
+            ) from exc
+        return cls.from_json(text, source=str(path))
 
     def fingerprint(self) -> str:
         """Content hash of the serialized knowledge (sha256 hex).

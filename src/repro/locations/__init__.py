@@ -15,12 +15,6 @@ from repro.locations.hierarchy import (
     parse_interface_name,
 )
 from repro.locations.model import Location, LocationKind
-from repro.locations.netgraph import (
-    adjacency_graph,
-    connected_components,
-    register_path,
-    shortest_path,
-)
 from repro.locations.spatial import spatially_matched
 
 __all__ = [
@@ -29,13 +23,9 @@ __all__ = [
     "LocationDictionary",
     "LocationExtractor",
     "LocationKind",
-    "adjacency_graph",
     "ancestors_of_name",
-    "connected_components",
     "parse_config",
     "parse_configs",
     "parse_interface_name",
-    "register_path",
-    "shortest_path",
     "spatially_matched",
 ]

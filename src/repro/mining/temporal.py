@@ -65,11 +65,6 @@ class TemporalSplitter:
         self._ewma = EwmaEstimator(self.params.alpha)
 
     @property
-    def current_group(self) -> int:
-        """Index of the group the most recent arrival joined."""
-        return self._group
-
-    @property
     def last_ts(self) -> float:
         """Timestamp of the most recent arrival (-inf before the first)."""
         return self._last_ts if self._last_ts is not None else float("-inf")

@@ -39,7 +39,6 @@ from repro.netsim.faults import (
 )
 from repro.netsim.generator import WorkloadEngine, WorkloadMix
 from repro.netsim.tickets import TroubleTicket, derive_tickets
-from repro.netsim.traces import export_trace, import_trace
 from repro.netsim.topology import (
     Interface,
     Link,
@@ -84,8 +83,6 @@ __all__ = [
     "derive_tickets",
     "drift_messages",
     "durable_fault_from_dict",
-    "export_trace",
-    "import_trace",
     "generate_dataset",
     "labeled_canary",
     "labeled_pairs",

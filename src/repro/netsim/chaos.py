@@ -251,20 +251,6 @@ class ChaosDaemon:
             timeout=timeout,
         )
 
-    def wait_state(
-        self,
-        tenant: str,
-        states: str | tuple[str, ...],
-        timeout: float = WAIT_TIMEOUT,
-    ) -> None:
-        """Block until the tenant's supervisor reaches one of ``states``."""
-        want = (states,) if isinstance(states, str) else tuple(states)
-        self.wait_for(
-            lambda: self.state(tenant) in want,
-            f"{tenant} state in {want}",
-            timeout=timeout,
-        )
-
     # ------------------------------------------------- partial failure
 
     def kill_worker(self, tenant: str) -> int:

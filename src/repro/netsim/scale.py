@@ -12,9 +12,9 @@ from each router's real inventory (its interfaces, controllers, bundles,
 slots, link/loopback IPs), so signature matching, location extraction
 and the grouping passes all do representative work.
 
-Everything is deterministic in the spec's seed, and :meth:`chunks`
-streams the messages in bounded slices so a 1M-message run never holds
-the whole day in memory.
+Everything is deterministic in the spec's seed, and :meth:`stream`
+yields the messages lazily so a 1M-message run never holds the whole
+day in memory.
 """
 
 from __future__ import annotations
@@ -326,23 +326,6 @@ class ScaleGenerator:
                 ts += rng.expovariate(rate)
                 yield self._emit(ts, pools[router], rng)
             emitted += batch
-
-    def chunks(
-        self,
-        chunk_size: int = 50_000,
-        n_messages: int | None = None,
-        start_ts: float = SCALE_START,
-        seed_salt: int = 0,
-    ) -> Iterator[list[SyslogMessage]]:
-        """The same stream, in bounded slices for chunked pushing."""
-        chunk: list[SyslogMessage] = []
-        for message in self.stream(n_messages, start_ts, seed_salt):
-            chunk.append(message)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
 
     def learning_messages(
         self, n_messages: int = 30_000

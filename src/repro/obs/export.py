@@ -2,8 +2,7 @@
 
 Two consumers, two shapes.  Scrape-style monitoring gets the Prometheus
 exposition format (``to_prom_text``); integration code gets plain dicts
-with stable field names (``to_dict`` / ``to_json``), following the same
-conventions as :mod:`repro.apps.api`.
+with stable field names (``to_dict`` / ``to_json``), dumped byte-stably.
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ def to_dict(registry: MetricsRegistry) -> dict:
     """The registry as one JSON-serializable document.
 
     Series are grouped by metric name and sorted, so two dumps of the
-    same registry are byte-identical — the same stability contract as
-    :func:`repro.apps.api.digest_to_dict`.
+    same registry are byte-identical.
     """
     out: dict[str, dict[str, list[dict]]] = {
         "counters": {},

@@ -152,9 +152,9 @@ def interleave_arrivals(
     feed's internal order is preserved, and at every step the next
     arrival is the feed head with the smallest ``key`` (default: the
     item's ``timestamp`` attribute), ties broken by source registration
-    order.  Returns ``(source, item)`` pairs ready for
-    :meth:`~repro.syslog.ingest.MultiSourceIngest.push_all` — no RNG, so
-    the same feeds always produce the same interleaving.
+    order.  Returns ``(source, item)`` pairs to push one by one into a
+    :class:`~repro.syslog.ingest.MultiSourceIngest` — no RNG, so the
+    same feeds always produce the same interleaving.
     """
     if key is None:
         key = lambda item: item.timestamp  # noqa: E731 - default accessor

@@ -48,7 +48,6 @@ checkpointed kill-and-resume stays byte-identical — see
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.config import IngestConfig
@@ -414,15 +413,6 @@ class MultiSourceIngest:
         # pushes, which is what "bounded buffer memory" promises.
         if len(self._buffer) > self._peak_buffered:
             self._peak_buffered = len(self._buffer)
-        return events
-
-    def push_all(
-        self, arrivals: Iterable[tuple[str, SyslogMessage]]
-    ) -> list[NetworkEvent]:
-        """Push an interleaved ``(source, message)`` arrival sequence."""
-        events: list[NetworkEvent] = []
-        for source, message in arrivals:
-            events.extend(self.push(source, message))
         return events
 
     def close(self) -> list[NetworkEvent]:

@@ -1,4 +1,4 @@
-"""Shared utilities: union-find, EWMA, sliding windows, time, tables, stats."""
+"""Shared utilities: union-find, EWMA, time, tables, stats."""
 
 from repro.utils.ewma import EwmaEstimator
 from repro.utils.stats import quantile, summarize
@@ -12,14 +12,12 @@ from repro.utils.timeutils import (
     parse_ts,
 )
 from repro.utils.unionfind import UnionFind
-from repro.utils.windows import SlidingWindow
 
 __all__ = [
     "EwmaEstimator",
     "HOUR",
     "MINUTE",
     "SECOND",
-    "SlidingWindow",
     "UnionFind",
     "day_index",
     "format_ts",

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.drain import DrainMiner
-from repro.baselines.fixed_window import fixed_window_groups
 from repro.baselines.severity_filter import severity_filter
 from repro.syslog.message import SyslogMessage
 
@@ -14,31 +11,6 @@ def _msg(ts, code="LINK-3-UPDOWN", router="r1", detail="x"):
     return SyslogMessage(
         timestamp=ts, router=router, error_code=code, detail=detail
     )
-
-
-class TestFixedWindow:
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_window_groups([], gap=-1.0)
-
-    def test_groups_by_gap(self):
-        msgs = [_msg(0.0), _msg(100.0), _msg(1000.0)]
-        groups = fixed_window_groups(msgs, gap=300.0)
-        assert [len(g) for g in groups] == [2, 1]
-
-    def test_groups_keyed_by_router_and_code(self):
-        msgs = [
-            _msg(0.0, router="r1"),
-            _msg(1.0, router="r2"),
-            _msg(2.0, code="OTHER-1-X"),
-        ]
-        groups = fixed_window_groups(msgs, gap=300.0)
-        assert len(groups) == 3
-
-    def test_partition(self):
-        msgs = [_msg(float(i * 60)) for i in range(50)]
-        groups = fixed_window_groups(msgs, gap=120.0)
-        assert sum(len(g) for g in groups) == 50
 
 
 class TestSeverityFilter:

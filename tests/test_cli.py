@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -562,3 +569,30 @@ class TestKnowledgeLifecycleCli:
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("command", ["digest", "trends"])
+@pytest.mark.parametrize(
+    "kb_bytes",
+    [None, b"{bad", b"[]", b"\xff{}"],
+    ids=["missing", "corrupt", "not-object", "not-utf8"],
+)
+def test_unloadable_kb_is_one_line_and_exit_two(command, kb_bytes, tmp_path):
+    log = tmp_path / "one.log"
+    log.write_text("Jan  1 00:00:00 r1 %LINK-3-UPDOWN: x\n", encoding="utf-8")
+    kb = tmp_path / "kb.json"
+    if kb_bytes is not None:
+        kb.write_bytes(kb_bytes)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", command,
+         "--log", str(log), "--kb", str(kb)],
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"{command}: knowledge base {kb} ")
+    assert "Traceback" not in proc.stderr

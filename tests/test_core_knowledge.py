@@ -101,6 +101,12 @@ class TestFormatVersion:
         assert err.value.source == str(path)
         assert str(path) in str(err.value)
 
+    def test_missing_top_level_key_names_it(self, system_a):
+        payload = json.loads(system_a.kb.to_json())
+        del payload["rules"]
+        with pytest.raises(KnowledgeFormatError, match="lacks .* rules"):
+            KnowledgeBase.from_json(json.dumps(payload))
+
     def test_legacy_payload_without_version_loads(self, system_a):
         payload = json.loads(system_a.kb.to_json())
         del payload["format_version"]

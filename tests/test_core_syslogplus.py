@@ -71,9 +71,7 @@ class TestAugmenter:
         )
         augmenter = Augmenter(system_a.kb.templates, system_a.kb.dictionary)
         plus = augmenter.augment(message)
-        assert all(
-            loc.router in (a.name,) or True for loc in plus.local_locations()
-        )
+        assert all(loc.router == a.name for loc in plus.local_locations())
         assert all(
             item.role != "neighbor" or item.location.router != far.name
             for item in plus.locations

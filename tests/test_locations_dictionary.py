@@ -55,13 +55,13 @@ class TestConnectivity:
         assert dictionary.connected(b, a)
 
     def test_connected_climbs_hierarchy(self, dictionary):
-        """A slot-level location connects through its child interface."""
+        """The check climbs each end *up* to the link, never down: the far
+        end's slot is an ancestor of the linked interface, not a link end,
+        so it is not connected in either direction."""
         slot = Location("r2", LocationKind.SLOT, "2")
         a = Location("r1", LocationKind.LOGICAL_IF, "Serial1/0/10:0")
-        # The link is registered at logical level; the slot is an ancestor
-        # of the far end, so the climb from `a` finds it only if the far
-        # ancestor set is used — which it is.
-        assert not dictionary.connected(a, slot) or True  # smoke: no crash
+        assert not dictionary.connected(a, slot)
+        assert not dictionary.connected(slot, a)
 
     def test_same_router_never_connected(self, dictionary):
         a = Location("r1", LocationKind.LOGICAL_IF, "Serial1/0/10:0")

@@ -8,8 +8,11 @@ and docs that only cite evidence that exists.
 * One tenant protocol: under ``src/repro/serve/`` placement is compared
   to a literal in exactly one place — where a life's transport is
   chosen — and the retired per-placement paths stay gone.
-* README.md / DESIGN.md / EXPERIMENTS.md may name a results file, a
-  bench node or a make target only if it is there to be opened or run.
+* The docs may name a results file, a bench node, a make target or a
+  ``src/repro`` module only if it is there to be opened or run.
+* Reachability ratchet: every ``src/repro`` module is in the static
+  import closure of an entry point, so code nothing runs does not come
+  back as a library nobody calls.
 * Knob ratchet: the field sets of the config dataclasses and the option
   set of every CLI subcommand are pinned, so a knob is added or removed
   only on purpose, and retired knobs stay gone from ``src/``.
@@ -21,6 +24,7 @@ import argparse
 import ast
 import re
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -31,7 +35,8 @@ from repro.serve import ServeConfig
 from repro.serve.tenant import TenantBudget, TenantSpec
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+SRC = ROOT / "src"
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAPPING.md")
 
 RETIRED = re.compile(r"reference_mode|reference_enabled|match_reference")
 RETIRED_TENANT_PATHS = re.compile(
@@ -127,6 +132,184 @@ def _bench_tests(name: str) -> set[str]:
     }
 
 
+@cache
+def _modules() -> dict[str, Path]:
+    """Dotted name -> file of every ``src/repro`` module and package."""
+    out = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+@cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_package(module: str) -> bool:
+    return _modules()[module].name == "__init__.py"
+
+
+def _from_base(node: ast.ImportFrom, module: str | None) -> str | None:
+    """The absolute module a ``from ... import`` reads from."""
+    if not node.level:
+        return node.module
+    if module is None:  # a script's relative import never names repro
+        return None
+    parts = module.split(".")
+    if not _is_package(module):
+        parts.pop()
+    parts = parts[: len(parts) - node.level + 1]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
+def _defining_module(base: str, name: str) -> str | None:
+    """The module that defines ``name`` as imported from ``base``: a
+    package's re-export resolves to its source, not to the package."""
+    modules = _modules()
+    if f"{base}.{name}" in modules:
+        return f"{base}.{name}"
+    if base not in modules:
+        return None
+    if _is_package(base):
+        for node in _tree(modules[base]).body:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        source = _from_base(node, base)
+                        return _defining_module(source, alias.name)
+    return base
+
+
+def _imports(path: Path, module: str | None):
+    """Every ``repro`` module ``path`` imports, function bodies too."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name in _modules())
+        elif isinstance(node, ast.ImportFrom):
+            base = _from_base(node, module)
+            for alias in node.names if base else ():
+                if alias.name == "*":
+                    target = base if base in _modules() else None
+                else:
+                    target = _defining_module(base, alias.name)
+                if target:
+                    yield target
+
+
+def import_closure(entries) -> set[str]:
+    """The ``src/repro`` modules the ``entries`` reach by static import.
+
+    An entry is a dotted module name or a script path.  Nothing is
+    executed: the closure is read from the ``ast``.  A package counts as
+    reached with any module under it, but its own re-exports are not
+    followed — a name imported through it reaches the module that
+    defines it, not the whole package.
+    """
+    reached: set[str] = set()
+    todo = [entry for entry in entries if isinstance(entry, str)]
+    for entry in entries:
+        if isinstance(entry, Path):
+            todo.extend(_imports(entry, None))
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        parts = module.split(".")
+        reached.update(".".join(parts[:n]) for n in range(1, len(parts) + 1))
+        if not _is_package(module):
+            todo.extend(_imports(_modules()[module], module))
+    return reached
+
+
+def entry_points() -> list:
+    """What runs: the CLI (``repro serve`` included), the worker module
+    placement launches with ``-m``, the benches and the ledger, and the
+    examples the README documents."""
+    return [
+        "repro.cli",
+        "repro.serve.worker",
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+        *(
+            path
+            for path in sorted((ROOT / "benchmarks/ledger").glob("*.py"))
+            if path.name != "test_ledger.py"
+        ),
+        *sorted((ROOT / "examples").glob("*.py")),
+    ]
+
+
+#: Modules no entry point reaches that stay anyway, each with its reason.
+UNREACHED_ALLOWED = {
+    "repro.netsim.validate": "the simulator's invariant check, run on the "
+    "shipped datasets by tests/test_netsim_validate.py",
+}
+
+
+def test_every_module_is_reachable():
+    unreached = set(_modules()) - import_closure(entry_points())
+    assert unreached == set(UNREACHED_ALLOWED), (
+        f"not reached from any entry point: {sorted(unreached)}; delete "
+        "them, or allowlist one with its reason in UNREACHED_ALLOWED"
+    )
+
+
+def _package_names(package: str) -> set[str]:
+    """Names a package's ``__init__`` imports or defines."""
+    names = set()
+    for node in _tree(_modules()[package]).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(getattr(t, "id", "") for t in node.targets)
+    return names
+
+
+def _cites_module(dotted: str) -> bool:
+    """``repro.a.b.rest`` exists down to its first non-package segment:
+    ``a`` and ``b`` are modules or names their package exports."""
+    package = "repro"
+    for name in dotted.split(".")[1:3]:
+        if f"{package}.{name}" not in _modules():
+            return name in _package_names(package)
+        package = f"{package}.{name}"
+        if not _is_package(package):
+            return True
+    return True
+
+
+def _module_citations(text: str) -> list[str]:
+    """``src/repro`` modules the text names: ``[src/][repro/]pkg/mod.py``
+    paths, ``repro.pkg.mod`` anywhere, and code spans that are exactly
+    ```pkg.mod``` (longer spans are ledger row names, not modules)."""
+    packages = "|".join(
+        name.rsplit(".", 1)[1]
+        for name in _modules()
+        if name.count(".") == 1 and _is_package(name)
+    )
+    path_re = rf"(?<![\w./-])(?:src/)?(?:repro/)?((?:{packages})/[\w/]+\.py)"
+    missing = [
+        f"module path {path}"
+        for path in re.findall(path_re, text)
+        if not (SRC / "repro" / path).exists()
+    ]
+    missing += [
+        f"module {dotted}"
+        for dotted in re.findall(r"\brepro(?:\.\w+)+", text)
+        + [
+            f"repro.{span}"
+            for span in re.findall(rf"`((?:{packages})\.\w+)`", text)
+        ]
+        if not _cites_module(dotted)
+    ]
+    return missing
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_docs_cite_only_what_exists(doc):
     text = (ROOT / doc).read_text()
@@ -147,6 +330,7 @@ def test_docs_cite_only_what_exists(doc):
         for target in re.findall(r"(?:`|^\s*)make ([a-z][\w-]*)", text, re.M)
         if target not in targets
     ]
+    missing += _module_citations(text)
     assert not missing, f"{doc} cites: " + "; ".join(sorted(set(missing)))
 
 
