@@ -13,9 +13,12 @@ registry next to their normal output (JSON when the path ends in
 ``.json``, Prometheus text otherwise); ``stats`` digests a log and
 prints the registry itself.
 
-Fault tolerance (DESIGN.md §8): ``digest``/``stats`` take
-``--quarantine <path>`` to survive garbage lines (dead-lettered as
-JSONL), ``stats --stream`` takes ``--checkpoint <path>`` to write
+Fault tolerance (DESIGN.md §8): every subcommand reads a log one way —
+bad bytes decode with replacement, unparseable lines are quarantined,
+messages come back time-sorted, and a missing path is one
+``<command>: <error>`` line and exit 2.  ``digest``/``stats`` take
+``--quarantine <path>`` to dump the quarantine as JSONL,
+``stats --stream`` takes ``--checkpoint <path>`` to write
 periodic state snapshots, and ``resume`` restarts a streaming digest
 from such a checkpoint plus the log tail::
 
@@ -60,7 +63,7 @@ from repro.core.config import DigestConfig
 from repro.core.knowledge import KnowledgeBase, KnowledgeFormatError
 from repro.core.pipeline import SyslogDigest
 from repro.netsim.datasets import dataset_a, dataset_b, generate_dataset
-from repro.syslog.stream import read_log, write_log
+from repro.syslog.stream import log_lines, read_log, write_log
 from repro.utils.timeutils import DAY, parse_ts
 
 
@@ -87,7 +90,10 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.kb is None and args.store is None:
         print("learn needs --kb and/or --store", file=sys.stderr)
         return 1
-    messages = list(read_log(args.log))
+    messages = read_log(args.log)
+    if not messages:
+        print("empty log", file=sys.stderr)
+        return 1
     configs = [
         path.read_text(encoding="utf-8")
         for path in sorted(Path(args.configs).glob("*.cfg"))
@@ -195,11 +201,13 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
     )
     # The one-shot CLI reads through the same byte-offset tailers the
     # serve daemon follows live files with (one poll of a static file
-    # reads it whole), so `syslogdigest sources` reports tail cursors.
+    # reads it whole, the flush ends its input), so `syslogdigest
+    # sources` reports tail cursors.
     tails = TailSet(paths)
     ingest.attach_tails(tails)
     events = []
     tails.poll()
+    tails.flush()
     arrivals = interleave_arrivals(
         tails.take_new(), key=lambda pair: pair[0]
     )
@@ -295,13 +303,9 @@ def _cmd_digest(args: argparse.Namespace) -> int:
         print("digest needs --log (or --source feeds)", file=sys.stderr)
         return 1
     system = SyslogDigest(kb, DigestConfig(n_workers=args.workers))
+    result = system.digest_lines(log_lines(args.log), source=str(args.log))
     if args.quarantine is not None:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            result = system.digest_lines(fh, source=str(args.log))
         _dump_quarantine(result.quarantine, args.quarantine)
-    else:
-        messages = list(read_log(args.log))
-        result = system.digest(messages)
     print(
         f"# {result.n_messages} messages -> {result.n_events} events "
         f"(ratio {result.compression_ratio:.2e})"
@@ -324,7 +328,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     """
     from repro.core.checkpoint import checkpoint_info, restore_stream
     from repro.core.present import present_digest
-    from repro.syslog.stream import sort_messages
 
     info = checkpoint_info(args.checkpoint)
     if info.has_ingest:
@@ -356,7 +359,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     else:
         print("resume needs --kb or --store", file=sys.stderr)
         return 1
-    ordered = sort_messages(read_log(args.log))
+    ordered = read_log(args.log)
     tail = ordered[info.n_admitted :]
     print(
         f"# checkpoint {args.checkpoint}: {info.n_admitted} messages "
@@ -391,12 +394,8 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     from repro.core.promotion import KnowledgeLifecycle
 
     store = KnowledgeStore(args.store)
-    period = list(read_log(args.log))
-    canary = (
-        list(read_log(args.canary))
-        if args.canary is not None
-        else list(period)
-    )
+    period = read_log(args.log)
+    canary = read_log(args.canary) if args.canary is not None else period
     configs = None
     if args.configs is not None:
         configs = [
@@ -428,7 +427,7 @@ def _cmd_promote(args: argparse.Namespace) -> int:
 
     store = KnowledgeStore(args.store)
     candidate = KnowledgeBase.load(args.candidate)
-    canary = list(read_log(args.canary))
+    canary = read_log(args.canary)
     decision, _info = KnowledgeLifecycle(store).promote_candidate(
         candidate, canary, note=args.note or f"promoted {args.candidate}"
     )
@@ -614,7 +613,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.apps.reportgen import daily_report
 
-    messages = list(read_log(args.log))
+    messages = read_log(args.log)
     if not messages:
         print("empty log", file=sys.stderr)
         return 1
@@ -631,7 +630,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Digest a log and print the pipeline metrics registry."""
     from repro.core.stream import DigestStream
     from repro.obs import get_registry, stage_timer, to_json, to_prom_text
-    from repro.syslog.stream import sort_messages
+    from repro.syslog.resilient import Quarantine
 
     registry = get_registry()
     registry.reset()
@@ -639,23 +638,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     config = DigestConfig(
         n_workers=args.workers, stream_workers=args.stream_workers
     )
-    quarantine = None
-    if args.quarantine is not None:
-        from repro.syslog.resilient import Quarantine, resilient_read_log
-
-        quarantine = Quarantine()
-        messages = resilient_read_log(args.log, quarantine)
-    else:
-        messages = list(read_log(args.log))
+    quarantine = Quarantine()
+    messages = read_log(args.log, quarantine)
     if args.stream:
         stream = DigestStream(kb, config, kb_version=kb_version)
-        if quarantine is not None:
-            stream.attach_quarantine(quarantine)
-        with stage_timer("sort"):
-            ordered = sort_messages(messages)
+        stream.attach_quarantine(quarantine)
         with stage_timer("stream_push"):
             events, interrupted = _push_interruptible(
-                stream, ordered, args.checkpoint, args.checkpoint_interval
+                stream, messages, args.checkpoint, args.checkpoint_interval
             )
         if not interrupted:
             with stage_timer("stream_close"):
@@ -664,7 +654,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         result = SyslogDigest(kb, config).digest(messages)
         n_events = result.n_events
-    if quarantine is not None:
+    if args.quarantine is not None:
         _dump_quarantine(quarantine, args.quarantine)
     print(
         f"# {len(messages)} messages -> {n_events} events",
@@ -681,7 +671,7 @@ def _augmented(kb_path: str, log_path: str):
     from repro.core.syslogplus import Augmenter
 
     kb = KnowledgeBase.load(kb_path)
-    messages = list(read_log(log_path))
+    messages = read_log(log_path)
     augmenter = Augmenter(kb.templates, kb.dictionary)
     return messages, augmenter.augment_all(messages)
 
@@ -1077,7 +1067,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KnowledgeFormatError as exc:
+    except (
+        KnowledgeFormatError,
+        FileNotFoundError,
+        IsADirectoryError,
+        PermissionError,
+    ) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

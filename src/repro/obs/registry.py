@@ -66,11 +66,6 @@ QUARANTINED = "syslogdigest_quarantined_total"
 QUARANTINE_DEPTH = "syslogdigest_quarantine_depth"
 QUARANTINE_OVERFLOW = "syslogdigest_quarantine_overflow_total"
 
-#: Resilient source reading: retries taken and sources abandoned after
-#: the retry budget ran out.
-INGEST_RETRIES = "syslogdigest_ingest_retries_total"
-INGEST_FAILURES = "syslogdigest_ingest_failed_sources_total"
-
 #: Sharded engine fault recovery: worker tasks retried after an
 #: exception and tasks that fell back to in-process serial execution.
 SHARD_RETRIES = "syslogdigest_shard_retries_total"

@@ -69,8 +69,7 @@ class Supervisor:
     ``policy`` bounds the restart storm: ``max_restarts`` consecutive
     failures are retried with ``RetryPolicy(max_restarts, base_delay)``
     backoff, then the tenant escalates to degraded mode.  The *last*
-    backoff delay repeats if the policy yields fewer delays than
-    failures (``RetryPolicy.delays`` respects its own timeout cap).
+    backoff delay repeats for any failure past the schedule.
 
     ``progress_deadline`` is the stuck-detector: if the pipeline has
     pending input but has not completed a batch within that many
@@ -97,7 +96,7 @@ class Supervisor:
         self.progress_deadline = progress_deadline
         self._delays = list(
             RetryPolicy(max_retries=max_restarts, base_delay=base_delay).delays()
-        ) or [base_delay]
+        )
         self._journal = journal
         self._clock = clock
         self.state = "starting"

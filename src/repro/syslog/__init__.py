@@ -15,10 +15,8 @@ from repro.syslog.message import LabeledMessage, SyslogMessage
 from repro.syslog.parse import SyslogParseError, format_line, parse_line
 from repro.syslog.tail import SourceTailer, TailSet
 from repro.syslog.stream import (
-    merge_streams,
     read_log,
     sort_messages,
-    split_by_day,
     write_log,
 )
 from repro.syslog.vendors import VENDOR_V1, VENDOR_V2, VendorProfile, vendor_for
@@ -38,11 +36,9 @@ __all__ = [
     "VendorProfile",
     "format_line",
     "interleave_arrivals",
-    "merge_streams",
     "parse_line",
     "read_log",
     "sort_messages",
-    "split_by_day",
     "degrade_labeled",
     "degrade_stream",
     "vendor_for",

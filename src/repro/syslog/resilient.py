@@ -1,20 +1,18 @@
-"""Resilient ingest: quarantine dead-letter queue and retrying sources.
+"""Resilient ingest: the quarantine dead-letter queue and backoff policy.
 
 Operational collector feeds are lossy, duplicated, bursty, and sometimes
 plain garbage; a production digester must never die because one router
 emitted an unparseable line or one feed flapped.  This module provides
-the two ingestion-side defenses:
+the ingestion-side defenses:
 
 * :class:`Quarantine` — a bounded dead-letter queue.  Lines that fail
   :func:`repro.syslog.parse.parse_line` (or messages the stream rejects,
   e.g. beyond skew tolerance) are recorded with their source, line
   number, and error instead of raised; the queue can be dumped as JSONL
-  for offline triage.
-* :class:`RetryPolicy` / :func:`read_source` — a retrying reader around
-  file or iterator sources with a deterministic exponential-backoff
-  schedule (no jitter: schedules must be reproducible under test).  A
-  source that keeps failing past ``max_retries`` is *abandoned* and
-  counted, never allowed to kill the run.
+  for offline triage and replayed by :func:`requeue_records`.
+* :class:`RetryPolicy` — the deterministic exponential-backoff schedule
+  (no jitter: schedules must be reproducible under test) behind the
+  ingest breakers' half-open probes and the serve supervisor's restarts.
 
 Every failure mode emits counters through :mod:`repro.obs`.
 """
@@ -22,15 +20,12 @@ Every failure mode emits counters through :mod:`repro.obs`.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import (
-    INGEST_FAILURES,
-    INGEST_RETRIES,
     QUARANTINE_DEPTH,
     QUARANTINE_OVERFLOW,
     QUARANTINED,
@@ -38,6 +33,7 @@ from repro.obs import (
 )
 from repro.syslog.message import SyslogMessage
 from repro.syslog.parse import SyslogParseError, parse_line
+from repro.syslog.stream import log_lines
 from repro.utils.fsio import atomic_write_text
 
 
@@ -234,82 +230,23 @@ class RetryPolicy:
 
     Attempt ``i`` (0-based) failing waits ``base_delay * 2**i`` seconds
     before attempt ``i + 1``; after ``max_retries`` retries the source is
-    given up on.  ``timeout`` caps the *total* seconds spent sleeping on
-    one source — a feed that keeps flapping cannot stall the whole run
-    indefinitely.  No jitter on purpose: retry schedules in tests and
+    given up on.  No jitter on purpose: retry schedules in tests and
     fault benches must be reproducible.
     """
 
     max_retries: int = 3
     base_delay: float = 0.5
-    timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.base_delay < 0:
             raise ValueError("base_delay must be >= 0")
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError("timeout must be >= 0")
 
     def delays(self) -> Iterator[float]:
-        """The backoff delays, in order, respecting the total timeout."""
-        slept = 0.0
+        """The backoff delays, in order."""
         for attempt in range(self.max_retries):
-            delay = self.base_delay * (2**attempt)
-            if self.timeout is not None:
-                if slept >= self.timeout:
-                    return
-                delay = min(delay, self.timeout - slept)
-            slept += delay
-            yield delay
-
-
-class SourceFailed(RuntimeError):
-    """A source kept failing past its retry budget (``fail_fast`` mode)."""
-
-
-def read_source(
-    opener: Callable[[], Iterable[SyslogMessage]],
-    policy: RetryPolicy | None = None,
-    source: str = "<source>",
-    fail_fast: bool = False,
-    sleep: Callable[[float], None] = time.sleep,
-) -> list[SyslogMessage]:
-    """Read everything from a flaky source, retrying with backoff.
-
-    ``opener`` is called anew on every attempt and must return a message
-    iterable (e.g. ``lambda: read_log(path)``); an :class:`OSError` or
-    :class:`ValueError` raised while opening or iterating triggers a
-    retry after the policy's next delay.  A source that exhausts its
-    retry budget yields nothing and is counted under
-    ``syslogdigest_ingest_failed_sources_total`` — unless ``fail_fast``
-    is set, in which case :class:`SourceFailed` is raised.  ``sleep`` is
-    injectable so tests and benches never actually wait.
-    """
-    policy = policy or RetryPolicy()
-    registry = get_registry()
-    delays = policy.delays()
-    last_error: Exception | None = None
-    for attempt in range(policy.max_retries + 1):
-        try:
-            return list(opener())
-        except (OSError, ValueError) as exc:
-            last_error = exc
-            delay = next(delays, None)
-            if delay is None:
-                break
-            if registry.enabled:
-                registry.inc(INGEST_RETRIES, source=source)
-            sleep(delay)
-    if registry.enabled:
-        registry.inc(INGEST_FAILURES, source=source)
-    if fail_fast:
-        raise SourceFailed(
-            f"source {source} failed after {policy.max_retries} retries: "
-            f"{last_error}"
-        ) from last_error
-    return []
+            yield self.base_delay * (2**attempt)
 
 
 def resilient_parse(
@@ -325,28 +262,6 @@ def resilient_parse(
             yield parse_line(line, line_no=line_no, source=source)
         except SyslogParseError as exc:
             quarantine.add_parse_error(line, exc)
-
-
-def resilient_read_log(
-    path: str | Path,
-    quarantine: Quarantine,
-    policy: RetryPolicy | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> list[SyslogMessage]:
-    """Read one collector log, quarantining garbage, retrying I/O errors.
-
-    The whole file is re-read on retry (a half-read flaky file cannot be
-    resumed mid-line safely), so the result only ever reflects complete
-    attempts.
-    """
-
-    def opener() -> Iterable[SyslogMessage]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return list(resilient_parse(fh, quarantine, source=str(path)))
-
-    return read_source(
-        opener, policy=policy, source=str(path), sleep=sleep
-    )
 
 
 def push_safe(stream, message: SyslogMessage, quarantine: Quarantine):
@@ -390,37 +305,34 @@ def requeue_records(
     n_ok = 0
     n_failed = 0
     for part in quarantine_files(path):
-        with open(part, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    record = json.loads(raw)
-                    line = record["line"]
-                except (ValueError, KeyError, TypeError):
-                    n_failed += 1
-                    quarantine.add(
-                        QuarantineRecord(
-                            line=raw.rstrip("\n"),
-                            error="not a quarantine JSONL record",
-                            source=str(part),
-                            line_no=line_no,
-                            kind="requeue",
-                        )
+        for line_no, raw in enumerate(log_lines(part), start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+                line = record["line"]
+            except (ValueError, KeyError, TypeError):
+                n_failed += 1
+                quarantine.add(
+                    QuarantineRecord(
+                        line=raw,
+                        error="not a quarantine JSONL record",
+                        source=str(part),
+                        line_no=line_no,
+                        kind="requeue",
                     )
-                    continue
-                try:
-                    message = parse_line(
-                        line, line_no=line_no, source=str(part)
-                    )
-                except SyslogParseError as exc:
-                    n_failed += 1
-                    quarantine.add_parse_error(line, exc)
-                    continue
-                before = quarantine.total
-                events.extend(push_safe(stream, message, quarantine))
-                if quarantine.total > before:
-                    n_failed += 1
-                else:
-                    n_ok += 1
+                )
+                continue
+            try:
+                message = parse_line(line, line_no=line_no, source=str(part))
+            except SyslogParseError as exc:
+                n_failed += 1
+                quarantine.add_parse_error(line, exc)
+                continue
+            before = quarantine.total
+            events.extend(push_safe(stream, message, quarantine))
+            if quarantine.total > before:
+                n_failed += 1
+            else:
+                n_ok += 1
     return events, n_ok, n_failed

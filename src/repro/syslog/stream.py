@@ -1,19 +1,44 @@
-"""Stream helpers: reading/writing log files, sorting, merging, splitting.
+"""Stream helpers: the one way bytes become log lines, and log files.
 
 An operational collector receives interleaved feeds from thousands of
-routers; the mining code assumes a single time-sorted stream.  These helpers
-provide that normalization plus the day/week slicing the evaluation uses.
+routers; the mining code assumes a single time-sorted stream.  These
+helpers provide that normalization.  :func:`decode_line` is the only
+place a collector's bytes become text: files read through
+:func:`log_lines` and live feeds followed by :mod:`repro.syslog.tail`
+decode identically, so one file digests the same either way.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.syslog.message import SyslogMessage
-from repro.syslog.parse import SyslogParseError, format_line, parse_line
-from repro.utils.timeutils import DAY
+from repro.syslog.parse import format_line
+
+
+def decode_line(raw: bytes) -> str:
+    """Decode one collector line (its newline already cut off).
+
+    UTF-8 with ``errors="replace"``: device syslogs carry stray bytes,
+    and a bad byte in a message's free text must not cost the message
+    (an undecodable timestamp or code fails to parse and is quarantined
+    like any garbage).  One trailing ``\\r`` is stripped, so CRLF feeds
+    read like LF ones.
+    """
+    line = raw.decode("utf-8", errors="replace")
+    return line[:-1] if line.endswith("\r") else line
+
+
+def log_lines(path: str | Path) -> Iterator[str]:
+    """Yield every line of a log file through :func:`decode_line`.
+
+    Blank lines are yielded too, so a consumer's 1-based count is the
+    file's line number; a final line without a newline is still a line.
+    """
+    with open(path, "rb") as fh:
+        for raw in fh:
+            yield decode_line(raw[:-1] if raw.endswith(b"\n") else raw)
 
 
 def sort_messages(messages: Iterable[SyslogMessage]) -> list[SyslogMessage]:
@@ -23,88 +48,6 @@ def sort_messages(messages: Iterable[SyslogMessage]) -> list[SyslogMessage]:
     which matters for reproducible rule mining.
     """
     return sorted(messages, key=lambda m: (m.timestamp, m.router, m.error_code))
-
-
-def merge_streams(
-    streams: Sequence[Iterable[SyslogMessage]],
-    tolerance: float = 0.0,
-) -> Iterator[SyslogMessage]:
-    """Merge per-router streams (each already time-sorted) into one stream.
-
-    Each input must be sorted by (timestamp, router, error_code) —
-    ``heapq.merge`` silently produces out-of-order output otherwise, so a
-    regression inside any stream raises a :class:`ValueError` naming the
-    offending stream index instead.
-
-    A positive ``tolerance`` (seconds) relaxes the requirement to *almost
-    sorted*: disorder within that many seconds of each stream's newest
-    timestamp is locally reordered (real collector feeds jitter by a few
-    seconds), while a regression beyond tolerance still raises the same
-    loud error naming the stream index.
-    """
-
-    def keyed_iter(idx: int, stream: Iterable[SyslogMessage]):
-        if tolerance <= 0:
-            previous = None
-            for m in stream:
-                key = (m.timestamp, m.router, m.error_code)
-                if previous is not None and key < previous:
-                    raise ValueError(
-                        f"merge_streams: stream {idx} is not time-sorted "
-                        f"({key} after {previous})"
-                    )
-                previous = key
-                yield (*key, idx), m
-            return
-        # Hold back everything within `tolerance` of the newest timestamp
-        # seen; only emit keys strictly older than that horizon, so the
-        # emitted sequence is fully (timestamp, router, error_code)
-        # sorted and heapq.merge stays correct.
-        pending: list[tuple[tuple, int, SyslogMessage]] = []
-        serial = 0  # heap tiebreak: SyslogMessage is not orderable
-        max_ts: float | None = None
-        for m in stream:
-            if max_ts is not None and m.timestamp < max_ts - tolerance:
-                raise ValueError(
-                    f"merge_streams: stream {idx} is out of order beyond "
-                    f"tolerance ({m.timestamp} after {max_ts}, "
-                    f"tolerance {tolerance}s)"
-                )
-            key = (m.timestamp, m.router, m.error_code)
-            heapq.heappush(pending, (key, serial, m))
-            serial += 1
-            if max_ts is None or m.timestamp > max_ts:
-                max_ts = m.timestamp
-            while pending and pending[0][0][0] < max_ts - tolerance:
-                ready_key, _, ready = heapq.heappop(pending)
-                yield (*ready_key, idx), ready
-        while pending:
-            ready_key, _, ready = heapq.heappop(pending)
-            yield (*ready_key, idx), ready
-
-    merged = heapq.merge(*(keyed_iter(i, s) for i, s in enumerate(streams)))
-    for _, message in merged:
-        yield message
-
-
-def split_by_day(
-    messages: Sequence[SyslogMessage], origin: float | None = None
-) -> dict[int, list[SyslogMessage]]:
-    """Bucket time-sorted messages into whole days since ``origin``.
-
-    ``origin`` defaults to midnight-aligned start of the first message's day.
-    """
-    if not messages:
-        return {}
-    if origin is None:
-        first = messages[0].timestamp
-        origin = first - (first % DAY)
-    buckets: dict[int, list[SyslogMessage]] = {}
-    for message in messages:
-        buckets.setdefault(int((message.timestamp - origin) // DAY), []).append(
-            message
-        )
-    return buckets
 
 
 def write_log(path: str | Path, messages: Iterable[SyslogMessage]) -> int:
@@ -117,22 +60,18 @@ def write_log(path: str | Path, messages: Iterable[SyslogMessage]) -> int:
     return count
 
 
-def read_log(
-    path: str | Path, strict: bool = False
-) -> Iterator[SyslogMessage]:
-    """Yield messages from a collector log file.
+def read_log(path: str | Path, quarantine=None) -> list[SyslogMessage]:
+    """Read a collector log file into time-sorted messages.
 
-    Blank and malformed lines are skipped unless ``strict`` is set, in which
-    case malformed lines raise :class:`SyslogParseError` carrying the file
-    path and 1-based line number — real collector feeds always contain
-    some garbage.
+    Blank lines are skipped; lines that do not parse go to
+    ``quarantine`` (a throwaway one when ``None``) with the file path
+    and 1-based line number — real collector feeds always contain some
+    garbage.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield parse_line(line, line_no=line_no, source=str(path))
-            except SyslogParseError:
-                if strict:
-                    raise
+    from repro.syslog.resilient import Quarantine, resilient_parse
+
+    if quarantine is None:
+        quarantine = Quarantine()
+    return sort_messages(
+        resilient_parse(log_lines(path), quarantine, source=str(path))
+    )

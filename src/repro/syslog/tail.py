@@ -38,7 +38,9 @@ read cursor:
 
 Read errors (a failing disk, a vanished file mid-rotation) are counted
 and retried on the next poll — a sick source degrades, it never kills
-the pipeline.  Timestamp stamping is the CLI feed reader's contract:
+the pipeline.  Lines decode through
+:func:`repro.syslog.stream.decode_line`, the policy file reads share.
+Timestamp stamping is the CLI feed reader's contract:
 blank lines are skipped (they would not count as arrivals downstream
 either), unparseable lines ride at the last readable timestamp so they
 reach the ingest — and its breakers — in position instead of vanishing.
@@ -56,6 +58,7 @@ from repro.obs import (
     TAIL_TRUNCATIONS,
     get_registry,
 )
+from repro.syslog.stream import decode_line
 from repro.utils.fsio import check_fault
 from repro.utils.timeutils import parse_ts
 
@@ -241,33 +244,36 @@ class SourceTailer:
         with open(path, "rb") as fh:
             fh.seek(self._read_offset)
             chunk = fh.read()
-        if not chunk and not (not live and self._carry):
-            return
-        data = self._carry + chunk
-        # Absolute offset where `data` starts in this file.
-        base = self._read_offset - len(self._carry)
-        pieces = data.split(b"\n")
-        pos = base
-        for piece in pieces[:-1]:
-            pos += len(piece) + 1
-            self._stamp_and_queue(inode, pos, piece)
-        remainder = pieces[-1]
-        if live:
-            self._carry = remainder
-        else:
-            if remainder:
-                # Rotation flushes the carry: the old file's final,
-                # newline-less line is still a real line.
-                self._stamp_and_queue(inode, pos + len(remainder), remainder)
+        if chunk:
+            # Absolute offset where the carry + chunk starts in this file.
+            pos = self._read_offset - len(self._carry)
+            pieces = (self._carry + chunk).split(b"\n")
+            for piece in pieces[:-1]:
+                pos += len(piece) + 1
+                self._stamp_and_queue(inode, pos, piece)
+            self._carry = pieces[-1]
+            self._read_offset += len(chunk)
+        if not live:
+            # Rotation: the old file's final, newline-less line is
+            # still a real line.
+            self.flush()
+
+    def flush(self) -> None:
+        """End of input: queue the carried fragment as a final line.
+
+        A live poll carries it until its newline arrives; rotation and a
+        one-shot reader know no more bytes are coming.
+        """
+        if self._carry:
+            self._stamp_and_queue(
+                self._read_inode, self._read_offset, self._carry
+            )
             self._carry = b""
-        self._read_offset += len(chunk)
 
     def _stamp_and_queue(
         self, inode: int, end_offset: int, raw: bytes
     ) -> None:
-        line = raw.decode("utf-8", errors="replace")
-        if line.endswith("\r"):
-            line = line[:-1]
+        line = decode_line(raw)
         if not line.strip():
             return  # blank lines never become arrivals
         try:
@@ -365,6 +371,11 @@ class TailSet:
         return sum(
             self._tailers[name].poll() for name in self._order
         )
+
+    def flush(self) -> None:
+        """End of input on every source (see :meth:`SourceTailer.flush`)."""
+        for tailer in self._tailers.values():
+            tailer.flush()
 
     def take_new(self) -> dict[str, list[tuple[float, str]]]:
         """Per-source stamped feeds of everything polled but not handed

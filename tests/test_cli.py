@@ -596,3 +596,123 @@ def test_unloadable_kb_is_one_line_and_exit_two(command, kb_bytes, tmp_path):
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith(f"{command}: knowledge base {kb} ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def kb_path(workdir):
+    if not (workdir / "kb.json").exists():
+        assert main(
+            [
+                "learn",
+                "--log", str(workdir / "syslog.log"),
+                "--configs", str(workdir / "configs"),
+                "--kb", str(workdir / "kb.json"),
+                "--no-fit",
+            ]
+        ) == 0
+    return workdir / "kb.json"
+
+
+@pytest.fixture(scope="module")
+def messy_logs(workdir, tmp_path_factory):
+    """65 generated lines spread over every day of the log, three ways:
+    one ``\\xff`` byte in a parseable line's free text, reversed, and a
+    path that is not there."""
+    path = tmp_path_factory.mktemp("messy")
+    lines = (workdir / "syslog.log").read_bytes().splitlines()
+    lines = lines[:: len(lines) // 65][:65]
+    bad = list(lines)
+    bad[10] += b" \xff"
+    (path / "bad_byte.log").write_bytes(b"\n".join(bad) + b"\n")
+    (path / "unsorted.log").write_bytes(b"\n".join(lines[::-1]) + b"\n")
+    (path / "sorted.log").write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+MATRIX = {
+    "digest": ["digest"],
+    "digest --quarantine": ["digest", "--quarantine", "{tmp}/q.jsonl"],
+    "stats": ["stats"],
+    "stats --quarantine": ["stats", "--quarantine", "{tmp}/q.jsonl"],
+    "report": ["report"],
+    "trends": ["trends"],
+    "rhythms": ["rhythms"],
+    "learn": ["learn", "--configs", "{configs}", "--no-fit"],
+}
+
+
+@pytest.mark.parametrize("log", ["bad_byte", "unsorted", "missing"])
+@pytest.mark.parametrize("case", MATRIX)
+def test_messy_log_matrix(
+    case, log, kb_path, messy_logs, workdir, tmp_path, capsys
+):
+    """Every log reader survives a bad byte and disorder (exit 0), and a
+    missing file is one stderr line and exit 2, never a traceback."""
+    command, *extra = MATRIX[case]
+    extra = [
+        arg.format(tmp=tmp_path, configs=workdir / "configs") for arg in extra
+    ]
+    kb = tmp_path / "learned.json" if command == "learn" else kb_path
+    argv = [command, "--log", str(messy_logs / f"{log}.log"), "--kb", str(kb)]
+    rc = main(argv + extra)
+    err = capsys.readouterr().err
+    if log == "missing":
+        assert rc == 2
+        assert err.startswith(f"{command}: ") and err.count("\n") == 1
+        return
+    assert rc == 0
+    if case == "stats --quarantine":
+        assert "# 65 messages ->" in err
+
+
+@pytest.mark.parametrize("command", ["report", "trends", "rhythms"])
+def test_line_order_moves_no_output(command, kb_path, messy_logs, capsys):
+    """Day origins and series come from time order, not file order."""
+    outputs = []
+    for log in ("sorted", "unsorted"):
+        path = messy_logs / f"{log}.log"
+        assert main([command, "--log", str(path), "--kb", str(kb_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_bad_byte_digests_like_the_tail(kb_path, messy_logs, capsys):
+    """A file read and the tail decode one bad byte alike, so both
+    digest paths print the same event rows."""
+    log = str(messy_logs / "bad_byte.log")
+    outputs = []
+    for how in ("--log", "--source"):
+        assert main(["digest", how, log, "--kb", str(kb_path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.startswith("# 65 ")
+        outputs.append(rows)
+    assert outputs[0] == outputs[1]
+
+
+def test_newline_less_last_line_is_an_arrival(
+    kb_path, messy_logs, tmp_path, capsys
+):
+    log = tmp_path / "no_newline.log"
+    log.write_bytes((messy_logs / "unsorted.log").read_bytes().rstrip(b"\n"))
+    for how in ("--log", "--source"):
+        assert main(["digest", how, str(log), "--kb", str(kb_path)]) == 0
+        assert capsys.readouterr().out.startswith("# 65 ")
+
+
+def test_requeue_counts_an_undecodable_record_as_failed(
+    kb_path, workdir, tmp_path, capsys
+):
+    import json
+
+    good = (workdir / "syslog.log").read_text().splitlines()[0]
+    dumped = tmp_path / "quarantine.jsonl"
+    dumped.write_bytes(
+        json.dumps({"line": good}).encode() + b"\n{\xff\xfe}\n"
+    )
+    rc = main(
+        ["requeue", "--quarantine", str(dumped), "--kb", str(kb_path)]
+    )
+    assert rc == 2
+    assert "requeued 1 of 2 quarantined inputs (1 failed again)" in (
+        capsys.readouterr().out
+    )

@@ -16,6 +16,9 @@ and docs that only cite evidence that exists.
 * Knob ratchet: the field sets of the config dataclasses and the option
   set of every CLI subcommand are pinned, so a knob is added or removed
   only on purpose, and retired knobs stay gone from ``src/``.
+* One way to read a log: ``syslog/`` decodes bytes in exactly one place,
+  ``cli.py`` opens no file itself, and the retired readers and feed merge
+  stay gone from code and docs.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ SRC = ROOT / "src"
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAPPING.md")
 
 RETIRED = re.compile(r"reference_mode|reference_enabled|match_reference")
+RETIRED_READERS = re.compile(
+    r"read_source|resilient_read_log|SourceFailed|merge_streams|split_by_day"
+)
 RETIRED_TENANT_PATHS = re.compile(
     r"\bInlineHandle\b|\b_pump\b|_supervise_process"
 )
@@ -433,3 +439,26 @@ def test_retired_knobs_stay_gone():
         if RETIRED_KNOBS.search(line)
     ]
     assert not hits, "\n".join(hits)
+
+
+def test_one_way_to_read_a_log():
+    retired = [
+        f"{file.relative_to(ROOT)}:{n}: {line.strip()}"
+        for file, text in _text_files("src", "benchmarks", "examples", *DOCS)
+        for n, line in enumerate(text.splitlines(), 1)
+        if RETIRED_READERS.search(line)
+    ]
+    assert not retired, "\n".join(retired)
+    decodes = [
+        f"{file.relative_to(ROOT)}:{n}"
+        for file, text in _text_files("src/repro/syslog")
+        for n, line in enumerate(text.splitlines(), 1)
+        if ".decode(" in line
+    ]
+    assert len(decodes) == 1, decodes
+    opens = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(_tree(SRC / "repro/cli.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "open"
+    ]
+    assert not opens, f"logs are read through repro.syslog.stream: {opens}"

@@ -33,7 +33,7 @@ from repro.syslog.ingest import (
 from repro.syslog.message import SyslogMessage
 from repro.syslog.parse import format_line
 from repro.syslog.resilient import Quarantine
-from repro.syslog.stream import merge_streams, sort_messages
+from repro.syslog.stream import sort_messages
 from repro.utils.timeutils import parse_ts
 
 pytestmark = pytest.mark.ingest
@@ -423,31 +423,6 @@ class TestHealthAndConfig:
             events.extend(twin.push(source, message))
         events.extend(twin.close())
         assert _rendered(events) == _rendered(full)
-
-
-class TestMergeTolerance:
-    def test_zero_tolerance_still_raises_with_index(self):
-        disordered = [_msg(10.0), _msg(0.0)]
-        with pytest.raises(ValueError, match="stream 1"):
-            list(merge_streams([[_msg(0.0)], disordered]))
-
-    def test_tolerance_locally_reorders_within_skew(self):
-        jittered = [_msg(2.0), _msg(0.0), _msg(1.0), _msg(5.0)]
-        out = list(merge_streams([jittered], tolerance=3.0))
-        assert [m.timestamp - T0 for m in out] == [0.0, 1.0, 2.0, 5.0]
-
-    def test_tolerance_merges_sorted_across_streams(self):
-        a = [_msg(1.0, router="ra"), _msg(0.0, router="ra"), _msg(9.0, router="ra")]
-        b = [_msg(2.0, router="rb"), _msg(4.0, router="rb")]
-        out = list(merge_streams([a, b], tolerance=2.0))
-        keys = [(m.timestamp, m.router, m.error_code) for m in out]
-        assert keys == sorted(keys)
-        assert len(out) == 5
-
-    def test_beyond_tolerance_raises_naming_stream(self):
-        bad = [_msg(100.0), _msg(0.0)]
-        with pytest.raises(ValueError, match="stream 1.*beyond"):
-            list(merge_streams([[_msg(0.0)], bad], tolerance=5.0))
 
 
 class TestInterleave:

@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.stream import DigestStream
 from repro.obs import (
-    INGEST_FAILURES,
-    INGEST_RETRIES,
     QUARANTINED,
     MetricsRegistry,
     scoped_registry,
@@ -19,13 +17,10 @@ from repro.syslog.resilient import (
     Quarantine,
     QuarantineRecord,
     RetryPolicy,
-    SourceFailed,
     push_safe,
     quarantine_files,
-    read_source,
     requeue_records,
     resilient_parse,
-    resilient_read_log,
     rotated_quarantine_paths,
 )
 
@@ -96,79 +91,11 @@ class TestRetryPolicy:
         # No jitter: the schedule never varies between calls.
         assert list(policy.delays()) == list(policy.delays())
 
-    def test_timeout_caps_total_sleep(self):
-        policy = RetryPolicy(max_retries=5, base_delay=1.0, timeout=4.5)
-        delays = list(policy.delays())
-        assert delays == [1.0, 2.0, 1.5]
-        assert sum(delays) == pytest.approx(4.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=-1.0)
-
-
-class TestReadSource:
-    def _flaky_opener(self, failures):
-        calls = {"n": 0}
-
-        def opener():
-            calls["n"] += 1
-            if calls["n"] <= failures:
-                raise OSError(f"flap {calls['n']}")
-            return [parse_line(GOOD)]
-
-        return opener, calls
-
-    def test_recovers_after_transient_failures(self):
-        opener, calls = self._flaky_opener(failures=2)
-        slept: list[float] = []
-        registry = MetricsRegistry()
-        with scoped_registry(registry):
-            messages = read_source(
-                opener,
-                RetryPolicy(max_retries=3, base_delay=0.5),
-                source="feed-a",
-                sleep=slept.append,
-            )
-        assert len(messages) == 1
-        assert calls["n"] == 3
-        assert slept == [0.5, 1.0]  # deterministic, jitter-free
-        assert (
-            registry.counter_value(INGEST_RETRIES, source="feed-a") == 2.0
-        )
-        assert registry.counter_value(INGEST_FAILURES, source="feed-a") == 0.0
-
-    def test_exhausted_budget_yields_nothing(self):
-        opener, calls = self._flaky_opener(failures=99)
-        slept: list[float] = []
-        registry = MetricsRegistry()
-        with scoped_registry(registry):
-            messages = read_source(
-                opener,
-                RetryPolicy(max_retries=2, base_delay=1.0),
-                source="feed-b",
-                sleep=slept.append,
-            )
-        assert messages == []
-        assert calls["n"] == 3  # initial attempt + 2 retries
-        assert (
-            registry.counter_value(INGEST_FAILURES, source="feed-b") == 1.0
-        )
-
-    def test_fail_fast_raises_source_failed(self):
-        opener, _calls = self._flaky_opener(failures=99)
-        with pytest.raises(SourceFailed, match="feed-c"):
-            read_source(
-                opener,
-                RetryPolicy(max_retries=1, base_delay=0.0),
-                source="feed-c",
-                fail_fast=True,
-                sleep=lambda _d: None,
-            )
 
 
 class TestResilientParse:
@@ -183,16 +110,6 @@ class TestResilientParse:
         (record,) = quarantine.records()
         assert record.line_no == 2
         assert record.source == "feed"
-
-    def test_resilient_read_log(self, tmp_path):
-        path = tmp_path / "mixed.log"
-        path.write_text(f"{GOOD}\n{BAD}\n{GOOD}\n", encoding="utf-8")
-        quarantine = Quarantine()
-        messages = resilient_read_log(
-            path, quarantine, sleep=lambda _d: None
-        )
-        assert len(messages) == 2
-        assert quarantine.total == 1
 
 
 class TestPushSafe:

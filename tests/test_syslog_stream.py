@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from repro.syslog.message import SyslogMessage
+from repro.syslog.resilient import Quarantine
 from repro.syslog.stream import (
-    merge_streams,
+    decode_line,
+    log_lines,
     read_log,
     sort_messages,
-    split_by_day,
     write_log,
 )
-from repro.utils.timeutils import DAY
+
+LINE = "1970-01-01 00:00:01 r1 LINK-3-UPDOWN: ok"
 
 
 def _msg(ts: float, router: str = "r1") -> SyslogMessage:
@@ -27,42 +29,6 @@ class TestSortMerge:
     def test_sort_is_deterministic_for_ties(self):
         a, b = _msg(1.0, "rb"), _msg(1.0, "ra")
         assert sort_messages([a, b]) == sort_messages([b, a])
-
-    def test_merge_two_sorted_streams(self):
-        s1 = [_msg(1.0, "r1"), _msg(4.0, "r1")]
-        s2 = [_msg(2.0, "r2"), _msg(3.0, "r2")]
-        merged = list(merge_streams([s1, s2]))
-        assert [m.timestamp for m in merged] == [1.0, 2.0, 3.0, 4.0]
-
-    def test_merge_empty_streams(self):
-        assert list(merge_streams([[], []])) == []
-
-    def test_merge_detects_unsorted_stream(self):
-        import pytest
-
-        good = [_msg(1.0), _msg(2.0)]
-        bad = [_msg(5.0, "r2"), _msg(3.0, "r2")]
-        with pytest.raises(ValueError, match="stream 1"):
-            list(merge_streams([good, bad]))
-
-    def test_merge_allows_ties_within_a_stream(self):
-        tied = [_msg(1.0), _msg(1.0)]
-        assert len(list(merge_streams([tied, [_msg(0.5, "r2")]]))) == 3
-
-
-class TestSplitByDay:
-    def test_buckets_align_to_midnight_of_first_day(self):
-        msgs = [_msg(10.0), _msg(DAY + 10.0), _msg(DAY + 20.0)]
-        buckets = split_by_day(msgs)
-        assert sorted(buckets) == [0, 1]
-        assert len(buckets[1]) == 2
-
-    def test_explicit_origin(self):
-        buckets = split_by_day([_msg(10.0)], origin=-DAY)
-        assert sorted(buckets) == [1]
-
-    def test_empty(self):
-        assert split_by_day([]) == {}
 
 
 class TestFileIo:
@@ -83,26 +49,38 @@ class TestFileIo:
         )
         assert len(list(read_log(path))) == 1
 
-    def test_read_strict_raises(self, tmp_path):
-        import pytest
-
-        from repro.syslog.parse import SyslogParseError
-
+    def test_read_quarantines_garbage_naming_line_and_file(self, tmp_path):
         path = tmp_path / "log.txt"
-        path.write_text("garbage line\n")
-        with pytest.raises(SyslogParseError):
-            list(read_log(path, strict=True))
+        path.write_text(f"{LINE}\n\ngarbage\n")
+        quarantine = Quarantine()
+        assert len(read_log(path, quarantine)) == 1
+        (record,) = quarantine.records()
+        assert record.line == "garbage"
+        assert record.line_no == 3  # blank lines still count
+        assert record.source == str(path)
 
-    def test_read_strict_error_names_line_and_file(self, tmp_path):
-        import pytest
-
-        from repro.syslog.parse import SyslogParseError
-
+    def test_read_returns_time_sorted_messages(self, tmp_path):
+        msgs = [_msg(5.0), _msg(1.0, "r2"), _msg(3.0)]
         path = tmp_path / "log.txt"
-        path.write_text(
-            "1970-01-01 00:00:01 r1 LINK-3-UPDOWN: ok\ngarbage\n"
-        )
-        with pytest.raises(SyslogParseError, match="line 2") as excinfo:
-            list(read_log(path, strict=True))
-        assert excinfo.value.line_no == 2
-        assert excinfo.value.source == str(path)
+        write_log(path, msgs)
+        assert read_log(path) == sort_messages(msgs)
+
+
+class TestDecode:
+    def test_bad_byte_is_replaced_not_raised(self):
+        assert decode_line(b"a\xffb") == "a\ufffdb"
+
+    def test_one_trailing_carriage_return_is_stripped(self):
+        assert decode_line(b"x\r") == "x"
+        assert decode_line(b"x\r\r") == "x\r"
+
+    def test_log_lines_keeps_blanks_and_a_newline_less_tail(self, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_bytes(b"a\r\n\nb\xff\nlast")
+        assert list(log_lines(path)) == ["a", "", "b\ufffd", "last"]
+
+    def test_bad_byte_in_free_text_keeps_the_message(self, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_bytes(LINE.encode() + b" \xff\n")
+        (message,) = read_log(path)
+        assert message.detail == "ok \ufffd"

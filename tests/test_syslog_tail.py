@@ -5,7 +5,8 @@ by one — append follow, partial-line carry, rotation (single and
 chained) with the old file's remainder drained, in-place truncation
 restart, committed-cursor snapshot/restore mid-stream, read-fault
 degradation — plus the :class:`TailSet` bundle the serve tenant
-actually wires in.  The end-to-end fingerprint identity these pieces
+actually wires in, and one property over generated bytes: a one-shot
+tail hands out exactly the non-blank lines the file reader decodes.  The end-to-end fingerprint identity these pieces
 add up to is gated separately by ``tests/test_chaos_smoke.py``.
 """
 
@@ -13,9 +14,13 @@ from __future__ import annotations
 
 import errno
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.syslog.stream import log_lines
 from repro.syslog.tail import (
     TAIL_SNAPSHOT_VERSION,
     SourceTailer,
@@ -303,3 +308,31 @@ class TestTailSet:
         assert row["tail_offset"] > 0
         assert row["lag_bytes"] == a.stat().st_size - row["tail_offset"]
         assert row["rotations"] == 0
+
+
+_FRAGMENTS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [_line(1).encode(), b"\n", b"\r\n", b"\xff", b"\r", b"  ", b"\n\n"]
+        ),
+        st.binary(max_size=6),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fragments=_FRAGMENTS)
+def test_file_reader_and_tail_decode_alike(fragments):
+    """One decode policy: the non-blank lines of a file read equal what a
+    one-shot tail (one poll, then the end-of-input flush) hands out —
+    bad bytes, CRLF, blank lines and a newline-less last line included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "feed.log")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(fragments))
+        tails = TailSet([path])
+        tails.poll()
+        tails.flush()
+        tailed = [line for _ts, line in tails.take_new()[path]]
+        assert tailed == [line for line in log_lines(path) if line.strip()]
