@@ -31,6 +31,7 @@ from repro.netsim.faults import (
 from repro.obs import FAULTS_INJECTED, NullRegistry, get_registry, scoped_registry
 from repro.syslog.parse import SyslogParseError, parse_line
 from repro.syslog.resilient import Quarantine, push_safe
+from repro.utils import inject
 
 PROFILES: tuple[FaultProfile, ...] = (
     FaultProfile(),  # clean — must be a strict no-op
@@ -55,9 +56,8 @@ PROFILES: tuple[FaultProfile, ...] = (
 def _stream_digest(system, pairs, profile):
     """Run the faulted trace through the resilient streaming path."""
     config = system.config.with_workers(4)
-    stream = DigestStream(
-        system.kb, config, fault_hook=profile.stream_fault_hook()
-    )
+    with inject.arm(profile.points()):  # the stream captures them here
+        stream = DigestStream(system.kb, config)
     quarantine = Quarantine()
     stream.attach_quarantine(quarantine)
     events = []

@@ -59,6 +59,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.checkpoint import CheckpointFormatError
 from repro.core.config import DigestConfig
 from repro.core.knowledge import KnowledgeBase, KnowledgeFormatError
 from repro.core.pipeline import SyslogDigest
@@ -1068,6 +1069,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (
+        CheckpointFormatError,
         KnowledgeFormatError,
         FileNotFoundError,
         IsADirectoryError,

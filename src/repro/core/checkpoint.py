@@ -125,24 +125,41 @@ def write_checkpoint(
     )
 
 
+class CheckpointFormatError(ValueError):
+    """A file that is not a checkpoint this build can read."""
+
+
 def read_checkpoint(path: str | Path) -> dict:
-    """Load and validate a checkpoint file; returns the snapshot dict."""
+    """Load and validate a checkpoint file; returns the snapshot dict.
+
+    Raises :class:`CheckpointFormatError` naming ``path`` for anything
+    that does not unpickle into a checkpoint of the supported format
+    and snapshot version; only the open itself raises ``OSError``.
+    """
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except Exception as exc:
+            raise CheckpointFormatError(
+                f"{path} is not a syslogdigest checkpoint ({exc})"
+            ) from exc
     if (
         not isinstance(payload, dict)
         or payload.get("magic") != _MAGIC
+        or not isinstance(payload.get("snapshot"), dict)
     ):
-        raise ValueError(f"{path} is not a syslogdigest checkpoint")
+        raise CheckpointFormatError(
+            f"{path} is not a syslogdigest checkpoint"
+        )
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"checkpoint format {payload.get('format')!r} != "
+        raise CheckpointFormatError(
+            f"{path}: checkpoint format {payload.get('format')!r} != "
             f"supported {CHECKPOINT_FORMAT}"
         )
     snapshot = payload["snapshot"]
     if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"snapshot version {snapshot.get('version')!r} != "
+        raise CheckpointFormatError(
+            f"{path}: snapshot version {snapshot.get('version')!r} != "
             f"supported {SNAPSHOT_VERSION}"
         )
     return snapshot

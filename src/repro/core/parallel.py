@@ -55,6 +55,7 @@ from repro.obs import (
     get_registry,
     stage_timer,
 )
+from repro.utils import inject
 from repro.utils.unionfind import DenseUnionFind
 
 
@@ -127,18 +128,20 @@ def shard_edge_task(
 
 
 def timed_shard_edge_task(
-    payload, shard_id: int = 0, attempt: int = 0
+    payload, shard_id: int = 0, attempt: int = 0, fault=None
 ) -> tuple[list[Edge], set[tuple[str, str]], float]:
     """The production shard task: :func:`shard_edge_task` plus its wall
     time, measured in the worker.
 
     The duration rides back with the result so per-shard timings survive
     the process boundary (a child's registry writes would be lost).
-    ``shard_id``/``attempt`` exist for fault-injecting wrappers (see
-    :class:`repro.netsim.faults.FlakyShardTask`) — the real computation
+    ``fault`` is the armed ``shard.task`` hook, shipped with the task and
+    called with ``(shard_id, attempt)`` before the work; the computation
     ignores both, so retries are trivially deterministic: shard tasks
     are pure functions of their payload.
     """
+    if fault is not None:
+        fault(shard_id, attempt)
     t0 = perf_counter()
     edges, active = shard_edge_task(payload)
     return edges, active, perf_counter() - t0
@@ -152,19 +155,13 @@ class ParallelGroupingEngine:
     engine produces on the same stream.
     """
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        config: DigestConfig,
-        task=None,
-    ) -> None:
+    def __init__(self, kb: KnowledgeBase, config: DigestConfig) -> None:
         self._kb = kb
         self._config = config
         self._partners = build_rule_partners(kb.rule_pairs())
-        # The shard task must be a picklable top-level callable of
-        # (payload, shard_id, attempt); overriding it is the seam the
-        # fault-injection harness uses to make workers raise on demand.
-        self._task = task if task is not None else timed_shard_edge_task
+        # The armed shard.task hook rides to the pool with every task,
+        # so it must be picklable.
+        self._fault = inject.hook(inject.SHARD_TASK)
 
     def group(self, stream: list[SyslogPlus]) -> GroupingOutcome:
         """Group the whole stream; input must be time-sorted."""
@@ -254,9 +251,10 @@ class ParallelGroupingEngine:
                 for i in pending:
                     results[i] = timed_shard_edge_task(payloads[i])
                 return {}
+            task, fault = timed_shard_edge_task, self._fault
             try:
                 futures = {
-                    i: pool.submit(self._task, payloads[i], i, attempt)
+                    i: pool.submit(task, payloads[i], i, attempt, fault)
                     for i in pending
                 }
             except POOL_ERRORS as exc:

@@ -36,6 +36,7 @@ from repro.obs import (
     STREAM_WORKER_RTT_SECONDS,
     get_registry,
 )
+from repro.utils import inject
 
 #: What a missing or unusable process facility raises (sandboxed
 #: platform, unpicklable payload): both engines degrade on these —
@@ -84,13 +85,13 @@ class ShardState:
     edges over global message indices instead of mutating the shared
     union-find, which keeps them side-effect free outside the shard.
 
-    The fault-injection seams live beside the loop that fires them
-    (:meth:`apply`): ``fault_hook(shard_id, attempt)`` is called at the
-    *start* of each attempt, before any state is touched;
-    ``step_hook(shard_id, attempt, position)`` before *each* message's
-    step, so an injected mid-list failure lands at a chosen message
-    with the prefix cleanly applied.  Attempt 0 is the first run, 1 the
-    retry; the final hook-free resume bypasses both.
+    The ``shard.attempt`` and ``shard.step`` injection points
+    (:mod:`repro.utils.inject`) are captured at construction and fired
+    by :meth:`apply`: the first at the *start* of each attempt, before
+    any state is touched; the second before *each* message's step, so
+    an injected mid-list failure lands at a chosen message with the
+    prefix cleanly applied.  Attempt 0 is the first run, 1 the retry;
+    the final hook-free resume bypasses both.
     """
 
     def __init__(
@@ -99,15 +100,13 @@ class ShardState:
         kb: KnowledgeBase,
         config: DigestConfig,
         partners: dict[str, tuple[str, ...]],
-        fault_hook: Callable[[int, int], None] | None = None,
-        step_hook: Callable[[int, int, int], None] | None = None,
     ) -> None:
         self._shard_id = shard_id
         self._kb = kb
         self._config = config
         self._partners = partners
-        self._fault_hook = fault_hook
-        self._step_hook = step_hook
+        self._on_attempt = inject.hook(inject.SHARD_ATTEMPT)
+        self._on_step = inject.hook(inject.SHARD_STEP)
         self._splitters: dict[tuple, TemporalSplitter] = {}
         # Splitter instance serials namespace temporal group identities,
         # so an evicted-and-recreated splitter can never union with the
@@ -142,17 +141,17 @@ class ShardState:
         not the exception, so the result crosses a pipe unchanged
         whatever was raised.
         """
-        fault_hook = self._fault_hook if use_hooks else None
-        step_hook = self._step_hook if use_hooks else None
+        on_attempt = self._on_attempt if use_hooks else None
+        on_step = self._on_step if use_hooks else None
         step = self.step
         edges: list[Edge] = []
         cursor = base
         try:
-            if fault_hook is not None:
-                fault_hook(self._shard_id, attempt)
+            if on_attempt is not None:
+                on_attempt(self._shard_id, attempt)
             for item, now in items:
-                if step_hook is not None:
-                    step_hook(self._shard_id, attempt, cursor)
+                if on_step is not None:
+                    on_step(self._shard_id, attempt, cursor)
                 stepped = step(item, now)
                 if stepped:
                     edges.extend(stepped)
@@ -412,11 +411,12 @@ def _shard_worker_main(conn, shard_id: int) -> None:
 
     The worker owns its :class:`ShardState` for the whole stream
     lifetime.  A request is ``(method, args)``: ``init`` builds the
-    state, ``stop`` ends the loop, and any of :data:`WORKER_METHODS` is
-    called on the state; the reply is ``("ok", result)``, or ``("err",
-    repr)`` when the request itself failed (step faults are not
-    failures of the request — :meth:`ShardState.apply` reports them in
-    its result).  Top-level so the spawn start method can import it.
+    state under the parent's armed shard points, ``stop`` ends the
+    loop, and any of :data:`WORKER_METHODS` is called on the state; the
+    reply is ``("ok", result)``, or ``("err", repr)`` when the request
+    itself failed (step faults are not failures of the request —
+    :meth:`ShardState.apply` reports them in its result).  Top-level so
+    the spawn start method can import it.
     """
     state: ShardState | None = None
     ppid = os.getppid()
@@ -438,7 +438,9 @@ def _shard_worker_main(conn, shard_id: int) -> None:
             if method in WORKER_METHODS:
                 result = getattr(state, method)(*args)
             elif method == "init":
-                state = ShardState(shard_id, *args)
+                *state_args, points = args
+                with inject.arm(points):
+                    state = ShardState(shard_id, *state_args)
             elif method != "stop":
                 raise ValueError(f"unknown request {method!r}")
             conn.send(("ok", result))
@@ -575,14 +577,14 @@ class ShardExecutor:
     :class:`ShardState`; everything above that is written once.
     ``lane`` reports the transport actually running: the process lane
     degrades to ``threads`` where worker processes cannot be spawned (or
-    the knowledge/hooks cannot be pickled), and to ``serial`` with a
-    single shard — the grouping is identical either way.
+    the knowledge/armed hooks cannot be pickled), and to ``serial`` with
+    a single shard — the grouping is identical either way.
 
-    On the process lane the knowledge base and the (picklable) fault
-    hooks cross the process boundary exactly once, at construction —
-    and again only when an epoch-boundary hot swap broadcasts ``adopt``
-    — so steady-state batches ship nothing but slim step items out and
-    plain edge lists back.
+    On the process lane the knowledge base and the armed shard
+    injection points cross the process boundary exactly once, at
+    construction — and again only when an epoch-boundary hot swap
+    broadcasts ``adopt`` — so steady-state batches ship nothing but slim
+    step items out and plain edge lists back.
     """
 
     def __init__(
@@ -592,10 +594,8 @@ class ShardExecutor:
         kb: KnowledgeBase,
         config: DigestConfig,
         partners: dict[str, tuple[str, ...]],
-        fault_hook: Callable[[int, int], None] | None = None,
-        step_hook: Callable[[int, int, int], None] | None = None,
     ) -> None:
-        init = (kb, config, partners, fault_hook, step_hook)
+        init = (kb, config, partners)
         self._n_shards = n_shards
         self._pool: StreamWorkerPool | None = None
         self._states: list[ShardState] = []
@@ -604,7 +604,13 @@ class ShardExecutor:
         if lane == "processes":
             try:
                 pool = StreamWorkerPool(n_shards)
-                pool.call_all(dict.fromkeys(range(n_shards), ("init", init)))
+                points = {
+                    point: inject.hook(point)
+                    for point in (inject.SHARD_ATTEMPT, inject.SHARD_STEP)
+                }
+                pool.call_all(
+                    dict.fromkeys(range(n_shards), ("init", (*init, points)))
+                )
                 self._pool = pool
             except POOL_ERRORS:
                 lane = "threads"

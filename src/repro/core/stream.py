@@ -172,9 +172,7 @@ class DigestStream:
         kb: KnowledgeBase,
         config: DigestConfig | None = None,
         sweep_interval: float = 300.0,
-        fault_hook: Callable[[int, int], None] | None = None,
         kb_version: int | str | None = None,
-        step_fault_hook: Callable[[int, int, int], None] | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         self._kb = kb
@@ -213,18 +211,14 @@ class DigestStream:
         self._pending_kb_version: int | str | None = None
 
         self._n_shards = resolve_workers(self._config.n_workers)
-        # fault_hook / step_fault_hook are ShardState's fault-injection
-        # seams.  The process lane ships them to its workers at spawn,
-        # so they must be picklable there (see
-        # repro.netsim.faults.StreamWorkerFault / MidStepFault).
+        # The shard states capture the armed shard.* injection points
+        # here (the process lane ships them to its workers at spawn).
         self._exec = ShardExecutor(
             self._config.stream_workers,
             self._n_shards,
             kb,
             self._config,
             self._partners,
-            fault_hook,
-            step_fault_hook,
         )
         # router -> shard index, so the per-message hot path hashes the
         # router name once instead of crc32-ing it on every push.  Router

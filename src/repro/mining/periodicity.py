@@ -83,6 +83,7 @@ def analyze_rhythm(
 def rhythm_report(
     series: dict[tuple, Sequence[float]], top: int = 20
 ) -> list[tuple[tuple, RhythmProfile]]:
-    """Profiles of the largest series, biggest first."""
-    ordered = sorted(series.items(), key=lambda kv: -len(kv[1]))[:top]
-    return [(key, analyze_rhythm(list(ts))) for key, ts in ordered]
+    """Profiles of the largest series, biggest first; equal sizes in key
+    order, so the report never depends on the series' insertion order."""
+    ranked = sorted(series.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    return [(key, analyze_rhythm(list(ts))) for key, ts in ranked[:top]]

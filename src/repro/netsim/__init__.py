@@ -22,11 +22,8 @@ from repro.netsim.faults import (
     DiskFull,
     DiskIOError,
     DuplicateBurst,
-    DurableWriteFault,
     FaultProfile,
     FeedStall,
-    FlakyShardTask,
-    InjectedWorkerFault,
     LateLines,
     ReorderLines,
     RotateLog,
@@ -34,7 +31,6 @@ from repro.netsim.faults import (
     TruncateLines,
     TruncateLog,
     WorkerFaults,
-    durable_fault_from_dict,
     labeled_pairs,
 )
 from repro.netsim.generator import WorkloadEngine, WorkloadMix
@@ -56,11 +52,8 @@ __all__ = [
     "DiskFull",
     "DiskIOError",
     "DuplicateBurst",
-    "DurableWriteFault",
     "FaultProfile",
     "FeedStall",
-    "FlakyShardTask",
-    "InjectedWorkerFault",
     "Interface",
     "LateLines",
     "Link",
@@ -82,7 +75,6 @@ __all__ = [
     "dataset_b",
     "derive_tickets",
     "drift_messages",
-    "durable_fault_from_dict",
     "generate_dataset",
     "labeled_canary",
     "labeled_pairs",

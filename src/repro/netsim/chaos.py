@@ -11,8 +11,8 @@ Determinism comes from three design facts, not from sleeping:
 
 * faults are scripted, not random — :class:`~repro.netsim.faults.RotateLog`
   / :class:`TruncateLog` fire when the harness says, and disk faults
-  (:func:`~repro.netsim.faults.durable_fault_from_dict`) count
-  attempts, not wall time;
+  (a config's ``faults`` block, :func:`repro.utils.inject.from_dict`)
+  count attempts, not wall time;
 * the harness *observes* the daemon through its HTTP surface (per-source
   ``pushed`` counts, tail rotation/truncation counters) and gates each
   scripted step on observed state, so races are waited out, never

@@ -14,9 +14,11 @@ so benchmarks can score recall after the damage.  Line faults keep the
 label attached: a truncated line that still parses keeps its ground
 truth, a corrupted one simply never produces a digestible message.
 
-The worker-fault profile injects on the *compute* path instead: it
-builds the picklable shard task / stream hook the engines accept, so
-``bench_faults.py`` can prove the retry-then-serial-fallback recovery
+Profiles that fault the *compute* or *disk* path leave the trace alone
+and hand over the hooks they arm from :meth:`FaultProfile.points`:
+``{point: hook}`` for :func:`repro.utils.inject.arm`, the one seam the
+product consults (DESIGN.md §14).  ``bench_faults.py`` arms them, then
+builds the stream, to prove the retry-then-serial-fallback recovery
 (:meth:`repro.core.parallel.ParallelGroupingEngine._run_shards`,
 :meth:`repro.core.stream.DigestStream.push_many`) under real pools.
 """
@@ -26,131 +28,54 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.obs import FAULTS_INJECTED, get_registry
+from repro.utils.inject import (
+    DURABLE,
+    SHARD_ATTEMPT,
+    SHARD_STEP,
+    SHARD_TASK,
+    DurableWriteFault,
+    InjectedWorkerFault,
+    count,
+)
 from repro.utils.timeutils import parse_ts
 
 #: One unit of trace: the raw collector line plus an opaque label.
 LinePair = tuple[str, object]
 
 
-def _count(kind: str, n: int) -> None:
-    if n:
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc(FAULTS_INJECTED, n, kind=kind)
+class ShardFault:
+    """Shard hook: chosen shards fail on their first ``fail_attempts``
+    attempts, before stepping message ``after`` of a batch.
 
-
-class InjectedWorkerFault(RuntimeError):
-    """The deliberate exception raised by :class:`FlakyShardTask`."""
-
-
-class FlakyShardTask:
-    """A shard task that raises for chosen shards, then recovers.
-
-    Instances are picklable (top-level class, plain attributes), so they
-    cross the process-pool boundary.  ``fail_attempts`` bounds how many
-    attempts per shard raise: 1 exercises the in-pool retry, 2 pushes
-    through to the serial fallback, and because the fallback bypasses
-    injected tasks entirely, any larger value still completes.
-    """
-
-    def __init__(
-        self, fail_shards: tuple[int, ...], fail_attempts: int = 1
-    ) -> None:
-        self.fail_shards = tuple(fail_shards)
-        self.fail_attempts = fail_attempts
-
-    def __call__(self, payload, shard_id: int = 0, attempt: int = 0):
-        # Imported lazily: netsim loads during package init, before
-        # repro.core finishes importing (templates → netsim.catalog).
-        from repro.core.parallel import timed_shard_edge_task
-
-        if shard_id in self.fail_shards and attempt < self.fail_attempts:
-            raise InjectedWorkerFault(
-                f"injected fault: shard {shard_id}, attempt {attempt}"
-            )
-        return timed_shard_edge_task(payload)
-
-
-class StreamWorkerFault:
-    """Streaming fault hook: chosen shards fail cleanly at task start.
-
-    The ``DigestStream(fault_hook=...)`` seam — raises before any shard
-    state is touched, for the first ``fail_attempts`` attempts of every
-    batch.  Picklable (top-level class, plain attributes) so the process
-    lane can ship it to its workers at spawn.
-    """
-
-    def __init__(
-        self, fail_shards: tuple[int, ...], fail_attempts: int = 1
-    ) -> None:
-        self.fail_shards = tuple(fail_shards)
-        self.fail_attempts = fail_attempts
-
-    def __call__(self, shard_id: int, attempt: int) -> None:
-        if shard_id in self.fail_shards and attempt < self.fail_attempts:
-            raise InjectedWorkerFault(
-                f"injected fault: shard {shard_id}, attempt {attempt}"
-            )
-
-
-class DaemonCrash:
-    """Process fault hook: SIGKILL the *whole process* after N arrivals.
-
-    The serve smoke gate's crash lever (`ServeConfig.crash_after`): the
-    daemon calls the hook with its cumulative arrival count; at
-    ``after`` the hook delivers ``SIGKILL`` to the daemon's own pid —
-    no atexit, no finally blocks, no flush, exactly the power-loss
-    shape the checkpoint + event-journal protocol must survive.
-    Picklable (plain attributes) like every other fault hook.
-    """
-
-    def __init__(self, after: int) -> None:
-        if after < 1:
-            raise ValueError("after must be >= 1")
-        self.after = after
-
-    def __call__(self, n_processed: int) -> None:
-        if n_processed >= self.after:
-            import os
-            import signal as _signal
-
-            _count("daemon_crash", 1)
-            os.kill(os.getpid(), _signal.SIGKILL)
-
-
-class MidStepFault:
-    """Streaming step hook: chosen shards fail *mid-list*, after ``after``
-    messages of a batch have been fully applied.
-
-    The ``DigestStream(step_fault_hook=...)`` seam — called before each
-    message's step with that message's position in the shard's batch
-    list, so the raise lands with a cleanly-applied prefix behind it.
-    Exactly the shape of the shard-retry corruption bug: a recovery that
-    replays the prefix diverges (or trips the splitters' non-decreasing
-    invariant); one that resumes at the failed message is byte-identical
-    to a no-fault run.  Picklable for the process lane.
+    Armed at ``shard.task`` / ``shard.attempt`` (called without a
+    position, so ``after=0`` fails cleanly before any shard state is
+    touched) or at ``shard.step`` (called before each message with its
+    batch position, so the raise lands with a cleanly-applied prefix
+    behind it — the shape of the shard-retry corruption bug: a recovery
+    that replays the prefix diverges, one that resumes at the failed
+    message is byte-identical to a no-fault run).  Picklable: it rides
+    to the batch pool with every task and to the process lane at spawn.
     """
 
     def __init__(
         self,
         fail_shards: tuple[int, ...],
-        after: int,
         fail_attempts: int = 1,
+        after: int = 0,
     ) -> None:
         self.fail_shards = tuple(fail_shards)
-        self.after = after
         self.fail_attempts = fail_attempts
+        self.after = after
 
-    def __call__(self, shard_id: int, attempt: int, position: int) -> None:
+    def __call__(self, shard_id: int, attempt: int, position: int = 0):
         if (
             shard_id in self.fail_shards
             and attempt < self.fail_attempts
             and position >= self.after
         ):
             raise InjectedWorkerFault(
-                f"injected mid-step fault: shard {shard_id}, "
-                f"attempt {attempt}, message {position}"
+                f"injected fault: shard {shard_id}, attempt {attempt}, "
+                f"message {position}"
             )
 
 
@@ -164,18 +89,9 @@ class FaultProfile:
         """Return the faulted trace; the base profile changes nothing."""
         return list(pairs)
 
-    def shard_task(self):
-        """Picklable shard task for the batch engine (None = default)."""
-        return None
-
-    def stream_fault_hook(self):
-        """Fault hook for ``DigestStream(fault_hook=...)`` (None = none)."""
-        return None
-
-    def stream_step_hook(self):
-        """Step hook for ``DigestStream(step_fault_hook=...)`` (None =
-        none)."""
-        return None
+    def points(self) -> dict:
+        """``{injection point: hook}`` to arm; the base arms nothing."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -195,7 +111,7 @@ class CorruptLines(FaultProfile):
                 n += 1
                 line = "\x15" + line[::-1]  # NAK + reversed: never parses
             out.append((line, label))
-        _count(self.name, n)
+        count(self.name, n)
         return out
 
 
@@ -222,7 +138,7 @@ class TruncateLines(FaultProfile):
                 n += 1
                 line = line[: max(1, int(len(line) * self.keep_fraction))]
             out.append((line, label))
-        _count(self.name, n)
+        count(self.name, n)
         return out
 
 
@@ -272,7 +188,7 @@ class FeedStall(FaultProfile):
                 out.extend(held)
                 held = []
         out.extend(held)  # stall ran to the end of the trace
-        _count(self.name, n)
+        count(self.name, n)
         return out
 
 
@@ -310,7 +226,7 @@ class ReorderLines(FaultProfile):
                 n += 1
             stamped.append((arrival, index, pair))
         stamped.sort(key=lambda item: (item[0], item[1]))
-        _count(self.name, n)
+        count(self.name, n)
         return [pair for _, _, pair in stamped]
 
 
@@ -345,7 +261,7 @@ class LateLines(FaultProfile):
                 n += 1
             stamped.append((arrival, index, pair))
         stamped.sort(key=lambda item: (item[0], item[1]))
-        _count(self.name, n)
+        count(self.name, n)
         return [pair for _, _, pair in stamped]
 
 
@@ -395,7 +311,7 @@ class SourceFlap(FaultProfile):
                 n += 1  # dropped in the silence window
                 continue
             out.append(pair)
-        _count(self.name, n)
+        count(self.name, n)
         return out
 
 
@@ -417,7 +333,7 @@ class DuplicateBurst(FaultProfile):
             if burst > 1:
                 n += burst - 1
             out.extend([(line, label)] * burst)
-        _count(self.name, n)
+        count(self.name, n)
         return out
 
 
@@ -437,72 +353,21 @@ class WorkerFaults(FaultProfile):
     fail_attempts: int = 1
     after: int | None = None
 
-    def shard_task(self):
-        return FlakyShardTask(self.fail_shards, self.fail_attempts)
-
-    def stream_fault_hook(self):
-        if self.after is not None:
-            return None  # mid-step profile: the step hook carries it
-        return StreamWorkerFault(self.fail_shards, self.fail_attempts)
-
-    def stream_step_hook(self):
+    def points(self) -> dict:
+        start = ShardFault(self.fail_shards, self.fail_attempts)
         if self.after is None:
-            return None
-        return MidStepFault(
-            self.fail_shards, self.after, self.fail_attempts
-        )
-
-
-class DurableWriteFault:
-    """Disk-fault hook for :func:`repro.utils.fsio.install_fault_hook`.
-
-    Deterministic: raises ``OSError(err)`` for durable ops whose path
-    contains ``match``, starting at matching attempt number ``after``
-    (1-based), for ``times`` consecutive matching attempts — after
-    which the "disk" recovers and writes land again.  Counts every
-    injected fault through the metrics registry.  Picklable (top-level
-    class, plain attributes) like every other fault hook.
-    """
-
-    def __init__(
-        self,
-        match: str,
-        err: int,
-        op: str = "write",
-        after: int = 1,
-        times: int = 1,
-    ) -> None:
-        if after < 1:
-            raise ValueError("after must be >= 1 (1-based attempt)")
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        self.match = match
-        self.err = err
-        self.op = op
-        self.after = after
-        self.times = times
-        self._seen = 0
-
-    def __call__(self, op: str, path: str) -> None:
-        if op != self.op or self.match not in path:
-            return
-        self._seen += 1
-        if self.after <= self._seen < self.after + self.times:
-            _count("disk", 1)
-            import os as _os
-
-            raise OSError(
-                self.err, "injected: " + _os.strerror(self.err), path
-            )
+            return {SHARD_TASK: start, SHARD_ATTEMPT: start}
+        mid = ShardFault(self.fail_shards, self.fail_attempts, self.after)
+        return {SHARD_TASK: start, SHARD_STEP: mid}
 
 
 @dataclass(frozen=True)
 class DiskFull(FaultProfile):
     """Injected ENOSPC on durable writes whose path contains ``match``.
 
-    The trace is untouched; the damage lands at the fsio seam
-    (:func:`repro.utils.fsio.check_fault`) where every checkpoint,
-    journal, model-store, and quarantine write funnels through.  The
+    The trace is untouched; the damage lands at the ``durable``
+    injection point every checkpoint, journal, model-store, and
+    quarantine write consults.  The
     fault fires for attempts ``[after, after + times)`` of matching
     writes, then the disk "recovers" — exactly the disk-full-then-freed
     shape the degrade-don't-crash contract covers.
@@ -513,12 +378,12 @@ class DiskFull(FaultProfile):
     after: int = 1
     times: int = 1
 
-    def fsio_hook(self) -> DurableWriteFault:
-        import errno as _errno
-
-        return DurableWriteFault(
-            self.match, _errno.ENOSPC, "write", self.after, self.times
-        )
+    def points(self) -> dict:
+        return {
+            DURABLE: DurableWriteFault(
+                "ENOSPC", self.match, "write", self.after, self.times
+            )
+        }
 
 
 @dataclass(frozen=True)
@@ -536,12 +401,12 @@ class DiskIOError(FaultProfile):
     after: int = 1
     times: int = 1
 
-    def fsio_hook(self) -> DurableWriteFault:
-        import errno as _errno
-
-        return DurableWriteFault(
-            self.match, _errno.EIO, self.op, self.after, self.times
-        )
+    def points(self) -> dict:
+        return {
+            DURABLE: DurableWriteFault(
+                "EIO", self.match, self.op, self.after, self.times
+            )
+        }
 
 
 @dataclass(frozen=True)
@@ -574,7 +439,7 @@ class RotateLog(FaultProfile):
             )
             index -= 1
         _os.replace(base, base.with_name(f"{base.name}.1"))
-        _count(self.name, 1)
+        count(self.name, 1)
 
 
 @dataclass(frozen=True)
@@ -606,88 +471,13 @@ class TruncateLog(FaultProfile):
             if kept:
                 fh.write(kept)
             fh.truncate(len(kept))
-        _count(self.name, 1)
-
-
-def durable_fault_from_dict(data: dict) -> DurableWriteFault:
-    """Build the fsio hook a serve config's ``fault`` block describes.
-
-    Shape: ``{"kind": "disk_full" | "io_error", "match": <substring>,
-    "after": N, "times": M, "op": "write" | "read"}`` — the JSON the
-    chaos harness plants in a daemon config to arm deterministic disk
-    faults inside the daemon process.
-    """
-    data = dict(data)
-    kind = data.pop("kind")
-    if kind == "disk_full":
-        return DiskFull(**data).fsio_hook()
-    if kind == "io_error":
-        return DiskIOError(**data).fsio_hook()
-    raise ValueError(f"unknown durable fault kind {kind!r}")
-
-
-class PumpPoison:
-    """Tenant-pump fault hook: a poison pill at one arrival position.
-
-    The ``TenantRuntime.fault_hook`` seam calls this before every
-    arrival push as ``hook(n_arrivals_this_life, degraded)``.  At
-    position ``at`` (0-based within the current pipeline life) the hook
-    either raises (``mode="raise"`` — the poison-batch shape: the
-    pipeline dies, the supervisor restarts it from checkpoint, the
-    replay deterministically re-poisons at the same position, and the
-    crash loop escalates to degraded) or hangs (``mode="hang"`` — the
-    stuck/RPC-deadline shape: the pipeline stops answering and must be
-    killed from outside).
-
-    In degraded (shed) mode the poison is inert — which is exactly what
-    makes the escalation terminate: the degraded restart digests past
-    the poison position and the tenant keeps serving.  Deterministic:
-    keep ``at`` below ``checkpoint_every`` so every replay of the life
-    starts from the same arrival.  Picklable, like every fault hook.
-    """
-
-    def __init__(self, at: int, mode: str = "raise") -> None:
-        if at < 0:
-            raise ValueError("at must be >= 0 (0-based arrival position)")
-        if mode not in ("raise", "hang"):
-            raise ValueError(f"mode must be 'raise' or 'hang', not {mode!r}")
-        self.at = at
-        self.mode = mode
-
-    def __call__(self, position: int, degraded: bool) -> None:
-        if degraded or position != self.at:
-            return
-        _count("pump_poison", 1)
-        if self.mode == "hang":
-            import time as _time
-
-            while True:  # killed from outside (SIGKILL / daemon exit)
-                _time.sleep(0.05)
-        raise InjectedWorkerFault(
-            f"injected poison arrival at position {position}"
-        )
-
-
-def pump_fault_from_dict(data: dict) -> PumpPoison:
-    """Build the pump hook a serve config's ``pump_fault`` block describes.
-
-    Shape: ``{"kind": "pump_poison", "tenant": <name or null>,
-    "at": N, "mode": "raise" | "hang"}``.  The ``tenant`` key is
-    consumed by the daemon/worker when deciding *which* runtime gets
-    the hook; it is not part of the hook itself.
-    """
-    data = dict(data)
-    data.pop("tenant", None)
-    kind = data.pop("kind", "pump_poison")
-    if kind != "pump_poison":
-        raise ValueError(f"unknown pump fault kind {kind!r}")
-    return PumpPoison(**data)
+        count(self.name, 1)
 
 
 @dataclass(frozen=True)
 class Compose(FaultProfile):
-    """Apply several profiles in order; compute hooks come from the
-    first member that provides one."""
+    """Apply several profiles in order; each injection point is armed
+    by the first member that arms it."""
 
     name: str = "composed"
     profiles: tuple[FaultProfile, ...] = field(default_factory=tuple)
@@ -698,26 +488,11 @@ class Compose(FaultProfile):
             out = profile.apply(out)
         return out
 
-    def shard_task(self):
-        for profile in self.profiles:
-            task = profile.shard_task()
-            if task is not None:
-                return task
-        return None
-
-    def stream_fault_hook(self):
-        for profile in self.profiles:
-            hook = profile.stream_fault_hook()
-            if hook is not None:
-                return hook
-        return None
-
-    def stream_step_hook(self):
-        for profile in self.profiles:
-            hook = profile.stream_step_hook()
-            if hook is not None:
-                return hook
-        return None
+    def points(self) -> dict:
+        armed: dict = {}
+        for profile in reversed(self.profiles):
+            armed.update(profile.points())
+        return armed
 
 
 def labeled_pairs(labeled_messages) -> list[LinePair]:

@@ -55,10 +55,11 @@ from repro.obs import (
     SERVE_LONGPOLL_WAITERS,
     get_registry,
 )
+from repro.utils import inject
 
 from .http import HttpApi
 from .journal import TransitionJournal
-from .placement import InlineLife, TenantHandle, WorkerClient, pump_fault_for
+from .placement import InlineLife, TenantHandle, WorkerClient
 from .rpc import RpcClosed, RpcError, RpcTimeout
 from .supervisor import Supervisor
 from .tenant import SUPERVISOR_FILE, TenantSpec, reject_unknown_keys
@@ -119,16 +120,10 @@ class ServeConfig:
     # tenants, and the per-request cap on ?wait= seconds.
     max_longpoll_waiters: int = 32
     longpoll_max_wait: float = 30.0
-    # Test hook (smoke gate): SIGKILL this process after N arrivals
-    # across all tenants, via netsim.faults.DaemonCrash.  0 = off.
-    crash_after: int = 0
-    # Chaos hook: arm a deterministic disk fault inside this process
-    # (netsim.faults.durable_fault_from_dict shape).  None = off.
-    # Forwarded to every process-placement worker's init frame.
-    fault: dict | None = None
-    # Chaos hook: deterministic per-arrival pipeline fault
-    # (netsim.faults.pump_fault_from_dict shape, with a "tenant" key).
-    pump_fault: dict | None = None
+    # Fault injection for the smoke and chaos gates: the JSON form of
+    # repro.utils.inject.from_dict, armed in this process and in every
+    # process-placement worker's init frame.  None = off.
+    faults: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -136,14 +131,14 @@ class ServeConfig:
         names = [spec.name for spec in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
+        poison = inject.from_dict(self.faults).get(inject.TENANT_ARRIVAL)
         for spec in self.tenants:
-            hook = pump_fault_for(self.pump_fault, spec.name)
-            if (hook is not None and hook.mode == "hang"
+            if (poison is not None and poison.hangs(spec.name)
                     and _transport(spec) is InlineLife):
                 # A hang sleeps on the thread it runs on: on the
                 # daemon's loop that stops HTTP, signals and drain.
                 raise ValueError(
-                    f"pump_fault: a hang poison would freeze the daemon "
+                    f"faults: a hang poison would freeze the daemon "
                     f"through inline tenant {spec.name!r}"
                 )
 
@@ -182,19 +177,9 @@ class ServeDaemon:
         self.supervisors: dict[str, Supervisor] = {}
         self.api = HttpApi(self)
         self.draining = False
-        self._crash_hook = None
         self._n_arrivals = 0
         self._event_waiters: dict[str, list[asyncio.Future]] = {}
         self._breach_counts: dict[str, int] = {}
-        if config.crash_after > 0:
-            from repro.netsim.faults import DaemonCrash
-
-            self._crash_hook = DaemonCrash(after=config.crash_after)
-        if config.fault is not None:
-            from repro.netsim.faults import durable_fault_from_dict
-            from repro.utils.fsio import install_fault_hook
-
-            install_fault_hook(durable_fault_from_dict(config.fault))
 
     # --------------------------------------------------------- lifecycle
 
@@ -280,31 +265,37 @@ class ServeDaemon:
             self._breach_counts[name] = len(breached)
 
     async def run(self) -> int:
-        """Serve until drained; returns the process exit code (0)."""
+        """Serve until drained; returns the process exit code (0).
+
+        The config's ``faults`` block is armed for the whole run.
+        """
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, self.request_drain)
         workdir = Path(self.config.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        for name, handle in self.handles.items():
-            handle.workdir.mkdir(parents=True, exist_ok=True)
-            self.supervisors[name] = Supervisor(
-                name,
-                max_restarts=self.config.max_restarts,
-                base_delay=self.config.base_delay,
-                progress_deadline=self.config.progress_deadline,
-                journal=TransitionJournal(handle.workdir / SUPERVISOR_FILE),
-            )
-        await self.api.start(self.config.host, self.config.port)
-        (workdir / PORT_FILE).write_text(str(self.api.port))
-        try:
-            await asyncio.gather(
-                *(self._supervise(name) for name in self.handles)
-            )
-        finally:
-            await self.api.stop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(sig)
+        with inject.arm(inject.from_dict(self.config.faults)):
+            for name, handle in self.handles.items():
+                handle.workdir.mkdir(parents=True, exist_ok=True)
+                self.supervisors[name] = Supervisor(
+                    name,
+                    max_restarts=self.config.max_restarts,
+                    base_delay=self.config.base_delay,
+                    progress_deadline=self.config.progress_deadline,
+                    journal=TransitionJournal(
+                        handle.workdir / SUPERVISOR_FILE
+                    ),
+                )
+            await self.api.start(self.config.host, self.config.port)
+            (workdir / PORT_FILE).write_text(str(self.api.port))
+            try:
+                await asyncio.gather(
+                    *(self._supervise(name) for name in self.handles)
+                )
+            finally:
+                await self.api.stop()
+                for sig in (signal.SIGTERM, signal.SIGINT):
+                    loop.remove_signal_handler(sig)
         return 0
 
     # -------------------------------------------------------- supervision
@@ -324,8 +315,7 @@ class ServeDaemon:
                         "degraded": degraded,
                         "once": self.config.once,
                         "poll_interval": self.config.poll_interval,
-                        "fault": self.config.fault,
-                        "pump_fault": self.config.pump_fault,
+                        "faults": self.config.faults,
                     }
                 )
             except OSError as exc:
@@ -364,6 +354,7 @@ class ServeDaemon:
         supervisor = self.supervisors[name]
         watch = max(0.02, min(1.0, supervisor.progress_deadline / 5))
         loop = asyncio.get_running_loop()
+        crash = inject.hook(inject.DAEMON_ARRIVAL)
         while True:
             if self.draining:
                 return await self._drain(name, life)
@@ -400,8 +391,8 @@ class ServeDaemon:
             elif kind == "batch":
                 supervisor.note_progress()
                 self._n_arrivals += int(note.get("n", 0))
-                if self._crash_hook is not None:
-                    self._crash_hook(self._n_arrivals)
+                if crash is not None:
+                    crash(self._n_arrivals)
                 handle.pending = int(note.get("pending", 0))
                 total = int(note.get("events_total", 0))
                 if total != handle.events_total:

@@ -44,7 +44,8 @@ import pickle
 import struct
 from pathlib import Path
 
-from repro.utils.fsio import check_fault, fsync_dir
+from repro.utils import inject
+from repro.utils.fsio import fsync_dir
 
 _LEN = struct.Struct("<I")
 
@@ -150,8 +151,10 @@ class EventJournal:
         if not self._buffer:
             return
         data = bytes(self._buffer)
+        fault = inject.hook(inject.DURABLE)
         try:
-            check_fault("write", self.path)
+            if fault is not None:
+                fault("write", str(self.path))
             pos = 0
             while pos < len(data):
                 n = self._fh.write(data[pos:])

@@ -28,6 +28,8 @@ import signal
 import sys
 from pathlib import Path
 
+from repro.utils import inject
+
 from .http import events_page
 from .journal import EventJournal, TransitionJournal
 from .rpc import (
@@ -51,16 +53,6 @@ WORKER_MODULE = "repro.serve.worker"
 def _src_root() -> str:
     """The import root holding ``repro`` — propagated to workers."""
     return str(Path(__file__).resolve().parents[2])
-
-
-def pump_fault_for(pump_fault: dict | None, tenant: str):
-    """The hook a serve config's ``pump_fault`` block arms on ``tenant``
-    (``None`` when the block is off or names another tenant)."""
-    if pump_fault is None or pump_fault.get("tenant") not in (None, tenant):
-        return None
-    from repro.netsim.faults import pump_fault_from_dict
-
-    return pump_fault_from_dict(pump_fault)
 
 
 def _fatal(exc: Exception) -> dict:
@@ -89,12 +81,8 @@ class TenantLife:
         self._breaches_seen = 0
 
     def boot(self) -> None:
-        """Arm the pump fault, start (or restore) the runtime, note it."""
-        runtime = self.runtime
-        runtime.fault_hook = pump_fault_for(
-            self.init.get("pump_fault"), runtime.spec.name
-        )
-        runtime.start(degraded=bool(self.init.get("degraded")))
+        """Start (or restore) the runtime, note it."""
+        self.runtime.start(degraded=bool(self.init.get("degraded")))
         self._emit({"id": 0, "kind": "started"})
 
     def step(self) -> bool:
@@ -124,6 +112,12 @@ class TenantLife:
         if runtime.refill():
             return True
         if self.init.get("once") and not self._exhausted:
+            # One-shot: no more bytes are coming, so a source's
+            # newline-less last line is a line (a live daemon keeps
+            # carrying it until its newline arrives).
+            runtime.tails.flush()
+            if runtime.refill():
+                return True
             self._exhausted = True
             self._emit({"id": 0, "kind": "exhausted"})
         return False
@@ -186,33 +180,33 @@ def worker_main(in_fh, out_fh) -> int:
     The first frame on stdin is the life's ``init`` dict; everything
     after is RPC commands, interleaved with pipeline steps — polled with
     a zero timeout while the last step found work, so admin calls never
-    stall the pipeline and the pipeline never starves admin calls.
+    stall the pipeline and the pipeline never starves admin calls.  The
+    init's ``faults`` block (:func:`repro.utils.inject.from_dict`) is
+    armed for the whole life.
     """
     try:
         init = read_frame(in_fh)
-        if init.get("fault") is not None:
-            from repro.netsim.faults import durable_fault_from_dict
-            from repro.utils.fsio import install_fault_hook
-
-            install_fault_hook(durable_fault_from_dict(init["fault"]))
-        life = TenantLife(
-            init, lambda note: write_frame(out_fh, note), pid=os.getpid()
-        )
-        life.boot()
-        busy = True
-        while True:
-            frame = poll_frame(in_fh, 0.0 if busy else life.poll_interval)
-            if frame is not None:
-                reply = life.execute(
-                    frame.get("cmd"), frame.get("args") or {}
+        with inject.arm(inject.from_dict(init.get("faults"))):
+            life = TenantLife(
+                init, lambda note: write_frame(out_fh, note), pid=os.getpid()
+            )
+            life.boot()
+            busy = True
+            while True:
+                frame = poll_frame(
+                    in_fh, 0.0 if busy else life.poll_interval
                 )
-                reply["id"] = frame.get("id", 0)
-                write_frame(out_fh, reply)
-                if life.drained:
-                    return 0
-                # Fall through to the pipeline: an idle tenant polled
-                # faster than poll_interval must still reach refill().
-            busy = life.step()
+                if frame is not None:
+                    reply = life.execute(
+                        frame.get("cmd"), frame.get("args") or {}
+                    )
+                    reply["id"] = frame.get("id", 0)
+                    write_frame(out_fh, reply)
+                    if life.drained:
+                        return 0
+                    # Fall through to the pipeline: an idle tenant polled
+                    # faster than poll_interval must still reach refill().
+                busy = life.step()
     except (EOFError, FrameError):
         # Parent gone (its death closed our stdin): die right here with
         # crash semantics — no drain, no final checkpoint.  The next

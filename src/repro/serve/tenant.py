@@ -56,6 +56,7 @@ from repro.syslog.resilient import (
     requeue_records,
 )
 from repro.syslog.tail import TailSet
+from repro.utils import inject
 
 from .journal import EventJournal, TransitionJournal
 
@@ -221,9 +222,6 @@ class TenantRuntime:
     n_batches: int = 0
     #: Budget names breached this life, in breach order (deduplicated).
     budget_breached: list = field(default_factory=list)
-    #: Test seam: called as ``hook(n_arrivals_this_life, degraded)``
-    #: before each arrival is pushed (``netsim.faults.PumpPoison``).
-    fault_hook: object = None
     _arrivals: deque = field(default_factory=deque)
     _since_checkpoint: int = 0
     _arrivals_life: int = 0
@@ -453,13 +451,15 @@ class TenantRuntime:
         Finalized events are appended to the event journal as they
         emerge; a checkpoint is cut every ``checkpoint_every`` arrivals
         (journal fsync first — the crash-safety ordering invariant).
+        The ``tenant.arrival`` injection point is read once per batch.
         """
         limit = PUMP_BATCH if limit is None else limit
         registry = get_registry()
+        poison = inject.hook(inject.TENANT_ARRIVAL)
         n = 0
         while self._arrivals and n < limit:
-            if self.fault_hook is not None:
-                self.fault_hook(self._arrivals_life, self.degraded)
+            if poison is not None:
+                poison(self.spec.name, self._arrivals_life, self.degraded)
             source, line = self._arrivals.popleft()
             self._arrivals_life += 1
             events = self.ingest.push_line(source, line)

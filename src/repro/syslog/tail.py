@@ -59,7 +59,7 @@ from repro.obs import (
     get_registry,
 )
 from repro.syslog.stream import decode_line
-from repro.utils.fsio import check_fault
+from repro.utils import inject
 from repro.utils.timeutils import parse_ts
 
 #: Format version of :meth:`TailSet.snapshot` payloads (they ride inside
@@ -128,8 +128,10 @@ class SourceTailer:
         absorbed: the poll returns 0 and the next one retries from the
         same cursor.
         """
+        fault = inject.hook(inject.DURABLE)
         try:
-            check_fault("read", self.path)
+            if fault is not None:
+                fault("read", str(self.path))
             st = os.stat(self.path)
         except FileNotFoundError:
             return 0  # mid-rotation gap: the new file is not there yet

@@ -1,4 +1,4 @@
-"""Durable filesystem writes plus the disk-fault injection seam (DESIGN.md §14).
+"""Durable filesystem writes (DESIGN.md §14).
 
 Every durable-write path in the pipeline — checkpoints, model-store
 payloads, journals, quarantine dumps — funnels through this module so
@@ -9,46 +9,18 @@ two guarantees are made exactly once:
   which has its own cache.  :func:`atomic_write_bytes` therefore fsyncs
   the parent directory after the rename, so a checkpoint that was
   reported committed cannot vanish when the machine loses power.
-* **Deterministic fault injection.**  :func:`check_fault` is a
-  process-global seam the chaos harness installs a hook into
-  (:func:`install_fault_hook`); the hook raises ``OSError`` (ENOSPC,
-  EIO) for chosen paths at chosen attempts, so disk-full and failing
-  disks are testable without actually filling a disk.  With no hook
-  installed the seam is one ``is None`` check — free on the hot path.
+* **Faults before bytes.**  :func:`atomic_write_bytes` consults the
+  ``durable`` injection point (:mod:`repro.utils.inject`) before any
+  byte moves, so an injected ENOSPC/EIO has the shape a full disk
+  produces — no partially-applied state.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from pathlib import Path
 
-#: The installed fault hook, or None.  A hook is ``hook(op, path)`` and
-#: injects a fault by raising OSError; ``op`` is "write" or "read".
-_fault_hook: Callable[[str, str], None] | None = None
-
-
-def install_fault_hook(hook: Callable[[str, str], None]) -> None:
-    """Install a process-global disk-fault hook (chaos/test seam)."""
-    global _fault_hook
-    _fault_hook = hook
-
-
-def clear_fault_hook() -> None:
-    """Remove the installed disk-fault hook."""
-    global _fault_hook
-    _fault_hook = None
-
-
-def check_fault(op: str, path: str | Path) -> None:
-    """Give the installed fault hook a chance to raise for ``(op, path)``.
-
-    Called at the top of every durable write (and tail read) so an
-    injected ENOSPC/EIO lands *before* any bytes move — the shape a
-    full disk actually produces, with no partially-applied state.
-    """
-    if _fault_hook is not None:
-        _fault_hook(op, str(path))
+from repro.utils import inject
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -78,7 +50,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     or half-renamed target behind; the stray temp file is removed.
     """
     path = Path(path)
-    check_fault("write", path)
+    fault = inject.hook(inject.DURABLE)
+    if fault is not None:
+        fault("write", str(path))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

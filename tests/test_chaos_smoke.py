@@ -278,7 +278,7 @@ class TestKillMidTail:
         # fires at 900 — i.e. mid-way through tailing the phase-2
         # appends, with live cursors in the checkpoints.
         config, logdir, workdir = _scenario(
-            farm, "sigkill", crash_after=900
+            farm, "sigkill", faults={"daemon.arrival": {"after": 900}}
         )
         daemon = ChaosDaemon(config, workdir, seed="44", repo_root=REPO_ROOT)
         daemon.start()
@@ -303,7 +303,7 @@ class TestKillMidTail:
         # Restart over the same workdir, different hash seed; ``once``
         # drains when the (now complete) sources are exhausted.
         resume = dict(config)
-        resume.pop("crash_after")
+        resume.pop("faults")
         resume["once"] = True
         second = ChaosDaemon(resume, workdir, seed="55", repo_root=REPO_ROOT)
         second.start()
@@ -324,11 +324,13 @@ class TestDiskFull:
             "diskfull",
             phase1_only=False,
             once=True,
-            fault={
-                "kind": "disk_full",
-                "match": "checkpoint.ckpt",
-                "after": 1,
-                "times": 2,
+            faults={
+                "durable": {
+                    "errno": "ENOSPC",
+                    "match": "checkpoint.ckpt",
+                    "after": 1,
+                    "times": 2,
+                }
             },
         )
         daemon = ChaosDaemon(config, workdir, seed="66", repo_root=REPO_ROOT)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -663,6 +664,25 @@ def test_messy_log_matrix(
     assert rc == 0
     if case == "stats --quarantine":
         assert "# 65 messages ->" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"not a checkpoint\n", b"", pickle.dumps({"magic": "other"})],
+    ids=["text", "empty", "foreign-pickle"],
+)
+def test_resume_on_a_file_that_is_not_a_checkpoint(
+    content, kb_path, messy_logs, tmp_path, capsys
+):
+    """Garbage, a truncated file and a foreign pickle are one typed
+    error: one stderr line naming the file, exit 2, no traceback."""
+    ckpt = tmp_path / "bogus.ckpt"
+    ckpt.write_bytes(content)
+    log = str(messy_logs / "sorted.log")
+    argv = ["resume", "--checkpoint", str(ckpt), "--log", log]
+    assert main(argv + ["--kb", str(kb_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"resume: {ckpt} ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["report", "trends", "rhythms"])

@@ -71,6 +71,18 @@ class TestRhythmReport:
         assert report[0][0] == ("big",)
         assert all(isinstance(p.kind, RhythmKind) for _, p in report)
 
+    def test_ties_do_not_depend_on_insertion_order(self):
+        """Equal-size series rank by key: the same series built in two
+        insertion orders give the same report, cut included."""
+        items = [
+            ((router, "LINK-3-UPDOWN"), [float(i) for i in range(n)])
+            for router, n in (("r3", 5), ("r1", 5), ("r2", 8), ("r0", 5))
+        ]
+        forward = rhythm_report(dict(items), top=3)
+        backward = rhythm_report(dict(reversed(items)), top=3)
+        assert forward == backward
+        assert [key[0] for key, _ in forward] == ["r2", "r0", "r1"]
+
     def test_scan_pattern_reports_periodic(self):
         """The Figure 5 pattern shows up as PERIODIC in the report."""
         import random as _random

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.core.grouping import GroupingEngine
-from repro.core.parallel import ParallelGroupingEngine
+from repro.core.parallel import ParallelGroupingEngine, timed_shard_edge_task
 from repro.core.stream import DigestStream
 from repro.netsim.faults import (
     Compose,
@@ -15,10 +15,9 @@ from repro.netsim.faults import (
     DuplicateBurst,
     FaultProfile,
     FeedStall,
-    FlakyShardTask,
-    InjectedWorkerFault,
     LateLines,
     ReorderLines,
+    ShardFault,
     SourceFlap,
     TruncateLines,
     WorkerFaults,
@@ -32,6 +31,8 @@ from repro.obs import (
 )
 from repro.syslog.parse import SyslogParseError, parse_line
 from repro.syslog.stream import sort_messages
+from repro.utils import inject
+from repro.utils.inject import InjectedWorkerFault
 from repro.utils.timeutils import parse_ts
 
 LINES = [
@@ -47,8 +48,7 @@ class TestProfiles:
         out = profile.apply(PAIRS)
         assert out == PAIRS
         assert out is not PAIRS  # a copy, never an alias
-        assert profile.shard_task() is None
-        assert profile.stream_fault_hook() is None
+        assert profile.points() == {}
 
     @pytest.mark.parametrize(
         "profile",
@@ -108,10 +108,10 @@ class TestProfiles:
             )
         )
         assert len(composed.apply(PAIRS)) == 2 * len(PAIRS)
-        task = composed.shard_task()
-        assert isinstance(task, FlakyShardTask)
-        assert task.fail_shards == (2,)
-        assert composed.stream_fault_hook() is not None
+        points = composed.points()
+        assert isinstance(points[inject.SHARD_TASK], ShardFault)
+        assert points[inject.SHARD_TASK].fail_shards == (2,)
+        assert points[inject.SHARD_ATTEMPT] is points[inject.SHARD_TASK]
 
     def test_injection_counter(self):
         registry = MetricsRegistry()
@@ -170,21 +170,24 @@ class TestIngestProfiles:
 
 
 class TestFlakyShardTask:
+    """The ``shard.task`` hook rides with each batch task and fires
+    before the production work."""
+
     def test_picklable(self):
-        task = FlakyShardTask((0, 2), fail_attempts=2)
-        clone = pickle.loads(pickle.dumps(task))
+        fault = ShardFault((0, 2), fail_attempts=2)
+        clone = pickle.loads(pickle.dumps(fault))
         assert clone.fail_shards == (0, 2)
         assert clone.fail_attempts == 2
 
     def test_raises_then_recovers(self):
-        task = FlakyShardTask((1,), fail_attempts=1)
+        fault = ShardFault((1,), fail_attempts=1)
         payload = ([], None, 0.0, {}, 0.0, None, False, False)
         with pytest.raises(InjectedWorkerFault):
-            task(payload, shard_id=1, attempt=0)
-        edges, active, _seconds = task(payload, shard_id=1, attempt=1)
+            timed_shard_edge_task(payload, 1, 0, fault)
+        edges, active, _seconds = timed_shard_edge_task(payload, 1, 1, fault)
         assert edges == [] and active == set()
         # Unaffected shards never raise.
-        task(payload, shard_id=0, attempt=0)
+        timed_shard_edge_task(payload, 0, 0, fault)
 
 
 @pytest.fixture(scope="module")
@@ -207,9 +210,8 @@ class TestWorkerRecovery:
         baseline = GroupingEngine(system_a.kb, config).group(plus_a)
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            engine = ParallelGroupingEngine(
-                system_a.kb, config, task=FlakyShardTask((0,), 1)
-            )
+            with inject.arm({inject.SHARD_TASK: ShardFault((0,), 1)}):
+                engine = ParallelGroupingEngine(system_a.kb, config)
             outcome = engine.group(plus_a)
         assert _group_sig(outcome) == _group_sig(baseline)
         assert registry.counter_value(SHARD_RETRIES, engine="batch") >= 1.0
@@ -219,11 +221,9 @@ class TestWorkerRecovery:
         baseline = GroupingEngine(system_a.kb, config).group(plus_a)
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            engine = ParallelGroupingEngine(
-                system_a.kb,
-                config,
-                task=FlakyShardTask((0, 1), fail_attempts=99),
-            )
+            fault = ShardFault((0, 1), fail_attempts=99)
+            with inject.arm({inject.SHARD_TASK: fault}):
+                engine = ParallelGroupingEngine(system_a.kb, config)
             outcome = engine.group(plus_a)
         assert _group_sig(outcome) == _group_sig(baseline)
         assert (
@@ -233,10 +233,9 @@ class TestWorkerRecovery:
 
 @pytest.mark.faults
 class TestStreamWorkerRecovery:
-    def _run_chunks(self, system_a, messages, hook):
-        stream = DigestStream(
-            system_a.kb, system_a.config.with_workers(4), fault_hook=hook
-        )
+    def _run_chunks(self, system_a, messages, points):
+        with inject.arm(points):
+            stream = DigestStream(system_a.kb, system_a.config.with_workers(4))
         events = []
         for i in range(0, len(messages), 200):
             events.extend(stream.push_many(messages[i : i + 200]))
@@ -248,13 +247,11 @@ class TestStreamWorkerRecovery:
 
     def test_push_many_retry_is_deterministic(self, system_a, live_a):
         ordered = sort_messages(m.message for m in live_a.messages)
-        baseline = self._run_chunks(system_a, ordered, hook=None)
+        baseline = self._run_chunks(system_a, ordered, {})
         registry = MetricsRegistry()
         with scoped_registry(registry):
             retried = self._run_chunks(
-                system_a,
-                ordered,
-                hook=WorkerFaults(fail_shards=(0,)).stream_fault_hook(),
+                system_a, ordered, WorkerFaults(fail_shards=(0,)).points()
             )
         assert self._sig(retried) == self._sig(baseline)
         assert registry.counter_value(SHARD_RETRIES, engine="stream") >= 1.0
@@ -263,16 +260,11 @@ class TestStreamWorkerRecovery:
         self, system_a, live_a
     ):
         ordered = sort_messages(m.message for m in live_a.messages)
-        baseline = self._run_chunks(system_a, ordered, hook=None)
+        baseline = self._run_chunks(system_a, ordered, {})
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            fallen = self._run_chunks(
-                system_a,
-                ordered,
-                hook=WorkerFaults(
-                    fail_shards=(0, 1, 2, 3), fail_attempts=99
-                ).stream_fault_hook(),
-            )
+            profile = WorkerFaults(fail_shards=(0, 1, 2, 3), fail_attempts=99)
+            fallen = self._run_chunks(system_a, ordered, profile.points())
         assert self._sig(fallen) == self._sig(baseline)
         assert (
             registry.counter_value(SHARD_FALLBACKS, engine="stream") >= 1.0

@@ -15,7 +15,10 @@ and docs that only cite evidence that exists.
   back as a library nobody calls.
 * Knob ratchet: the field sets of the config dataclasses and the option
   set of every CLI subcommand are pinned, so a knob is added or removed
-  only on purpose, and retired knobs stay gone from ``src/``.
+  only on purpose, and retired knobs (and retired fault seams) stay gone
+  from ``src/``.
+* Product / lab boundary: the serve daemon and its worker never import
+  the simulator, the baselines or the evaluation code.
 * One way to read a log: ``syslog/`` decodes bytes in exactly one place,
   ``cli.py`` opens no file itself, and the retired readers and feed merge
   stay gone from code and docs.
@@ -255,6 +258,23 @@ UNREACHED_ALLOWED = {
 }
 
 
+#: What the product must never import: the simulator, the baselines it is
+#: compared against, and the scoring of its output.
+LAB = ("repro.netsim", "repro.baselines", "repro.evaluation")
+
+
+def test_product_never_imports_the_lab():
+    """The daemon and its worker reach fault injection only through the
+    one seam (``repro.utils.inject``) — never the simulator's profiles."""
+    closure = import_closure(["repro.serve.daemon", "repro.serve.worker"])
+    lab = sorted(
+        module
+        for module in closure
+        if any(module == p or module.startswith(p + ".") for p in LAB)
+    )
+    assert not lab, f"the product imports the lab: {lab}"
+
+
 def test_every_module_is_reachable():
     unreached = set(_modules()) - import_closure(entry_points())
     assert unreached == set(UNREACHED_ALLOWED), (
@@ -364,7 +384,7 @@ CONFIG_FIELDS = {
         "tenants host port workdir poll_interval once max_restarts "
         "base_delay progress_deadline drain_deadline http_read_deadline "
         "http_max_header_bytes http_max_body_bytes max_longpoll_waiters "
-        "longpoll_max_wait crash_after fault pump_fault"
+        "longpoll_max_wait faults"
     ),
 }
 
@@ -399,7 +419,9 @@ CLI_OPTIONS = {
 
 RETIRED_KNOBS = re.compile(
     r"\b(swap_now|with_swap_policy|with_checkpointing|_maybe_checkpoint"
-    r"|shed_policy|swap_policy|batch_size)\b"
+    r"|shed_policy|swap_policy|batch_size"
+    r"|install_fault_hook|step_fault_hook|crash_after|pump_fault"
+    r"|durable_fault_from_dict|stream_fault_hook)\b"
 )
 
 

@@ -102,7 +102,7 @@ class TestEventJournal:
     def test_disk_fault_parks_frames_in_the_retry_buffer(self, tmp_path):
         import errno
 
-        from repro.utils import fsio
+        from repro.utils import inject
 
         path = tmp_path / "events.bin"
         journal = EventJournal(path)
@@ -115,8 +115,7 @@ class TestEventJournal:
                 if op == "write" and "events.bin" in p:
                     raise OSError(errno.ENOSPC, "injected", p)
 
-        fsio.install_fault_hook(Always())
-        try:
+        with inject.arm({inject.DURABLE: Always()}):
             # append never raises; the frames wait in memory and every
             # read serves them transparently.
             assert journal.append(["during-1", "during-2"]) == 3
@@ -131,8 +130,6 @@ class TestEventJournal:
             # truncate into the buffered region never touches the disk.
             assert journal.truncate(2) == 1
             assert journal.read_all() == ["before", "during-1"]
-        finally:
-            fsio.clear_fault_hook()
         # Disk recovered: the next sync flushes the parked frames.
         journal.sync()
         assert journal.last_error is None

@@ -243,10 +243,8 @@ class TestWorkerDeath:
             daemon = ServeDaemon(
                 _config(
                     farm, label, [bad, good],
-                    pump_fault={
-                        "kind": "pump_poison",
-                        "tenant": "net-bad",
-                        "at": 30,
+                    faults={
+                        "tenant.arrival": {"tenant": "net-bad", "at": 30}
                     },
                 )
             )
@@ -272,11 +270,10 @@ class TestWorkerDeath:
         config = _config(
             farm, "hang", [tenant],
             progress_deadline=60.0,
-            pump_fault={
-                "kind": "pump_poison",
-                "tenant": "net-a",
-                "at": 60,
-                "mode": "hang",
+            faults={
+                "tenant.arrival": {
+                    "tenant": "net-a", "at": 60, "mode": "hang"
+                }
             },
         )
         daemon = ServeDaemon(config)
@@ -393,11 +390,10 @@ class TestDrain:
             once=False,
             drain_deadline=1.0,
             progress_deadline=60.0,
-            pump_fault={
-                "kind": "pump_poison",
-                "tenant": "net-bad",
-                "at": 0,
-                "mode": "hang",
+            faults={
+                "tenant.arrival": {
+                    "tenant": "net-bad", "at": 0, "mode": "hang"
+                }
             },
         )
         daemon = ServeDaemon(config)
@@ -698,7 +694,7 @@ class TestCodec:
         )
         init = {
             "spec": tenant, "degraded": False, "once": True,
-            "poll_interval": 0.05, "fault": None, "pump_fault": None,
+            "poll_interval": 0.05, "faults": None,
         }
         commands = [
             ("ping", {}), ("health", {}), ("sources", {}), ("journal", {}),

@@ -1,12 +1,13 @@
 """End-to-end crash-recovery smoke gate for `repro serve` (DESIGN.md §13).
 
 The acceptance gate the serve daemon is built around: a real daemon
-process SIGKILLed mid-stream (``ServeConfig.crash_after`` →
-``netsim.faults.DaemonCrash``, no atexit, no flush), then restarted,
-must finish with a digest byte-identical (``hotpath.stream_fingerprint``)
-to an uninterrupted in-process run — for a serial-lane tenant AND a
-process-lane tenant, across *different* ``PYTHONHASHSEED`` values (the
-Location pickle regression this gate originally caught).  Plus the
+process SIGKILLed mid-stream (the config's ``faults`` block arms
+``daemon.arrival`` with ``inject.DaemonCrash``: no atexit, no flush),
+then restarted, must finish with a digest byte-identical
+(``hotpath.stream_fingerprint``) to an uninterrupted in-process run —
+for a serial-lane tenant AND a process-lane tenant, across *different*
+``PYTHONHASHSEED`` values (the Location pickle regression this gate
+originally caught).  Plus the
 other ending: SIGTERM → graceful drain → exit 0 with a final
 checkpoint on disk.
 
@@ -133,7 +134,10 @@ class TestKillNineRecovery:
         crash_cfg = workdir / "crash.json"
         crash_cfg.parent.mkdir(parents=True, exist_ok=True)
         crash_cfg.write_text(
-            json.dumps({**base, "crash_after": N_MESSAGES // 2})
+            json.dumps(
+                {**base,
+                 "faults": {"daemon.arrival": {"after": N_MESSAGES // 2}}}
+            )
         )
         crashed = _serve(crash_cfg, seed="101")
         assert crashed.returncode == -signal.SIGKILL, crashed.stderr

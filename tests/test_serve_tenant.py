@@ -20,6 +20,7 @@ from repro.core.config import IngestConfig
 from repro.core.stream import HEALTH_KEYS
 from repro.serve.daemon import ServeConfig
 from repro.serve.journal import EventJournal
+from repro.serve.placement import TenantLife
 from repro.serve.tenant import TenantRuntime, TenantSpec
 from repro.syslog.ingest import INGEST_HEALTH_KEYS
 from repro.syslog.stream import write_log
@@ -160,20 +161,22 @@ class TestConfigErrors:
         """A hang sleeps on the daemon's own loop when it arms an inline
         tenant — HTTP, signals and drain would all stop — so the config
         is refused; on a process tenant it stays a chaos scenario."""
-        hang = {"kind": "pump_poison", "tenant": None, "at": 0,
-                "mode": "hang"}
+        hang = {"tenant": None, "at": 0, "mode": "hang"}
         process = {**self.TENANT, "name": "net-b", "placement": "process"}
         with pytest.raises(ValueError, match="hang.*inline tenant 'net-a'"):
             ServeConfig.from_dict(
-                {"tenants": [self.TENANT, process], "pump_fault": hang}
+                {"tenants": [self.TENANT, process],
+                 "faults": {"tenant.arrival": hang}}
             )
         ServeConfig.from_dict(
             {"tenants": [self.TENANT, process],
-             "pump_fault": {**hang, "tenant": "net-b"}}
+             "faults": {"tenant.arrival": {**hang, "tenant": "net-b"}}}
         )
         path = tmp_path / "serve.json"
         path.write_text(
-            json.dumps({"tenants": [process], "pump_fault": hang})
+            json.dumps(
+                {"tenants": [process], "faults": {"tenant.arrival": hang}}
+            )
         )
         argv = ["serve", "--config", str(path), "--placement", "inline"]
         assert cli_main(argv) == 2
@@ -317,7 +320,7 @@ class TestDurableDegrade:
     ):
         import errno
 
-        from repro.utils import fsio
+        from repro.utils import inject
 
         # Cadence high enough that no automatic checkpoint fires: the
         # explicit calls below are the only writes.
@@ -333,11 +336,8 @@ class TestDurableDegrade:
                 if op == "write" and "checkpoint.ckpt" in p:
                     raise OSError(errno.ENOSPC, "injected", p)
 
-        fsio.install_fault_hook(Full())
-        try:
+        with inject.arm({inject.DURABLE: Full()}):
             runtime.checkpoint()  # degrades instead of raising
-        finally:
-            fsio.clear_fault_hook()
         assert runtime.durable_degraded
         assert runtime.health()["durable_degraded"]
         assert not runtime.checkpoint_path.exists()
@@ -403,3 +403,33 @@ class TestDegradedMode:
             + health["stream"]["shed_events"]
         ) > 0
         second.drain()
+
+
+class TestOneShotEnd:
+    """``once`` knows no more bytes are coming; a live life does not."""
+
+    @pytest.mark.parametrize("once, want", [(True, 65), (False, 64)])
+    def test_newline_less_last_line(
+        self, live_a, kb_file, tmp_path, once, want
+    ):
+        """A 65-line source without a final newline: the one-shot life
+        pushes all 65 arrivals, as ``digest --source`` does; a live life
+        keeps carrying the last line until its newline arrives."""
+        log = tmp_path / "s.log"
+        write_log(log, [m.message for m in live_a.messages][:65])
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))
+        spec = _spec((str(log),), tmp_path / "work", kb_file)
+        notes = []
+        life = TenantLife(
+            {"spec": spec.to_dict(), "degraded": False, "once": once,
+             "poll_interval": 0.0},
+            notes.append,
+            pid=None,
+        )
+        life.boot()
+        while life.step():
+            pass
+        assert sum(n.get("n", 0) for n in notes) == want
+        assert ({"id": 0, "kind": "exhausted"} in notes) == once
+        life.runtime.halt()
+        life.runtime.events.close()

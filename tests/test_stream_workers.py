@@ -23,7 +23,7 @@ from repro.core.shards import StepItem, run_ladder
 from repro.core.stream import DigestStream, ShardState
 from repro.core.syslogplus import Augmenter
 from repro.hotpath import stream_fingerprint
-from repro.netsim.faults import FlakyShardTask, MidStepFault, WorkerFaults
+from repro.netsim.faults import ShardFault, WorkerFaults
 from repro.obs import (
     SHARD_FALLBACKS,
     SHARD_RETRIES,
@@ -31,6 +31,7 @@ from repro.obs import (
     scoped_registry,
 )
 from repro.syslog.stream import sort_messages
+from repro.utils import inject
 
 
 def flaky_step(original, shard_id: int, fail_at: tuple[int, ...]):
@@ -124,18 +125,14 @@ class TestShardRetryExactness:
 
 
 def _run_lane(system, messages, lane, profile=None, chunk=200):
-    """One full streaming run on the given lane, optional fault profile."""
-    hooks = {}
-    if profile is not None:
-        hooks = {
-            "fault_hook": profile.stream_fault_hook(),
-            "step_fault_hook": profile.stream_step_hook(),
-        }
-    stream = DigestStream(
-        system.kb,
-        system.config.with_workers(4).with_stream_workers(lane),
-        **hooks,
-    )
+    """One full streaming run on the given lane, optional fault profile
+    (armed while the stream is built, which is when its shards capture
+    the hooks — the process lane ships them to its workers then)."""
+    with inject.arm(profile.points() if profile is not None else {}):
+        stream = DigestStream(
+            system.kb,
+            system.config.with_workers(4).with_stream_workers(lane),
+        )
     try:
         if lane == "processes":
             assert stream.stream_lane == "processes"
@@ -158,7 +155,7 @@ def lane_baseline(system_a, ordered_a):
 class TestMidStepFaultAcrossLanes:
     """The retry-exactness contract holds identically in every lane.
 
-    :class:`~repro.netsim.faults.MidStepFault` (via the ``WorkerFaults``
+    :class:`~repro.netsim.faults.ShardFault` (via the ``WorkerFaults``
     profile's ``after`` knob) raises *inside* a shard's message list —
     for the process lane, inside the worker process itself, shipped at
     spawn.  Whatever recovery rung handles it (pool retry or hook-free
@@ -195,7 +192,8 @@ class TestMidStepFaultAcrossLanes:
 
 class TestOneLadderOneLoop:
     """``run_ladder`` + ``ShardState.apply`` with no lane in sight, and
-    the batch engine's ``task=`` seam through the very same ladder."""
+    the batch engine's ``shard.task`` point through the very same
+    ladder."""
 
     K = 25
 
@@ -229,9 +227,9 @@ class TestOneLadderOneLoop:
         prefix_edges = ShardState(0, *init).apply(items[: self.K])[1]
         want_edges = ShardState(0, *init).apply(items)[1]
 
-        state = ShardState(
-            0, *init, step_hook=MidStepFault((0,), self.K, fail_attempts)
-        )
+        fault = ShardFault((0,), fail_attempts, after=self.K)
+        with inject.arm({inject.SHARD_STEP: fault}):
+            state = ShardState(0, *init)
         cursor, edges, trail = 0, [], []
 
         def run_attempt(pending, attempt, use_hooks):
@@ -291,9 +289,9 @@ class TestOneLadderOneLoop:
         want = GroupingEngine(system_a.kb, config).group(plus)
         registry = MetricsRegistry()
         with scoped_registry(registry):
-            got = ParallelGroupingEngine(
-                system_a.kb, config, task=FlakyShardTask((0,), 2)
-            ).group(plus)
+            with inject.arm({inject.SHARD_TASK: ShardFault((0,), 2)}):
+                engine = ParallelGroupingEngine(system_a.kb, config)
+            got = engine.group(plus)
         assert [[p.index for p in g] for g in got.groups] == [
             [p.index for p in g] for g in want.groups
         ]

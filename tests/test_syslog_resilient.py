@@ -183,7 +183,7 @@ class TestDumpRotation:
     def test_enospc_unwinds_rotation_and_keeps_the_queue(self, tmp_path):
         import errno
 
-        from repro.utils import fsio
+        from repro.utils import inject
 
         base = tmp_path / "dead.jsonl"
         self._dump(tmp_path, ["gen-0"], max_bytes=1 << 20)
@@ -196,12 +196,9 @@ class TestDumpRotation:
                 if op == "write" and "dead.jsonl" in p:
                     raise OSError(errno.ENOSPC, "injected", p)
 
-        fsio.install_fault_hook(Full())
-        try:
+        with inject.arm({inject.DURABLE: Full()}):
             with pytest.raises(OSError):
                 quarantine.dump(base, max_bytes=1 << 20)
-        finally:
-            fsio.clear_fault_hook()
         # The rotation family is exactly as before the failed dump...
         assert "gen-1" in base.read_text()
         assert "gen-0" in (tmp_path / "dead.jsonl.1").read_text()

@@ -26,7 +26,7 @@ from repro.syslog.tail import (
     SourceTailer,
     TailSet,
 )
-from repro.utils import fsio
+from repro.utils import inject
 
 pytestmark = pytest.mark.ingest
 
@@ -249,13 +249,10 @@ class TestReadFaults:
                     self.fired = True
                     raise OSError(errno.EIO, "injected", p)
 
-        fsio.install_fault_hook(FailOnce())
-        try:
+        with inject.arm({inject.DURABLE: FailOnce()}):
             assert tailer.poll() == 0
             assert tailer.io_errors == 1
             assert _drain(tailer) == [_line(1)]  # next poll recovers
-        finally:
-            fsio.clear_fault_hook()
 
 
 class TestTailSet:

@@ -1,9 +1,11 @@
-"""fsio: durable atomic writes and the disk-fault injection seam.
+"""fsio's durable atomic writes and the injection seam they consult.
 
 Every durable-write path (checkpoints, model store, journals,
-quarantine dumps) funnels through :mod:`repro.utils.fsio`; these tests
-pin the seam itself — atomicity under injected faults, temp-file
-hygiene, fault-hook scoping — so the call sites can lean on it.
+quarantine dumps) funnels through :mod:`repro.utils.fsio`, which asks
+the ``durable`` point of :mod:`repro.utils.inject` before any byte
+moves; these tests pin both — atomicity under injected faults,
+temp-file hygiene, arming scope, the JSON vocabulary — so the call
+sites can lean on them.
 """
 
 from __future__ import annotations
@@ -12,28 +14,11 @@ import errno
 
 import pytest
 
-from repro.netsim.faults import (
-    DiskFull,
-    DiskIOError,
-    durable_fault_from_dict,
-)
-from repro.utils import fsio
-from repro.utils.fsio import (
-    atomic_write_bytes,
-    atomic_write_text,
-    check_fault,
-    clear_fault_hook,
-    fsync_dir,
-    install_fault_hook,
-)
+from repro.netsim.faults import DiskFull, DiskIOError
+from repro.utils import inject
+from repro.utils.fsio import atomic_write_bytes, atomic_write_text, fsync_dir
 
 pytestmark = pytest.mark.faults
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_hook():
-    yield
-    clear_fault_hook()
 
 
 class TestAtomicWrite:
@@ -56,10 +41,8 @@ class TestAtomicWrite:
         def hook(op, p):
             raise OSError(errno.ENOSPC, "injected", p)
 
-        install_fault_hook(hook)
-        with pytest.raises(OSError):
+        with inject.arm({inject.DURABLE: hook}), pytest.raises(OSError):
             atomic_write_bytes(path, b"never lands")
-        clear_fault_hook()
         assert path.read_bytes() == b"good"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -70,26 +53,39 @@ class TestAtomicWrite:
 
 class TestFaultHook:
     def test_no_hook_is_a_no_op(self, tmp_path):
-        check_fault("write", tmp_path / "x")
+        assert inject.hook(inject.DURABLE) is None
+        atomic_write_bytes(tmp_path / "x", b"fine")
 
     def test_hook_sees_op_and_path(self, tmp_path):
         seen = []
-        install_fault_hook(lambda op, p: seen.append((op, p)))
-        check_fault("read", tmp_path / "y")
-        assert seen == [("read", str(tmp_path / "y"))]
+        with inject.arm({inject.DURABLE: lambda op, p: seen.append((op, p))}):
+            atomic_write_bytes(tmp_path / "y", b"")
+        assert seen == [("write", str(tmp_path / "y"))]
 
     def test_clear_restores_the_no_op(self, tmp_path):
         def hook(op, p):
             raise OSError(errno.EIO, "injected", p)
 
-        install_fault_hook(hook)
-        clear_fault_hook()
+        outer = []
+        with inject.arm({inject.DURABLE: outer.append}):
+            with inject.arm({inject.DURABLE: hook}):
+                assert inject.hook(inject.DURABLE) is hook
+            assert inject.hook(inject.DURABLE) == outer.append
+        assert inject.hook(inject.DURABLE) is None
         atomic_write_bytes(tmp_path / "z", b"fine")
+
+    def test_unknown_points_are_refused(self):
+        with pytest.raises(ValueError, match="unknown injection point"):
+            with inject.arm({"disk": print}):
+                pass
+        assert all(inject.hook(point) is None for point in inject.POINTS)
 
 
 class TestDurableFaultProfiles:
     def test_disk_full_fires_in_its_attempt_window(self, tmp_path):
-        hook = DiskFull(match="target.ckpt", after=2, times=1).fsio_hook()
+        hook = DiskFull(match="target.ckpt", after=2, times=1).points()[
+            inject.DURABLE
+        ]
         hook("write", "/w/target.ckpt")  # attempt 1: before the window
         with pytest.raises(OSError) as caught:
             hook("write", "/w/target.ckpt")  # attempt 2: inside
@@ -97,24 +93,41 @@ class TestDurableFaultProfiles:
         hook("write", "/w/target.ckpt")  # attempt 3: window exhausted
 
     def test_non_matching_paths_never_count(self):
-        hook = DiskFull(match="checkpoint.ckpt", after=1, times=1).fsio_hook()
+        hook = DiskFull(match="checkpoint.ckpt").points()[inject.DURABLE]
         hook("write", "/w/events.bin")
         hook("write", "/w/quarantine.jsonl")
         with pytest.raises(OSError):
             hook("write", "/w/checkpoint.ckpt.new")  # temp names match too
 
     def test_io_error_profile_raises_eio_for_its_op(self):
-        hook = DiskIOError(match="s.log", op="read").fsio_hook()
+        hook = DiskIOError(match="s.log", op="read").points()[inject.DURABLE]
         hook("write", "/w/s.log")  # wrong op: ignored
         with pytest.raises(OSError) as caught:
             hook("read", "/w/s.log")
         assert caught.value.errno == errno.EIO
 
     def test_from_dict_dispatches_and_rejects_unknown(self):
-        hook = durable_fault_from_dict(
-            {"kind": "disk_full", "match": "x", "after": 1, "times": 1}
+        hooks = inject.from_dict(
+            {
+                "durable": {"errno": "ENOSPC", "match": "x"},
+                "daemon.arrival": {"after": 3},
+                "tenant.arrival": {"at": 2, "mode": "hang", "tenant": "a"},
+            }
         )
-        with pytest.raises(OSError):
-            hook("write", "/w/x")
-        with pytest.raises(ValueError, match="kind"):
-            durable_fault_from_dict({"kind": "meteor-strike"})
+        with pytest.raises(OSError) as caught:
+            hooks[inject.DURABLE]("write", "/w/x")
+        assert caught.value.errno == errno.ENOSPC
+        assert isinstance(hooks[inject.DAEMON_ARRIVAL], inject.DaemonCrash)
+        poison = hooks[inject.TENANT_ARRIVAL]
+        assert poison.hangs("a") and not poison.hangs("b")
+        assert inject.from_dict(None) == {}
+        for bad in (
+            {"shard.step": {}},  # not in the JSON vocabulary
+            {"meteor-strike": {}},
+            {"durable": {"errno": "EMETEOR"}},
+            {"durable": {"errno": "EIO", "colour": "red"}},
+            {"tenant.arrival": {"at": 0, "mode": "explode"}},
+            {"daemon.arrival": 5},
+        ):
+            with pytest.raises(ValueError):
+                inject.from_dict(bad)
