@@ -114,8 +114,6 @@ def test_ingest_disorder(benchmark, system_a, live_a):
         max_reorder_delay=60.0,
         max_buffer_messages=MAX_BUFFER,
         dedup_window=120.0,
-        breaker_failure_threshold=5,
-        probe_base_delay=60.0,
     )
 
     # Invariant 1 — clean single feed through ingest == direct path.

@@ -186,10 +186,7 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
     paths = list(args.source) if args.source else [args.log]
     if paths == [None]:
         raise SystemExit("need --log or at least one --source")
-    config = DigestConfig(
-        n_workers=args.workers,
-        stream_workers=getattr(args, "stream_workers", "serial"),
-    )
+    config = DigestConfig(n_workers=args.workers)
     ingest_config = IngestConfig(
         max_reorder_delay=args.max_reorder_delay,
         dedup_window=args.dedup_window,
@@ -327,10 +324,17 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     reordered, deduplicated and late-dropped, so skipping lines of one
     sorted log would not replay the same feed.
     """
-    from repro.core.checkpoint import checkpoint_info, restore_stream
+    from repro.core.checkpoint import (
+        CheckpointInfo,
+        read_checkpoint,
+        restore_stream_snapshot,
+    )
     from repro.core.present import present_digest
 
-    info = checkpoint_info(args.checkpoint)
+    snapshot = read_checkpoint(args.checkpoint)
+    info = CheckpointInfo.of(
+        args.checkpoint, snapshot, Path(args.checkpoint).stat().st_size
+    )
     if info.has_ingest:
         print(
             f"resume: {args.checkpoint} carries ingest state "
@@ -340,18 +344,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         )
         return 2
     if args.kb is not None:
-        stream = restore_stream(
-            args.checkpoint,
-            KnowledgeBase.load(args.kb),
-            stream_workers=args.stream_workers,
+        stream = restore_stream_snapshot(
+            snapshot, KnowledgeBase.load(args.kb)
         )
     elif args.store is not None:
         from repro.core.modelstore import KnowledgeStore
 
-        stream = restore_stream(
-            args.checkpoint,
-            store=KnowledgeStore(args.store),
-            stream_workers=args.stream_workers,
+        stream = restore_stream_snapshot(
+            snapshot, store=KnowledgeStore(args.store)
         )
         print(
             f"# resumed under store version v{stream.kb_version}",
@@ -636,9 +636,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     registry = get_registry()
     registry.reset()
     kb, kb_version = _kb_from_args(args)
-    config = DigestConfig(
-        n_workers=args.workers, stream_workers=args.stream_workers
-    )
+    config = DigestConfig(n_workers=args.workers)
     quarantine = Quarantine()
     messages = read_log(args.log, quarantine)
     if args.stream:
@@ -815,14 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         "feeds are interleaved by timestamp)",
     )
     p.add_argument(
-        "--stream-workers",
-        choices=["serial", "threads", "processes"],
-        default="serial",
-        help="streaming executor lane for the sharded steps (with "
-        "--ingest/--source): 'processes' keeps one persistent worker "
-        "process per shard; all lanes group identically",
-    )
-    p.add_argument(
         "--quarantine",
         default=None,
         metavar="PATH",
@@ -880,14 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reload the exact store version the checkpoint was taken "
         "under instead of passing --kb",
     )
-    p.add_argument(
-        "--stream-workers",
-        choices=["serial", "threads", "processes"],
-        default=None,
-        help="override the executor lane for the resumed stream "
-        "(default: the lane the checkpoint was taken under; the lane "
-        "never changes output, so any checkpoint resumes on any lane)",
-    )
     p.set_defaults(fn=_cmd_resume)
 
     p = sub.add_parser(
@@ -906,13 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[knowledge, workers],
     )
     p.add_argument("--log", required=True)
-    p.add_argument(
-        "--stream-workers",
-        choices=["serial", "threads", "processes"],
-        default="serial",
-        help="with --stream: executor lane for the sharded steps "
-        "('processes' = one persistent worker process per shard)",
-    )
     p.add_argument(
         "--stream",
         action="store_true",

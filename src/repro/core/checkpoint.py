@@ -67,6 +67,25 @@ class CheckpointInfo:
     has_ingest: bool = False
     n_buffered: int = 0
 
+    @classmethod
+    def of(
+        cls, path: str | Path, snapshot: dict, n_bytes: int
+    ) -> CheckpointInfo:
+        """The header of ``snapshot``, stored at ``path`` in ``n_bytes``."""
+        ingest_state = snapshot.get("ingest")
+        return cls(
+            path=str(path),
+            format=CHECKPOINT_FORMAT,
+            snapshot_version=snapshot["version"],
+            stream_clock=snapshot["last_ts"],
+            n_admitted=snapshot["n_admitted"],
+            n_open=len(snapshot["open"]),
+            n_bytes=n_bytes,
+            kb_version=snapshot["kb_version"],
+            has_ingest=ingest_state is not None,
+            n_buffered=len(ingest_state["buffer"]) if ingest_state else 0,
+        )
+
 
 def write_checkpoint(
     path: str | Path, stream: DigestStream
@@ -110,19 +129,7 @@ def write_checkpoint(
     if registry.enabled:
         registry.inc(CHECKPOINT_WRITES)
         registry.set_gauge(CHECKPOINT_BYTES, len(blob))
-    ingest_state = snapshot.get("ingest")
-    return CheckpointInfo(
-        path=str(path),
-        format=CHECKPOINT_FORMAT,
-        snapshot_version=snapshot["version"],
-        stream_clock=snapshot["last_ts"],
-        n_admitted=snapshot["n_admitted"],
-        n_open=len(snapshot["open"]),
-        n_bytes=len(blob),
-        kb_version=snapshot["kb_version"],
-        has_ingest=ingest_state is not None,
-        n_buffered=len(ingest_state["buffer"]) if ingest_state else 0,
-    )
+    return CheckpointInfo.of(path, snapshot, len(blob))
 
 
 class CheckpointFormatError(ValueError):
@@ -202,21 +209,8 @@ def load_resume_state(
 
 def checkpoint_info(path: str | Path) -> CheckpointInfo:
     """Header summary of a checkpoint without restoring it."""
-    path = Path(path)
     snapshot = read_checkpoint(path)
-    ingest_state = snapshot.get("ingest")
-    return CheckpointInfo(
-        path=str(path),
-        format=CHECKPOINT_FORMAT,
-        snapshot_version=snapshot["version"],
-        stream_clock=snapshot["last_ts"],
-        n_admitted=snapshot["n_admitted"],
-        n_open=len(snapshot["open"]),
-        n_bytes=path.stat().st_size,
-        kb_version=snapshot["kb_version"],
-        has_ingest=ingest_state is not None,
-        n_buffered=len(ingest_state["buffer"]) if ingest_state else 0,
-    )
+    return CheckpointInfo.of(path, snapshot, Path(path).stat().st_size)
 
 
 def restore_stream(
@@ -224,7 +218,6 @@ def restore_stream(
     kb: KnowledgeBase | None = None,
     config: DigestConfig | None = None,
     store: KnowledgeStore | None = None,
-    stream_workers: str | None = None,
 ) -> DigestStream:
     """Rebuild a :class:`DigestStream` from a checkpoint file.
 
@@ -238,18 +231,14 @@ def restore_stream(
     it was built with); pass ``config`` to assert a specific one — a
     mismatch raises rather than silently regrouping differently.
 
-    ``stream_workers`` overrides the executor lane alone: the lane is an
-    execution detail — every lane groups byte-identically — so a stream
-    checkpointed under threads can resume on worker processes (or vice
-    versa) with no effect on output.
+    The executor lane is an execution detail — every lane groups
+    byte-identically — so ``config`` may name another lane than the
+    checkpoint's (``snapshot_config.with_stream_workers(lane)``): a
+    stream checkpointed under threads resumes on worker processes (or
+    vice versa) with no effect on output.
     """
-    snapshot = read_checkpoint(path)
     return restore_stream_snapshot(
-        snapshot,
-        kb=kb,
-        config=config,
-        store=store,
-        stream_workers=stream_workers,
+        read_checkpoint(path), kb=kb, config=config, store=store
     )
 
 
@@ -258,13 +247,14 @@ def restore_stream_snapshot(
     kb: KnowledgeBase | None = None,
     config: DigestConfig | None = None,
     store: KnowledgeStore | None = None,
-    stream_workers: str | None = None,
 ) -> DigestStream:
     """:func:`restore_stream` for an already-loaded snapshot dict.
 
     Used by callers that resolve the snapshot themselves — e.g. the
     serve tenant, which loads via :func:`load_resume_state` so a
-    corrupt newest checkpoint falls back to the ``.prev`` generation.
+    corrupt newest checkpoint falls back to the ``.prev`` generation,
+    and ``syslogdigest resume``, which reads the header from the same
+    snapshot.
     """
     kb_version = snapshot["kb_version"]
     if kb is None:
@@ -284,10 +274,6 @@ def restore_stream_snapshot(
     restored_config: DigestConfig = (
         config if config is not None else snapshot["config"]
     )
-    if stream_workers is not None:
-        restored_config = restored_config.with_stream_workers(
-            stream_workers
-        )
     stream = DigestStream(kb, restored_config)
     stream.restore(snapshot)
     return stream

@@ -59,9 +59,9 @@ class DigestConfig:
     # steps shards inline, "threads" uses a thread pool (GIL-bound),
     # "processes" keeps one persistent worker process per shard that
     # owns its ShardState across batches.  All three group
-    # byte-identically; see the ledger rows
-    # (benchmarks/ledger/README.md) before choosing another lane — none
-    # has been measured faster than serial.  The shard count itself
+    # byte-identically, and none has been measured faster than serial
+    # (benchmarks/ledger/README.md).  A library choice: the CLI and the
+    # serve tenants always run the default.  The shard count itself
     # comes from ``n_workers``.
     stream_workers: str = "serial"
 
@@ -144,10 +144,12 @@ class IngestConfig:
 
     :class:`~repro.syslog.ingest.MultiSourceIngest` sits between raw
     per-source feeds and :class:`~repro.core.stream.DigestStream`; these
-    knobs bound how much disorder it absorbs and when it gives up on a
-    source.  The defaults are a strict no-op for a single in-order
-    source: dedup, stall detection, and admission control are opt-in,
-    and the reorder buffer only *delays* emission, never changes it.
+    knobs bound how much disorder it absorbs and how much it admits.
+    The defaults are a strict no-op for a single in-order source: dedup
+    and admission control are opt-in, and the reorder buffer only
+    *delays* emission, never changes it.  The circuit breaker's
+    threshold and probe schedule are fixed constants of
+    :mod:`repro.syslog.ingest`, not knobs.
     """
 
     # Watermark reordering: a source's low watermark trails its newest
@@ -167,23 +169,6 @@ class IngestConfig:
     # watermark (0 = dedup off — suppression changes output, opt in).
     dedup_window: float = 0.0
 
-    # Circuit breaker: consecutive failures (parse errors, stalls) that
-    # trip a source from closed to open.
-    breaker_failure_threshold: int = 5
-
-    # Half-open probe schedule, realized through
-    # :class:`repro.syslog.resilient.RetryPolicy` — probe i after the
-    # policy's i-th exponential delay; the final delay repeats once the
-    # schedule is exhausted.  Stall-opened breakers probe immediately on
-    # the next arrival (the arrival itself ends the stall).
-    probe_base_delay: float = 60.0
-    probe_max_retries: int = 6
-
-    # A closed source whose last arrival trails the ingest clock by more
-    # than this many seconds is opened with reason "stall" so it stops
-    # holding back the global watermark (0 = stall detection off).
-    stall_timeout: float = 0.0
-
     # Admission control: with buffered + stream-open messages at or past
     # the soft limit, arrivals from unhealthy sources (breaker not
     # closed, or consecutive failures pending) are shed; past the hard
@@ -200,14 +185,6 @@ class IngestConfig:
             raise ValueError("max_buffer_messages must be >= 0 (0 = unbounded)")
         if self.dedup_window < 0:
             raise ValueError("dedup_window must be >= 0 (0 = off)")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.probe_base_delay < 0:
-            raise ValueError("probe_base_delay must be >= 0")
-        if self.probe_max_retries < 0:
-            raise ValueError("probe_max_retries must be >= 0")
-        if self.stall_timeout < 0:
-            raise ValueError("stall_timeout must be >= 0 (0 = off)")
         if self.admit_soft_limit < 0 or self.admit_hard_limit < 0:
             raise ValueError("admission limits must be >= 0 (0 = off)")
         if (

@@ -86,7 +86,6 @@ INGEST_WATERMARK_LAG = "syslogdigest_ingest_watermark_lag_seconds"
 INGEST_ADMITTED = "syslogdigest_ingest_admitted_total"
 INGEST_LATE_DROPPED = "syslogdigest_ingest_late_dropped_total"
 INGEST_DEDUPLICATED = "syslogdigest_ingest_deduplicated_total"
-INGEST_SEQ_GAPS = "syslogdigest_ingest_sequence_gaps_total"
 INGEST_FORCED_FLUSHES = "syslogdigest_ingest_forced_flushes_total"
 INGEST_ADMISSION_SHED = "syslogdigest_ingest_admission_shed_total"
 BREAKER_STATE = "syslogdigest_ingest_breaker_state"

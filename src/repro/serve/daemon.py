@@ -27,7 +27,7 @@ Configuration is one JSON document (see :class:`ServeConfig`)::
       "tenants": [
         {"name": "net-a", "sources": ["a1.log", "a2.log"],
          "workdir": "serve-state/net-a", "kb_path": "a.kb",
-         "stream_workers": "serial"}
+         "checkpoint_every": 200}
       ]
     }
 
@@ -73,7 +73,6 @@ BUDGET_GAUGES = {
     "open_messages": ("max_open_messages", "open_messages"),
     "journal_bytes": ("journal_max_bytes", "journal_bytes"),
     "quarantine_bytes": ("quarantine_max_bytes", "quarantine_records"),
-    "stream_procs": ("max_stream_procs", "stream_procs"),
 }
 
 

@@ -40,7 +40,6 @@ from repro.core.checkpoint import (
 from repro.core.config import DigestConfig, IngestConfig
 from repro.core.knowledge import KnowledgeBase
 from repro.core.modelstore import KnowledgeStore
-from repro.core.shards import resolve_workers
 from repro.core.stream import DigestStream
 from repro.obs import (
     DURABLE_WRITE_FAILURES,
@@ -80,8 +79,6 @@ BUDGET_HEALTH_KEYS: dict[str, str] = {
     "journal_bytes": "event-journal bytes on disk + retry buffer",
     "quarantine_max_bytes": "quarantine dump rotation byte budget",
     "quarantine_records": "records currently held in the quarantine",
-    "max_stream_procs": "stream-lane worker-process budget (0 = unbounded)",
-    "stream_procs": "worker processes the stream lane is running",
     "rpc_deadline_seconds": "parent-side reply deadline for worker RPCs",
     "breached": "budget names breached so far, in breach order",
     "over_budget": "1.0 while any budget stands breached",
@@ -108,21 +105,16 @@ class TenantBudget:
     degraded into shed mode, not killed: the bulkhead contract is that
     an over-budget tenant loses throughput, never its neighbors'.
 
-    ``max_stream_procs`` is enforced at pipeline start by clamping the
-    process stream lane's worker count (output is unchanged — lane
-    byte-identity is pinned by ``make check``).  ``rpc_deadline``
-    bounds how long the daemon waits for a worker's RPC reply before
-    declaring it hung (``placement = "process"`` only).
+    ``rpc_deadline`` bounds how long the daemon waits for a worker's
+    RPC reply before declaring it hung (``placement = "process"`` only).
     """
 
     max_open_messages: int = 0
     journal_max_bytes: int = 0
-    max_stream_procs: int = 0
     rpc_deadline: float = 10.0
 
     def __post_init__(self) -> None:
-        for key in ("max_open_messages", "journal_max_bytes",
-                    "max_stream_procs"):
+        for key in ("max_open_messages", "journal_max_bytes"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0 (0 = unbounded)")
         if self.rpc_deadline <= 0:
@@ -138,7 +130,8 @@ class TenantSpec:
     ``store_dir`` (a :class:`KnowledgeStore` directory, whose *active*
     version is served and whose versions back promote/rollback) must be
     set.  ``checkpoint_every`` counts *arrivals* between checkpoints —
-    a deterministic cadence, unlike wall time.
+    a deterministic cadence, unlike wall time.  The stream always runs
+    the default :class:`~repro.core.config.DigestConfig`.
     """
 
     name: str
@@ -146,8 +139,6 @@ class TenantSpec:
     workdir: str
     kb_path: str | None = None
     store_dir: str | None = None
-    n_workers: int = 1
-    stream_workers: str = "serial"
     checkpoint_every: int = 200
     max_reorder_delay: float = IngestConfig.max_reorder_delay
     dedup_window: float = 0.0
@@ -225,7 +216,6 @@ class TenantRuntime:
     _arrivals: deque = field(default_factory=deque)
     _since_checkpoint: int = 0
     _arrivals_life: int = 0
-    _effective_workers: int = 0
 
     # ------------------------------------------------------------ paths
 
@@ -278,15 +268,6 @@ class TenantRuntime:
             self._restore()
         else:
             self._fresh()
-        self._config()  # records _effective_workers on the restore path too
-        requested = resolve_workers(self.spec.n_workers)
-        if self._effective_workers < requested:
-            self._journal_entry(
-                kind="budget-clamped",
-                budget="max_stream_procs",
-                requested=requested,
-                effective=self._effective_workers,
-            )
         if degraded:
             # Shedding is applied post-construction/restore: it is a
             # runtime bound, not a grouping parameter, so the unmodified
@@ -298,7 +279,7 @@ class TenantRuntime:
 
     def _apply_shedding(self, bound: int) -> None:
         """Put the live pipeline into shed mode at ``bound`` open messages."""
-        shed_cfg = self._config().with_shedding(bound)
+        shed_cfg = DigestConfig().with_shedding(bound)
         shed_events = self.stream.set_shedding(bound)
         if shed_events:
             self.events.append(shed_events)
@@ -318,21 +299,6 @@ class TenantRuntime:
             bound = min(bound, self.spec.budget.max_open_messages)
         return bound
 
-    def _config(self) -> DigestConfig:
-        n_workers = self.spec.n_workers
-        limit = self.spec.budget.max_stream_procs
-        if (limit and self.spec.stream_workers == "processes"
-                and resolve_workers(n_workers) > limit):
-            # Budget clamp, enforced at construction: the process lane
-            # never spawns more workers than the budget allows.  Output
-            # is unchanged — lane byte-identity is pinned by make check.
-            n_workers = limit
-        self._effective_workers = resolve_workers(n_workers)
-        return DigestConfig(
-            n_workers=n_workers,
-            stream_workers=self.spec.stream_workers,
-        )
-
     def _ingest_config(self) -> IngestConfig:
         return IngestConfig(
             max_reorder_delay=self.spec.max_reorder_delay,
@@ -349,7 +315,7 @@ class TenantRuntime:
 
     def _fresh(self) -> None:
         kb, version = self._load_kb()
-        self.stream = DigestStream(kb, self._config(), kb_version=version)
+        self.stream = DigestStream(kb, DigestConfig(), kb_version=version)
         self.stream.attach_quarantine(self.quarantine)
         self.ingest = MultiSourceIngest(
             self.stream, self._ingest_config(), quarantine=self.quarantine
@@ -665,10 +631,6 @@ class TenantRuntime:
     def budget_health(self) -> dict:
         """Budget usage vs. limits — exactly :data:`BUDGET_HEALTH_KEYS`."""
         budget = self.spec.budget
-        procs = (
-            self._effective_workers
-            if self.stream.stream_lane == "processes" else 0
-        )
         return {
             "max_open_messages": budget.max_open_messages,
             "open_messages": self.stream.n_open_messages,
@@ -676,8 +638,6 @@ class TenantRuntime:
             "journal_bytes": self.events.size_bytes,
             "quarantine_max_bytes": self.spec.quarantine_max_bytes,
             "quarantine_records": len(self.quarantine),
-            "max_stream_procs": budget.max_stream_procs,
-            "stream_procs": procs,
             "rpc_deadline_seconds": budget.rpc_deadline,
             "breached": list(self.budget_breached),
             "over_budget": 1.0 if self.budget_breached else 0.0,
@@ -695,7 +655,6 @@ class TenantRuntime:
             "events_journaled": len(self.events),
             "n_batches": self.n_batches,
             "kb_version": self.stream.kb_version,
-            "stream_lane": self.stream.stream_lane,
             "stream": self.stream.health(),
             "ingest": self.ingest.health(),
             "sources": self.ingest.source_summaries(),

@@ -16,16 +16,16 @@ provides four defenses:
   when a quarantine is attached).  ``max_buffer_messages`` bounds the
   buffer; overflow force-flushes the oldest entries past the watermark.
 * **Per-source circuit breakers** — each source runs a
-  closed → open → half-open state machine: ``breaker_failure_threshold``
-  consecutive failures (parse errors, stalls) open it, the half-open
-  probe schedule reuses :class:`~repro.syslog.resilient.RetryPolicy`
-  (exponential, deterministic, final delay repeating), and every
-  transition is journaled.  Open sources are excluded from the
-  watermark minimum so one dead feed never stalls the pipeline.
-* **Duplicate suppression & gap detection** — with ``dedup_window`` set,
-  a message whose full content was already admitted inside the window
-  is suppressed; sources that provide sequence numbers get per-source
-  sequence-gap accounting.
+  closed → open → half-open state machine:
+  :data:`BREAKER_FAILURE_THRESHOLD` consecutive unparseable lines open
+  it, the half-open probe schedule :data:`PROBE_DELAYS` comes from
+  :class:`~repro.syslog.resilient.RetryPolicy` (exponential,
+  deterministic, final delay repeating), and every transition is
+  journaled.  Open sources are excluded from the watermark minimum so
+  one dead feed never stalls the pipeline.
+* **Duplicate suppression** — with ``dedup_window`` set, a message
+  whose full content was already admitted inside the window is
+  suppressed.
 * **Admission control / backpressure** — past ``admit_soft_limit``
   in-flight messages, arrivals from unhealthy sources (breaker not
   closed, or failures pending) are shed; past ``admit_hard_limit``
@@ -61,7 +61,6 @@ from repro.obs import (
     INGEST_DEDUPLICATED,
     INGEST_FORCED_FLUSHES,
     INGEST_LATE_DROPPED,
-    INGEST_SEQ_GAPS,
     INGEST_WATERMARK_LAG,
     get_registry,
 )
@@ -83,6 +82,14 @@ INGEST_SNAPSHOT_VERSION = 2
 #: their index (closed=0, half_open=1, open=2).
 BREAKER_STATES = ("closed", "half_open", "open")
 
+#: Consecutive unparseable lines that trip a source from closed to open.
+BREAKER_FAILURE_THRESHOLD = 5
+
+#: Half-open probe delays, in seconds: probe i waits the i-th delay of
+#: ``RetryPolicy(6, 60 s)`` (60, 120, ..., 1920); the last one repeats
+#: once the schedule is exhausted.
+PROBE_DELAYS = tuple(RetryPolicy(max_retries=6, base_delay=60.0).delays())
+
 #: Every key :meth:`MultiSourceIngest.health` reports, documented in one
 #: place (DESIGN.md §10 renders this table; tests pin the key set).
 INGEST_HEALTH_KEYS: dict[str, str] = {
@@ -93,7 +100,6 @@ INGEST_HEALTH_KEYS: dict[str, str] = {
     "admitted": "arrivals accepted into the reorder buffer (cumulative)",
     "late_dropped": "arrivals behind the flushed frontier (cumulative)",
     "deduplicated": "arrivals suppressed as duplicates (cumulative)",
-    "sequence_gaps": "sequence numbers skipped across all sources (cumulative)",
     "forced_flushes": "messages flushed early by the buffer bound (cumulative)",
     "admission_shed": "arrivals shed by admission control (cumulative)",
     "breaker_rejected": "arrivals rejected by open breakers (cumulative)",
@@ -119,19 +125,15 @@ class SourceState:
         "name",
         "index",
         "max_ts",
-        "last_arrival_clock",
         "n_pushed",
         "arrival_serial",
-        "last_seq",
         "state",
         "consecutive_failures",
-        "opened_at",
         "probe_idx",
         "next_probe_at",
         "admitted",
         "late_dropped",
         "deduplicated",
-        "seq_gaps",
         "breaker_rejected",
         "admission_shed",
         "parse_failures",
@@ -142,19 +144,15 @@ class SourceState:
         self.name = name
         self.index = index
         self.max_ts: float | None = None
-        self.last_arrival_clock: float | None = None
         self.n_pushed = 0
         self.arrival_serial = 0
-        self.last_seq: int | None = None
         self.state = "closed"
         self.consecutive_failures = 0
-        self.opened_at: float | None = None
         self.probe_idx = 0
         self.next_probe_at: float | None = None
         self.admitted = 0
         self.late_dropped = 0
         self.deduplicated = 0
-        self.seq_gaps = 0
         self.breaker_rejected = 0
         self.admission_shed = 0
         self.parse_failures = 0
@@ -165,7 +163,8 @@ class SourceState:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def restore(self, state: dict) -> None:
-        """Rebuild from a :meth:`snapshot` capture."""
+        """Rebuild from a :meth:`snapshot` capture (keys of retired
+        slots in an older capture are ignored)."""
         for slot in self.__slots__:
             setattr(self, slot, state[slot])
 
@@ -178,7 +177,6 @@ class SourceState:
             "admitted": self.admitted,
             "late_dropped": self.late_dropped,
             "deduplicated": self.deduplicated,
-            "sequence_gaps": self.seq_gaps,
             "parse_failures": self.parse_failures,
             "breaker_rejected": self.breaker_rejected,
             "admission_shed": self.admission_shed,
@@ -221,12 +219,6 @@ class MultiSourceIngest:
         self._dedup_evicted_at: float | None = None
         self._peak_buffered = 0
         self._forced_flushes = 0
-        self._probe_delays = tuple(
-            RetryPolicy(
-                max_retries=self._config.probe_max_retries,
-                base_delay=self._config.probe_base_delay,
-            ).delays()
-        )
         self._last_metrics_clock: float | None = None
         self._tails = None
         self._restored_tails: dict | None = None
@@ -303,9 +295,7 @@ class MultiSourceIngest:
 
     # ----------------------------------------------------------------- push
 
-    def push_line(
-        self, source: str, line: str, seq: int | None = None
-    ) -> list[NetworkEvent]:
+    def push_line(self, source: str, line: str) -> list[NetworkEvent]:
         """Parse and push one raw collector line from ``source``.
 
         Blank lines are ignored; unparseable ones are quarantined,
@@ -318,28 +308,20 @@ class MultiSourceIngest:
         except SyslogParseError as exc:
             src = self.register(source)
             src.n_pushed += 1
-            src.last_arrival_clock = self._clock
             src.parse_failures += 1
             if self._quarantine is not None:
                 self._quarantine.add_parse_error(line, exc)
-            self._note_failure(src, "parse")
+            self._note_failure(src)
             self.last_outcome = "parse_failed"
             return []
-        return self.push(source, message, seq=seq)
+        return self.push(source, message)
 
-    def push(
-        self,
-        source: str,
-        message: SyslogMessage,
-        seq: int | None = None,
-    ) -> list[NetworkEvent]:
+    def push(self, source: str, message: SyslogMessage) -> list[NetworkEvent]:
         """Ingest one parsed message; return any events it finalized."""
         src = self.register(source)
         ts = message.timestamp
         self._clock = ts if self._clock is None else max(self._clock, ts)
         src.n_pushed += 1
-        src.last_arrival_clock = self._clock
-        self._check_stalls(src)
 
         if not self._breaker_admits(src):
             src.breaker_rejected += 1
@@ -376,12 +358,6 @@ class MultiSourceIngest:
         # progress: the watermark advances on every parsed timestamp.
         if src.max_ts is None or ts > src.max_ts:
             src.max_ts = ts
-
-        if seq is not None:
-            if src.last_seq is not None and seq > src.last_seq + 1:
-                src.seq_gaps += seq - src.last_seq - 1
-            if src.last_seq is None or seq > src.last_seq:
-                src.last_seq = seq
 
         if cfg.dedup_window > 0:
             content = (ts, message.router, message.error_code, message.detail)
@@ -424,11 +400,6 @@ class MultiSourceIngest:
 
     # -------------------------------------------------------------- breaker
 
-    def record_failure(self, source: str, reason: str) -> None:
-        """Count an external failure (I/O error, transport loss) against
-        a source's breaker.  Does not consume an input line."""
-        self._note_failure(self.register(source), reason)
-
     def _breaker_admits(self, src: SourceState) -> bool:
         if src.state != "open":
             return True
@@ -441,52 +412,26 @@ class MultiSourceIngest:
             return True
         return False
 
-    def _note_failure(self, src: SourceState, reason: str) -> None:
+    def _note_failure(self, src: SourceState) -> None:
+        """Count one unparseable line against the source's breaker."""
         if src.state == "open":
             # Garbage from an already-open source: once the probe window
             # is reached it *is* the probe, and it just failed.
             if self._breaker_admits(src):
-                self._note_failure(src, reason)
+                self._note_failure(src)
             return
         src.consecutive_failures += 1
         if src.state == "half_open":
-            self._open_breaker(src, f"probe failed ({reason})")
-        elif (
-            src.consecutive_failures
-            >= self._config.breaker_failure_threshold
-        ):
-            self._open_breaker(src, reason)
+            self._open_breaker(src, "probe failed (parse)")
+        elif src.consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
+            self._open_breaker(src, "parse")
 
     def _open_breaker(self, src: SourceState, reason: str) -> None:
         clock = self._clock if self._clock is not None else 0.0
-        src.opened_at = clock
-        if reason == "stall":
-            # The next arrival from a stalled source proves it is back;
-            # probe immediately instead of backing off.
-            delay = 0.0
-        elif self._probe_delays:
-            delay = self._probe_delays[
-                min(src.probe_idx, len(self._probe_delays) - 1)
-            ]
-            src.probe_idx += 1
-        else:
-            delay = 0.0
+        delay = PROBE_DELAYS[min(src.probe_idx, len(PROBE_DELAYS) - 1)]
+        src.probe_idx += 1
         src.next_probe_at = clock + delay
         self._transition(src, "open", reason)
-
-    def _check_stalls(self, arriving: SourceState) -> None:
-        timeout = self._config.stall_timeout
-        if not timeout or self._clock is None:
-            return
-        for name in self._order:
-            src = self._sources[name]
-            if src is arriving or src.state != "closed":
-                continue
-            if (
-                src.last_arrival_clock is not None
-                and self._clock - src.last_arrival_clock > timeout
-            ):
-                self._open_breaker(src, "stall")
 
     def _transition(self, src: SourceState, to: str, reason: str) -> None:
         entry = {
@@ -692,7 +637,6 @@ class MultiSourceIngest:
             "admitted": total("admitted"),
             "late_dropped": total("late_dropped"),
             "deduplicated": total("deduplicated"),
-            "sequence_gaps": total("seq_gaps"),
             "forced_flushes": self._forced_flushes,
             "admission_shed": total("admission_shed"),
             "breaker_rejected": total("breaker_rejected"),
@@ -735,7 +679,6 @@ class MultiSourceIngest:
                 (INGEST_ADMITTED, src.admitted),
                 (INGEST_LATE_DROPPED, src.late_dropped),
                 (INGEST_DEDUPLICATED, src.deduplicated),
-                (INGEST_SEQ_GAPS, src.seq_gaps),
                 (INGEST_ADMISSION_SHED, src.admission_shed),
                 (BREAKER_REJECTED, src.breaker_rejected),
             ):

@@ -1,8 +1,7 @@
 """Deterministic chaos gate for the serve daemon (DESIGN.md §14).
 
-A real two-tenant ``repro serve`` process — one serial-lane tenant,
-one process-lane tenant — is driven through scripted disasters while it
-live-tails its source logs: rotation mid-read, in-place truncation,
+A real two-tenant ``repro serve`` process is driven through scripted
+disasters while it live-tails its source logs: rotation mid-read, in-place truncation,
 disk-full during checkpointing, SIGKILL mid-tail.  After every
 scenario, each tenant's served digest must be
 ``hotpath.stream_fingerprint`` byte-identical to an unfaulted
@@ -82,8 +81,6 @@ def farm(system_a, live_a, tmp_path_factory):
             "workdir": str(workdir / name),
             "kb_path": str(kb_path),
             "checkpoint_every": 50,
-            "stream_workers": "processes" if name == "t-procs" else "serial",
-            "n_workers": 2 if name == "t-procs" else 1,
         }
 
     reference = {}

@@ -283,6 +283,43 @@ class TestFaultToleranceCli:
         assert "replaying" in captured.err
         assert "resumed digest" in captured.out
 
+    def test_resume_reads_its_checkpoint_once(
+        self, workdir, capsys, tmp_path, monkeypatch
+    ):
+        """The header ``resume`` prints and the stream it restores come
+        from one read of the checkpoint file."""
+        from repro.core import checkpoint
+        from repro.core.knowledge import KnowledgeBase
+        from repro.core.stream import DigestStream
+        from repro.syslog.stream import read_log, write_log
+
+        self._ensure_kb(workdir, capsys)
+        log = tmp_path / "short.log"
+        write_log(log, read_log(workdir / "syslog.log")[:400])
+        stream = DigestStream(KnowledgeBase.load(workdir / "kb.json"))
+        stream.push_many(read_log(log)[:200])
+        ckpt = tmp_path / "digest.ckpt"
+        checkpoint.write_checkpoint(ckpt, stream)
+
+        reads = []
+        real = checkpoint.read_checkpoint
+        monkeypatch.setattr(
+            checkpoint,
+            "read_checkpoint",
+            lambda path: reads.append(path) or real(path),
+        )
+        rc = main(
+            [
+                "resume",
+                "--checkpoint", str(ckpt),
+                "--log", str(log),
+                "--kb", str(workdir / "kb.json"),
+            ]
+        )
+        assert rc == 0
+        assert len(reads) == 1
+        assert "200 messages already digested" in capsys.readouterr().err
+
     def test_resume_refuses_an_ingest_checkpoint(
         self, workdir, capsys, tmp_path
     ):

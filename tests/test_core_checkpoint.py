@@ -162,9 +162,10 @@ class TestKillAndResume:
     ):
         """A checkpoint taken on one lane resumes on worker processes.
 
-        The lane is an execution detail: ``restore_stream``'s
-        ``stream_workers`` override swaps it without touching grouping
-        state, and the output matches an uninterrupted serial run.
+        The lane is an execution detail: passing ``restore_stream`` the
+        checkpoint's config on another lane swaps it without touching
+        grouping state, and the output matches an uninterrupted serial
+        run.
         """
         config = system_a.config.with_workers(4)  # serial lane
         chunk = 250
@@ -187,7 +188,7 @@ class TestKillAndResume:
         info = write_checkpoint(path, first)
 
         resumed = restore_stream(
-            path, system_a.kb, stream_workers="processes"
+            path, system_a.kb, config=config.with_stream_workers("processes")
         )
         assert resumed.stream_lane == "processes"
         tail = ordered_a[info.n_admitted :]
@@ -271,7 +272,11 @@ class TestParentFormatCheckpoint:
         assert not set(retired) & set(vars(restored_config))
         assert restored_config.stream_workers == "threads"
 
-        resumed = restore_stream(path, system_a.kb, stream_workers=lane)
+        # No lane: the checkpoint's own config (and its threads lane).
+        resume_config = (
+            None if lane is None else restored_config.with_stream_workers(lane)
+        )
+        resumed = restore_stream(path, system_a.kb, config=resume_config)
         try:
             assert resumed.stream_lane == (lane or "threads")
             tail = ordered_a[info.n_admitted :]
@@ -339,7 +344,9 @@ class TestParentFormatCheckpoint:
         info = write_checkpoint(path, first)
         assert info.n_admitted == cut
 
-        resumed = restore_stream(path, digest.kb, stream_workers=lane)
+        resumed = restore_stream(
+            path, digest.kb, config=config.with_stream_workers(lane)
+        )
         try:
             assert resumed.stream_lane == lane
             for i in range(cut, len(messages), chunk):

@@ -23,7 +23,8 @@ from repro.core.checkpoint import (
 from repro.core.config import IngestConfig
 from repro.core.present import present_event
 from repro.core.stream import DigestStream
-from repro.syslog.ingest import MultiSourceIngest
+from repro.hotpath import stream_fingerprint
+from repro.syslog.ingest import BREAKER_FAILURE_THRESHOLD, MultiSourceIngest
 from repro.syslog.resilient import Quarantine
 from repro.syslog.stream import sort_messages
 
@@ -126,20 +127,63 @@ class TestKillMidBuffer:
         ingest.close()
 
 
+class TestRetiredIngestFields:
+    """Checkpoints written while the front-end still had sequence-gap
+    accounting, stall detection and a configurable breaker carry those
+    fields in their pickles; they keep restoring."""
+
+    SLOTS = {
+        "last_arrival_clock": None,
+        "last_seq": 7,
+        "opened_at": None,
+        "seq_gaps": 0,
+    }
+    CONFIG = {
+        "breaker_failure_threshold": 5,
+        "probe_base_delay": 60.0,
+        "probe_max_retries": 6,
+        "stall_timeout": 0.0,
+    }
+
+    def test_restores_and_finishes_byte_identically(
+        self, system_a, arrivals_a, tmp_path, monkeypatch
+    ):
+        full = _full_run(system_a.kb, system_a.config, arrivals_a)
+
+        stream = DigestStream(system_a.kb, system_a.config)
+        ingest = MultiSourceIngest(stream)
+        events = []
+        for source, message in arrivals_a[: len(arrivals_a) // 2]:
+            events.extend(ingest.push(source, message))
+        # Hand-build the old bytes: the retired slots back in every
+        # source's capture, the retired attributes on the config.
+        state = stream.snapshot()
+        for captured in state["ingest"]["sources"].values():
+            captured.update(self.SLOTS)
+        for name, value in self.CONFIG.items():
+            object.__setattr__(state["ingest"]["config"], name, value)
+        monkeypatch.setattr(stream, "snapshot", lambda: state)
+        path = tmp_path / "retired.ckpt"
+        write_checkpoint(path, stream)
+        blob = path.read_bytes()
+        assert all(name.encode() in blob for name in [*self.SLOTS, *self.CONFIG])
+
+        resumed = restore_ingest(restore_stream(path, system_a.kb))
+        assert resumed.pushed_counts() == ingest.pushed_counts()
+        events.extend(_replay_tail(resumed, arrivals_a))
+        assert stream_fingerprint(events) == stream_fingerprint(full)
+
+
 class TestBreakerSurvivesRestore:
     def _opened_ingest(self, quarantine=None):
         stream = _tiny_stream()
         ingest = MultiSourceIngest(
             stream,
-            IngestConfig(
-                max_reorder_delay=10.0,
-                breaker_failure_threshold=3,
-                probe_base_delay=60.0,
-            ),
+            IngestConfig(max_reorder_delay=10.0),
             quarantine=quarantine,
         )
         ingest.push("good", _msg(0.0, router="rg"))
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             ingest.push_line("bad", "\x15garbage")
         return stream, ingest
 
@@ -155,7 +199,7 @@ class TestBreakerSurvivesRestore:
         resumed = restore_ingest(resumed_stream, quarantine=quarantine)
         (bad2,) = [s for s in resumed.sources() if s.name == "bad"]
         assert bad2.state == "open"
-        assert bad2.parse_failures == 3
+        assert bad2.parse_failures == BREAKER_FAILURE_THRESHOLD
         assert bad2.next_probe_at == bad.next_probe_at
         assert resumed.journal() == ingest.journal()
 

@@ -1,8 +1,8 @@
 """Partial-failure chaos gate for bulkhead placement (DESIGN.md §15).
 
-A real two-tenant ``repro serve`` daemon — one serial-lane tenant, one
-process-lane tenant, *both* in ``placement = "process"`` worker
-processes — has one tenant's worker SIGKILLed mid-stream.  The gate
+A real two-tenant ``repro serve`` daemon — *both* tenants in
+``placement = "process"`` worker processes — has one tenant's worker
+SIGKILLed mid-stream.  The gate
 pins the bulkhead contract from both sides:
 
 * the **surviving** tenant's run is a strict no-op: zero quarantined
@@ -13,10 +13,12 @@ pins the bulkhead contract from both sides:
   supervisor and finishes byte-identical to the same reference — the
   kill cost progress, never bytes.
 
-Both stream-executor lanes take a turn as the kill target (and as the
-survivor), and the per-tenant budget series are asserted present in
-``/metrics``.  Every step gates on HTTP-observed state (pushed counts,
-worker pids) — no sleeps decide correctness; see ``repro.netsim.chaos``.
+Both tenants take a turn as the kill target (and as the survivor;
+``t-serial`` and ``t-procs`` are labels, not stream lanes — a tenant
+always runs the default stream), and the per-tenant budget series are
+asserted present in ``/metrics``.  Every step gates on HTTP-observed
+state (pushed counts, worker pids) — no sleeps decide correctness; see
+``repro.netsim.chaos``.
 
 Run via ``make placement-smoke`` (wired into ``make check``).
 """
@@ -79,8 +81,6 @@ def farm(system_a, live_a, tmp_path_factory):
             "workdir": str(workdir / name),
             "kb_path": str(kb_path),
             "checkpoint_every": 50,
-            "stream_workers": "processes" if name == "t-procs" else "serial",
-            "n_workers": 2 if name == "t-procs" else 1,
             "placement": "process",
         }
 

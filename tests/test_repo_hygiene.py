@@ -369,17 +369,14 @@ CONFIG_FIELDS = {
     ),
     IngestConfig: (
         "max_reorder_delay max_buffer_messages dedup_window "
-        "breaker_failure_threshold probe_base_delay probe_max_retries "
-        "stall_timeout admit_soft_limit admit_hard_limit"
+        "admit_soft_limit admit_hard_limit"
     ),
     TenantSpec: (
-        "name sources workdir kb_path store_dir n_workers stream_workers "
+        "name sources workdir kb_path store_dir "
         "checkpoint_every max_reorder_delay dedup_window "
         "degraded_max_open quarantine_max_bytes placement budget"
     ),
-    TenantBudget: (
-        "max_open_messages journal_max_bytes max_stream_procs rpc_deadline"
-    ),
+    TenantBudget: "max_open_messages journal_max_bytes rpc_deadline",
     ServeConfig: (
         "tenants host port workdir poll_interval once max_restarts "
         "base_delay progress_deadline drain_deadline http_read_deadline "
@@ -393,16 +390,14 @@ CLI_OPTIONS = {
     "learn": "--configs --kb --log --no-fit --store",
     "digest": (
         "--dedup-window --ingest --kb --log --max-reorder-delay --metrics "
-        "--quarantine --source --store --stream-workers --top --workers"
+        "--quarantine --source --store --top --workers"
     ),
     "serve": "--config --once --placement --port",
-    "resume": (
-        "--checkpoint --kb --log --metrics --store --stream-workers --top"
-    ),
+    "resume": "--checkpoint --kb --log --metrics --store --top",
     "report": "--kb --log --metrics --workers",
     "stats": (
         "--checkpoint --checkpoint-interval --format --kb --log "
-        "--quarantine --store --stream --stream-workers --workers"
+        "--quarantine --store --stream --workers"
     ),
     "sources": (
         "--dedup-window --journal --kb --log --max-reorder-delay --metrics "
@@ -421,7 +416,10 @@ RETIRED_KNOBS = re.compile(
     r"\b(swap_now|with_swap_policy|with_checkpointing|_maybe_checkpoint"
     r"|shed_policy|swap_policy|batch_size"
     r"|install_fault_hook|step_fault_hook|crash_after|pump_fault"
-    r"|durable_fault_from_dict|stream_fault_hook)\b"
+    r"|durable_fault_from_dict|stream_fault_hook"
+    r"|max_stream_procs|stream_procs|stall_timeout|record_failure"
+    r"|probe_base_delay|probe_max_retries|breaker_failure_threshold"
+    r"|seq_gaps|sequence_gaps|budget-clamped)\b"
 )
 
 

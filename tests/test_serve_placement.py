@@ -353,31 +353,6 @@ class TestBudgets:
         assert one_run("process") == first
 
 
-    def test_stream_proc_budget_clamps_the_all_cores_knob(
-        self, farm, monkeypatch
-    ):
-        """``n_workers=0`` resolves to one shard per core *before* the
-        ``max_stream_procs`` clamp — the raw 0 used to slip under it."""
-        from repro.core import shards
-        from repro.serve.tenant import TenantRuntime, TenantSpec
-
-        monkeypatch.setattr(shards.os, "cpu_count", lambda: 3)
-        tenant = _tenant(
-            farm, "budget-procs", "net-a", 120,
-            n_workers=0, stream_workers="processes", placement="inline",
-            budget={"max_stream_procs": 2},
-        )
-        runtime = TenantRuntime(TenantSpec.from_dict(tenant))
-        runtime.start()
-        try:
-            assert runtime.stream.stream_lane == "processes"
-            assert len(runtime.stream.snapshot()["shards"]) == 2
-            assert runtime.budget_health()["stream_procs"] == 2
-            assert "budget-clamped" in transition_kinds(tenant["workdir"])
-        finally:
-            runtime.drain()
-
-
 class TestDrain:
     def test_hung_worker_is_escalated_but_daemon_exits_zero(self, farm):
         bad = _tenant(farm, "drain", "net-bad", 100)

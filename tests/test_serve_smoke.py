@@ -5,8 +5,7 @@ process SIGKILLed mid-stream (the config's ``faults`` block arms
 ``daemon.arrival`` with ``inject.DaemonCrash``: no atexit, no flush),
 then restarted, must finish with a digest byte-identical
 (``hotpath.stream_fingerprint``) to an uninterrupted in-process run —
-for a serial-lane tenant AND a process-lane tenant, across *different*
-``PYTHONHASHSEED`` values (the Location pickle regression this gate
+for both of its tenants, across *different* ``PYTHONHASHSEED`` values (the Location pickle regression this gate
 originally caught).  Plus the
 other ending: SIGTERM → graceful drain → exit 0 with a final
 checkpoint on disk.
@@ -68,9 +67,9 @@ def _fingerprint(events_path: Path) -> str:
 def farm(system_a, live_a, tmp_path_factory):
     """Two-tenant serve layout + reference fingerprints.
 
-    ``t-serial`` runs the serial stream lane, ``t-procs`` the
-    process-pool lane; each reads the live window split across two
-    collector feeds.  References come from uninterrupted in-process
+    ``t-serial`` and ``t-procs`` (the names are labels only: a tenant
+    always runs the default stream) each read the live window split
+    across two collector feeds.  References come from uninterrupted in-process
     runs in a separate workdir.
     """
     root = tmp_path_factory.mktemp("smoke")
@@ -92,8 +91,6 @@ def farm(system_a, live_a, tmp_path_factory):
             "workdir": str(workdir / name),
             "kb_path": str(kb_path),
             "checkpoint_every": 50,
-            "stream_workers": "processes" if name == "t-procs" else "serial",
-            "n_workers": 2 if name == "t-procs" else 1,
         }
 
     reference = {}

@@ -10,13 +10,15 @@ JSON-serializable exactly as the HTTP API ships it.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
 from repro import hotpath
 from repro.cli import main as cli_main
-from repro.core.config import IngestConfig
+from repro.core.checkpoint import read_checkpoint
+from repro.core.config import DigestConfig, IngestConfig
 from repro.core.stream import HEALTH_KEYS
 from repro.serve.daemon import ServeConfig
 from repro.serve.journal import EventJournal
@@ -155,6 +157,27 @@ class TestConfigErrors:
         (line,) = captured.err.splitlines()
         assert "'net-a'" in line and "'tail'" in line
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"stream_workers": "processes"}, "stream_workers"),
+            ({"n_workers": 2}, "n_workers"),
+            ({"budget": {"max_stream_procs": 2}}, "max_stream_procs"),
+        ],
+    )
+    def test_retired_lane_keys_are_unknown_keys(
+        self, extra, key, tmp_path, capsys
+    ):
+        """A tenant no longer chooses a stream lane: a config still
+        naming one is refused like any other stray key."""
+        path = tmp_path / "serve.json"
+        path.write_text(json.dumps({"tenants": [{**self.TENANT, **extra}]}))
+        assert cli_main(["serve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"serve: {path}: ") and f"'{key}'" in line
+
     def test_hang_poison_on_an_inline_tenant_is_refused(
         self, tmp_path, capsys
     ):
@@ -248,6 +271,47 @@ class TestResumeIdentity:
         # The journal was cut back to what the checkpoint accounts for.
         finalized = int(second.stream.health()["finalized_events"])
         assert len(second.events) == finalized
+        while second.pending:
+            second.process_batch()
+        second.drain()
+        got = EventJournal(tmp_path / "t1" / "events.bin").read_all()
+        assert hotpath.stream_fingerprint(got) == hotpath.stream_fingerprint(
+            ref_events
+        )
+
+    def test_checkpoint_with_two_workers_resumes_under_its_config(
+        self, source_logs, kb_file, tmp_path, monkeypatch
+    ):
+        """A tenant checkpoint whose stream ran ``n_workers=2`` (what a
+        spec could ask for before tenants stopped choosing) restores
+        under the config it recorded and finishes byte-identically."""
+        ref = TenantRuntime(_spec(source_logs, tmp_path / "ref", kb_file))
+        ref.start()
+        while ref.pending:
+            ref.process_batch()
+        ref.drain()
+        ref_events = EventJournal(tmp_path / "ref" / "events.bin").read_all()
+
+        spec = _spec(source_logs, tmp_path / "t1", kb_file)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.serve.tenant.DigestConfig",
+                functools.partial(DigestConfig, n_workers=2),
+            )
+            first = TenantRuntime(spec)
+            first.start()
+            pushed = 0
+            while pushed < 170:
+                pushed += first.process_batch(limit=min(64, 170 - pushed))
+            first.halt()
+        assert read_checkpoint(first.checkpoint_path)["config"].n_workers == 2
+
+        second = TenantRuntime(spec)
+        second.start()
+        assert second.resumed
+        snapshot = second.stream.snapshot()
+        assert snapshot["config"].n_workers == 2
+        assert len(snapshot["shards"]) == 2
         while second.pending:
             second.process_batch()
         second.drain()

@@ -27,7 +27,9 @@ from repro.core.present import present_event
 from repro.core.stream import DigestStream
 from repro.syslog.collector import interleave_arrivals
 from repro.syslog.ingest import (
+    BREAKER_FAILURE_THRESHOLD,
     INGEST_HEALTH_KEYS,
+    PROBE_DELAYS,
     MultiSourceIngest,
 )
 from repro.syslog.message import SyslogMessage
@@ -189,29 +191,32 @@ class TestWatermarkReordering:
 
 
 class TestCircuitBreaker:
-    def _breaker_ingest(self, **overrides):
-        defaults = dict(
-            breaker_failure_threshold=3,
-            probe_base_delay=60.0,
-            probe_max_retries=2,
-            max_reorder_delay=10.0,
-        )
-        defaults.update(overrides)
+    def _breaker_ingest(self):
         quarantine = Quarantine()
         ingest = MultiSourceIngest(
-            _tiny_stream(), IngestConfig(**defaults), quarantine=quarantine
+            _tiny_stream(),
+            IngestConfig(max_reorder_delay=10.0),
+            quarantine=quarantine,
         )
         return ingest, quarantine
+
+    def test_breaker_constants(self):
+        assert BREAKER_FAILURE_THRESHOLD == 5
+        # RetryPolicy(6, 60 s): exponential from 60 s, six probes.
+        assert PROBE_DELAYS == (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0)
 
     def test_consecutive_parse_failures_open_then_probe_recloses(self):
         ingest, quarantine = self._breaker_ingest()
         ingest.push("good", _msg(0.0, router="rg"))
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             ingest.push_line("bad", "\x15garbage")
             assert ingest.last_outcome == "parse_failed"
         (bad,) = [s for s in ingest.sources() if s.name == "bad"]
+        assert bad.state == "closed"
+        ingest.push_line("bad", "\x15garbage")
         assert bad.state == "open"
-        assert bad.parse_failures == 3
+        assert bad.parse_failures == BREAKER_FAILURE_THRESHOLD
+        assert bad.next_probe_at == T0 + PROBE_DELAYS[0]
 
         # Before the probe window the source is rejected outright.
         ingest.push("bad", _msg(1.0, router="rb"))
@@ -238,7 +243,7 @@ class TestCircuitBreaker:
     def test_failed_probe_reopens_with_longer_delay(self):
         ingest, _ = self._breaker_ingest()
         ingest.push("good", _msg(0.0, router="rg"))
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             ingest.push_line("bad", "\x15garbage")
         (bad,) = [s for s in ingest.sources() if s.name == "bad"]
         first_probe_at = bad.next_probe_at
@@ -247,46 +252,40 @@ class TestCircuitBreaker:
         assert bad.state == "open"
         # RetryPolicy backoff: the second probe waits twice as long.
         first_delay = first_probe_at - T0
+        assert first_delay == PROBE_DELAYS[0]
         assert bad.next_probe_at - (T0 + 120.0) == pytest.approx(
             2 * first_delay
         )
+        ingest.close()
+
+    def test_probe_schedule_repeats_its_last_delay(self):
+        ingest, _ = self._breaker_ingest()
+        ingest.push("good", _msg(0.0, router="rg"))
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            ingest.push_line("bad", "\x15garbage")
+        (bad,) = [s for s in ingest.sources() if s.name == "bad"]
+        waits = []
+        for _ in range(len(PROBE_DELAYS) + 2):
+            # Reach the probe window via the healthy source, then fail
+            # the probe: the breaker reopens with the next delay.
+            clock = bad.next_probe_at
+            ingest.push("good", _msg(clock - T0, router="rg"))
+            ingest.push_line("bad", "\x15still garbage")
+            assert bad.state == "open"
+            waits.append(bad.next_probe_at - clock)
+        assert waits == [*PROBE_DELAYS[1:], *[PROBE_DELAYS[-1]] * 3]
         ingest.close()
 
     def test_open_source_excluded_from_watermark(self):
         ingest, _ = self._breaker_ingest()
         ingest.push("bad", _msg(0.0, router="rb"))
         ingest.push("good", _msg(1.0, router="rg"))
-        for _ in range(3):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             ingest.push_line("bad", "\x15garbage")
         ingest.push("good", _msg(100.0, router="rg"))
         # Were "bad" still eligible, the watermark would sit back at
         # its last timestamp minus the delay.
         assert ingest.watermark() == pytest.approx(T0 + 90.0)
-        ingest.close()
-
-    def test_stall_opened_source_probes_immediately(self):
-        ingest, _ = self._breaker_ingest(stall_timeout=50.0)
-        ingest.push("quiet", _msg(0.0, router="rq"))
-        ingest.push("busy", _msg(1.0, router="rb"))
-        ingest.push("busy", _msg(100.0, router="rb"))  # quiet is stalled
-        (quiet,) = [s for s in ingest.sources() if s.name == "quiet"]
-        assert quiet.state == "open"
-        assert [e["reason"] for e in ingest.journal()] == ["stall"]
-        # The stalled source's next arrival is itself proof of life:
-        # it probes immediately and re-closes the breaker.
-        ingest.push("quiet", _msg(101.0, router="rq"))
-        assert ingest.last_outcome == "admitted"
-        assert quiet.state == "closed"
-        ingest.close()
-
-    def test_record_failure_counts_external_faults(self):
-        ingest, _ = self._breaker_ingest()
-        ingest.push("s0", _msg(0.0))
-        for _ in range(3):
-            ingest.record_failure("s0", "transport reset")
-        (src,) = ingest.sources()
-        assert src.state == "open"
-        assert src.n_pushed == 1  # external failures consume no input
         ingest.close()
 
 
@@ -312,18 +311,6 @@ class TestDedupAndSequence:
         assert ingest.health()["deduplicated"] == 0
         ingest.close()
 
-    def test_sequence_gaps_counted_per_source(self):
-        ingest = MultiSourceIngest(_tiny_stream())
-        ingest.push("s0", _msg(0.0), seq=1)
-        ingest.push("s0", _msg(1.0), seq=2)
-        ingest.push("s0", _msg(2.0), seq=6)  # 3, 4, 5 lost
-        ingest.push("s1", _msg(3.0), seq=10)  # fresh source: no gap
-        health = ingest.health()
-        assert health["sequence_gaps"] == 3
-        (s0,) = [s for s in ingest.sources() if s.name == "s0"]
-        assert s0.seq_gaps == 3
-        ingest.close()
-
 
 class TestAdmissionControl:
     def test_soft_limit_sheds_unhealthy_sources_only(self):
@@ -333,7 +320,6 @@ class TestAdmissionControl:
                 max_reorder_delay=1e6,
                 admit_soft_limit=2,
                 admit_hard_limit=100,
-                breaker_failure_threshold=10,
             ),
         )
         ingest.push("shaky", _msg(0.0, router="rs"))
@@ -384,16 +370,20 @@ class TestHealthAndConfig:
             dict(max_reorder_delay=-1.0),
             dict(max_buffer_messages=-1),
             dict(dedup_window=-0.5),
-            dict(breaker_failure_threshold=0),
-            dict(probe_base_delay=-1.0),
-            dict(probe_max_retries=-1),
-            dict(stall_timeout=-1.0),
+            dict(breaker_failure_threshold=5),  # retired
+            dict(probe_base_delay=60.0),  # retired
+            dict(admit_hard_limit=-1),
+            dict(stall_timeout=0.0),  # retired
             dict(admit_soft_limit=-1),
             dict(admit_soft_limit=10, admit_hard_limit=5),
         ],
     )
     def test_config_validation(self, bad):
-        with pytest.raises(ValueError):
+        # A retired knob (the breaker schedule is a constant, stall
+        # detection is gone) is no field at all: a TypeError.
+        retired = {"breaker_failure_threshold", "probe_base_delay",
+                   "stall_timeout"}
+        with pytest.raises(TypeError if retired & set(bad) else ValueError):
             IngestConfig(**bad)
 
     def test_snapshot_roundtrip_mid_buffer(self, system_a, ordered_a):
