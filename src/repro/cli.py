@@ -11,7 +11,10 @@ a shell::
 ``digest``/``report`` accept ``--metrics <path>`` to dump the metrics
 registry next to their normal output (JSON when the path ends in
 ``.json``, Prometheus text otherwise); ``stats`` digests a log and
-prints the registry itself.
+prints the registry itself.  A streaming run publishes its final
+stream / ingest / per-source health into the registry once, just
+before it is written (the same series a serve tenant's ``/metrics``
+carries, without the ``tenant`` label).
 
 Fault tolerance (DESIGN.md §8): every subcommand reads a log one way —
 bad bytes decode with replacement, unparseable lines are quarantined,
@@ -126,12 +129,29 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_write_metrics(path: str | None) -> None:
+def _run_health(stream, ingest=None) -> dict:
+    """A streaming run's final health, shaped like a serve tenant's."""
+    health = {"stream": stream.health()}
+    if ingest is not None:
+        health["ingest"] = ingest.health()
+        health["sources"] = ingest.source_summaries()
+    return health
+
+
+def _maybe_write_metrics(
+    path: str | None, health: dict | None = None
+) -> None:
+    """Write the registry to ``path``, publishing ``health`` into it
+    first (a :func:`_run_health` dict; ``None`` for batch runs)."""
     if path is None:
         return
     from repro.obs import get_registry, write_metrics
+    from repro.serve.tenant import publish_tenant_health
 
-    write_metrics(path, get_registry())
+    registry = get_registry()
+    if health is not None:
+        publish_tenant_health(registry, health)
+    write_metrics(path, registry)
     print(f"# metrics written to {path}", file=sys.stderr)
 
 
@@ -171,9 +191,10 @@ def _kb_from_args(
 def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
     """Drive a streaming digest through the ingest front-end.
 
-    Returns ``(ingest, events, quarantine, interrupted)``.  Normally the
-    stream is closed with all events finalized; under SIGTERM/SIGINT the
-    run instead stops cleanly mid-feed with ``interrupted`` True.
+    Returns ``(stream, ingest, events, quarantine, interrupted)``.
+    Normally the stream is closed with all events finalized; under
+    SIGTERM/SIGINT the run instead stops cleanly mid-feed with
+    ``interrupted`` True.
     """
     from repro.core.config import IngestConfig
     from repro.core.stream import DigestStream
@@ -213,11 +234,11 @@ def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
         for source, (_ts, line) in arrivals:
             if stop:
                 _checkpoint_on_signal(stream, None, stop)
-                return ingest, events, quarantine, True
+                return stream, ingest, events, quarantine, True
             events.extend(ingest.push_line(source, line))
             tails.note_pushed(source)
     events.extend(ingest.close())
-    return ingest, events, quarantine, False
+    return stream, ingest, events, quarantine, False
 
 
 def _checkpoint_on_signal(stream, checkpoint_path, stop) -> None:
@@ -279,7 +300,7 @@ def _cmd_digest(args: argparse.Namespace) -> int:
     if args.ingest or args.source:
         from repro.core.present import present_digest
 
-        ingest, events, quarantine, interrupted = _run_ingest(
+        stream, ingest, events, quarantine, interrupted = _run_ingest(
             args, kb, kb_version
         )
         health = ingest.health()
@@ -295,7 +316,7 @@ def _cmd_digest(args: argparse.Namespace) -> int:
         print(present_digest(events, top=args.top))
         if args.quarantine is not None:
             _dump_quarantine(quarantine, args.quarantine)
-        _maybe_write_metrics(args.metrics)
+        _maybe_write_metrics(args.metrics, _run_health(stream, ingest))
         return 0
     if args.log is None:
         print("digest needs --log (or --source feeds)", file=sys.stderr)
@@ -380,7 +401,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
         print(f"# resumed digest: {len(events)} newly finalized events")
     print(present_digest(events, top=args.top))
-    _maybe_write_metrics(args.metrics)
+    _maybe_write_metrics(args.metrics, _run_health(stream))
     return 0
 
 
@@ -511,7 +532,7 @@ def _cmd_sources(args: argparse.Namespace) -> int:
     kb, kb_version = _kb_from_args(args)
     args.source = list(args.log)
     args.log = None
-    ingest, events, _quarantine, _interrupted = _run_ingest(
+    stream, ingest, events, _quarantine, _interrupted = _run_ingest(
         args, kb, kb_version
     )
     summaries = ingest.source_summaries()
@@ -532,7 +553,7 @@ def _cmd_sources(args: argparse.Namespace) -> int:
                 f"# {entry['clock']}: {entry['source']} "
                 f"{entry['from']} -> {entry['to']} ({entry['reason']})"
             )
-    _maybe_write_metrics(args.metrics)
+    _maybe_write_metrics(args.metrics, _run_health(stream, ingest))
     return 0
 
 
@@ -631,6 +652,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Digest a log and print the pipeline metrics registry."""
     from repro.core.stream import DigestStream
     from repro.obs import get_registry, stage_timer, to_json, to_prom_text
+    from repro.serve.tenant import publish_tenant_health
     from repro.syslog.resilient import Quarantine
 
     registry = get_registry()
@@ -649,6 +671,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if not interrupted:
             with stage_timer("stream_close"):
                 events.extend(stream.close())
+        publish_tenant_health(registry, _run_health(stream))
         n_events = len(events)
     else:
         result = SyslogDigest(kb, config).digest(messages)

@@ -8,6 +8,20 @@ from repro.mining.temporal import TemporalParams
 from repro.utils.timeutils import HOUR
 
 
+def _set_live_fields(config, state: dict) -> None:
+    """``__setstate__`` of the config dataclasses: keep the live fields.
+
+    Checkpoints written before a field was retired (the routing toggle,
+    the shed/swap policies, the periodic-checkpoint pair, the ingest
+    stall and breaker knobs) still carry it in their pickled configs;
+    dropping it here means the next checkpoint no longer re-pickles it.
+    """
+    live = {f.name for f in fields(config)}
+    config.__dict__.update(
+        (key, value) for key, value in state.items() if key in live
+    )
+
+
 @dataclass(frozen=True)
 class DigestConfig:
     """Pipeline configuration.
@@ -97,14 +111,7 @@ class DigestConfig:
         if self.max_open_messages < 0:
             raise ValueError("max_open_messages must be >= 0 (0 = unbounded)")
 
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before a field was retired (the routing
-        # toggle, the shed/swap policies, the periodic-checkpoint pair)
-        # still carry it in their pickled configs: keep the live fields.
-        live = {f.name for f in fields(self)}
-        self.__dict__.update(
-            (key, value) for key, value in state.items() if key in live
-        )
+    __setstate__ = _set_live_fields
 
     def with_temporal(self, params: TemporalParams) -> DigestConfig:
         """Copy with different temporal-grouping parameters."""
@@ -193,6 +200,8 @@ class IngestConfig:
             and self.admit_soft_limit > self.admit_hard_limit
         ):
             raise ValueError("admit_soft_limit must be <= admit_hard_limit")
+
+    __setstate__ = _set_live_fields
 
     def for_stream(self, config: DigestConfig) -> IngestConfig:
         """Copy with admission limits derived from a stream's open bound.

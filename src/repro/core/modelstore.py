@@ -8,9 +8,11 @@ downstream digest, so this store makes it safe:
 * every committed :class:`~repro.core.knowledge.KnowledgeBase` becomes
   an immutable, monotonically numbered version (``kb-v000007.json``)
   with a sidecar meta file carrying its sha256 fingerprint;
-* all writes are atomic (write temp, fsync, rename) — a crash mid-commit
-  or mid-promote leaves either the old or the new version active, never
-  a mixed store;
+* all writes are atomic (write temp, fsync, rename, through
+  :func:`repro.utils.fsio.atomic_write_text`, the durable-write fault
+  seam checkpoints and journals share) — a crash mid-commit or
+  mid-promote leaves either the old or the new version active, never a
+  mixed store;
 * the served version is one small ``ACTIVE`` pointer file, so promotion
   and rollback are each a single atomic rename;
 * every lifecycle transition (commit, activate, reject, rollback,
@@ -71,16 +73,6 @@ class VersionInfo:
             "n_rules": self.n_rules,
             "note": self.note,
         }
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """write-temp → fsync → rename → fsync dir (fsio discipline, §14).
-
-    Delegates to :func:`repro.utils.fsio.atomic_write_text` so store
-    writes share the crash-durable rename and the chaos fault seam with
-    checkpoints and journals.
-    """
-    atomic_write_text(path, text)
 
 
 class KnowledgeStore:
@@ -220,8 +212,8 @@ class KnowledgeStore:
             note=note,
             path=str(self._kb_path(version)),
         )
-        _atomic_write_text(self._kb_path(version), kb.to_json())
-        _atomic_write_text(
+        atomic_write_text(self._kb_path(version), kb.to_json())
+        atomic_write_text(
             self._meta_path(version), json.dumps(info.to_dict(), indent=1)
         )
         self._journal(
@@ -235,7 +227,7 @@ class KnowledgeStore:
     def activate(self, version: int, _kind: str = "activate") -> None:
         """Atomically point the store at ``version`` (the promote step)."""
         info = self._read_meta(version)  # must exist and be readable
-        _atomic_write_text(
+        atomic_write_text(
             self.root / _ACTIVE,
             json.dumps(
                 {

@@ -511,11 +511,6 @@ class StreamWorkerPool:
             self, _terminate_workers, list(self._procs), list(self._conns)
         )
 
-    @property
-    def n_workers(self) -> int:
-        """Live worker processes."""
-        return sum(1 for p in self._procs if p.is_alive())
-
     def call_all(
         self, requests: dict[int, tuple[str, tuple]]
     ) -> dict[int, object]:
@@ -676,11 +671,6 @@ class ShardExecutor:
 
         run_ladder(edges, run_attempt, engine="stream")
         return edges
-
-    @property
-    def n_worker_processes(self) -> int:
-        """Live worker processes (0 on the in-process lanes)."""
-        return self._pool.n_workers if self._pool is not None else 0
 
     def shutdown(self) -> None:
         """Stop the process lane's workers (a no-op on the other lanes)."""

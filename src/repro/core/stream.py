@@ -68,25 +68,6 @@ from repro.core.shards import (  # noqa: F401
     resolve_workers,
 )
 from repro.core.syslogplus import Augmenter, SyslogPlus
-from repro.obs import (
-    CHECKPOINT_AGE,
-    STREAM_EVICTED,
-    STREAM_FINALIZED,
-    STREAM_KB_SWAP_PENDING,
-    STREAM_KB_SWAPS,
-    STREAM_OPEN_MESSAGES,
-    STREAM_PRUNED,
-    STREAM_SHED_EVENTS,
-    STREAM_SHED_MESSAGES,
-    STREAM_SKEW_CLAMPED,
-    STREAM_SKEW_REJECTED,
-    STREAM_SPLITTERS,
-    STREAM_WATERMARK_LAG,
-    STREAM_WINDOW_ENTRIES,
-    STREAM_WORKER_PROCS,
-    MetricsRegistry,
-    get_registry,
-)
 from repro.syslog.message import SyslogMessage
 from repro.utils.unionfind import UnionFind
 
@@ -112,19 +93,19 @@ def _step_item(plus: SyslogPlus) -> StepItem:
     )
 
 
-#: The cumulative health counters, by snapshot key, and the metric each
-#: is flushed to.  The stream keeps them as one dict that a checkpoint
-#: carries verbatim.
-COUNTER_METRICS: dict[str, str] = {
-    "evicted": STREAM_EVICTED,
-    "pruned": STREAM_PRUNED,
-    "skew_clamped": STREAM_SKEW_CLAMPED,
-    "skew_rejected": STREAM_SKEW_REJECTED,
-    "finalized": STREAM_FINALIZED,
-    "shed_events": STREAM_SHED_EVENTS,
-    "shed_messages": STREAM_SHED_MESSAGES,
-    "swaps": STREAM_KB_SWAPS,
-}
+#: The cumulative health counters, by snapshot key.  The stream keeps
+#: them as one dict that a checkpoint carries verbatim; :meth:`health`
+#: reports them under their :data:`HEALTH_KEYS` names.
+COUNTER_METRICS: tuple[str, ...] = (
+    "evicted",
+    "pruned",
+    "skew_clamped",
+    "skew_rejected",
+    "finalized",
+    "shed_events",
+    "shed_messages",
+    "swaps",
+)
 
 #: Every key :meth:`DigestStream.health` reports, documented in one
 #: place (DESIGN.md §8 renders this table; tests pin the key set).
@@ -188,10 +169,9 @@ class DigestStream:
         self._last_ts: float | None = None
         self._last_sweep: float | None = None
         self._sweep_interval = sweep_interval
-        # Health accounting: plain ints on the hot path, flushed to the
-        # metrics registry only at sweep granularity.
+        # Health accounting: plain ints on the hot path, read through
+        # health() (and published from there) — never mirrored.
         self._counts: dict[str, int] = dict.fromkeys(COUNTER_METRICS, 0)
-        self._emitted: dict[str, float] = {}
         self._quarantine = None  # attached via attach_quarantine()
         self._ingest = None  # attached via attach_ingest()
         self._restored_ingest: dict | None = None
@@ -398,7 +378,6 @@ class DigestStream:
         events = self._collect_groups(lambda _last: True)
         if self._pending_kb is not None:
             self._adopt()  # everything finalized: trivially a boundary
-        self.record_metrics()
         return events
 
     # ------------------------------------------------------ knowledge swap
@@ -527,7 +506,6 @@ class DigestStream:
             "shards": self._exec.broadcast("snapshot"),
             "cross_window": self._cross_window.flatten(),
             "counters": dict(self._counts),
-            "emitted": dict(self._emitted),
             # An attached ingest front-end rides along so one checkpoint
             # captures the stream *and* its reorder buffer consistently.
             "ingest": (
@@ -587,7 +565,6 @@ class DigestStream:
         self._cross_window.load(state["cross_window"])
         self._counts = dict(state["counters"])
         self._kb_version = state["kb_version"]
-        self._emitted = dict(state["emitted"])
         # Stashed, not rebuilt: reconstructing the ingest front-end needs
         # the syslog layer, so checkpoint.restore_ingest() does it on
         # demand via restored_ingest_state().
@@ -629,9 +606,7 @@ class DigestStream:
             or now - self._last_sweep >= self._sweep_interval
         ):
             self._last_sweep = now
-            events = self._finalize_idle(now)
-            self.record_metrics()
-            return events
+            return self._finalize_idle(now)
         return []
 
     def note_checkpoint(self) -> None:
@@ -792,35 +767,3 @@ class DigestStream:
             "kb_swaps": self._counts["swaps"],
             "kb_swap_pending": 1.0 if self._pending_kb is not None else 0.0,
         }
-
-    def record_metrics(
-        self, registry: MetricsRegistry | None = None
-    ) -> None:
-        """Flush the health snapshot into the metrics registry.
-
-        Called automatically at every finalize sweep and on
-        :meth:`close`; cheap enough that extra manual calls are fine.
-        Cumulative counts are emitted as counter *deltas* since the last
-        flush, so the registry's counters stay monotonic no matter how
-        often this runs.
-        """
-        reg = registry if registry is not None else get_registry()
-        if not reg.enabled:
-            return
-        splitters, window_entries = self._live_counts()
-        reg.set_gauge(STREAM_OPEN_MESSAGES, self.n_open_messages)
-        reg.set_gauge(STREAM_SPLITTERS, splitters)
-        reg.set_gauge(STREAM_WINDOW_ENTRIES, window_entries)
-        reg.set_gauge(STREAM_WATERMARK_LAG, self.watermark_lag)
-        reg.set_gauge(CHECKPOINT_AGE, self.checkpoint_age)
-        reg.set_gauge(STREAM_WORKER_PROCS, self._exec.n_worker_processes)
-        reg.set_gauge(
-            STREAM_KB_SWAP_PENDING,
-            1.0 if self._pending_kb is not None else 0.0,
-        )
-        for key, name in COUNTER_METRICS.items():
-            total = self._counts[key]
-            delta = total - self._emitted.get(name, 0)
-            if delta:
-                reg.inc(name, delta)
-                self._emitted[name] = total

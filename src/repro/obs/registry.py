@@ -8,8 +8,10 @@ sweep granularity, so the enabled path stays near-free and the
 
 Metric naming follows Prometheus conventions: counters end in
 ``_total``, timers are histograms in seconds, labels carry the variable
-part (``stage=\"rule_pass\"``, ``shard=\"3\"``).  Exposition formats live
-in :mod:`repro.obs.export`.
+part (``stage=\"rule_pass\"``, ``shard=\"3\"``).  The constants below
+name the *event* series only; live state is published from the health
+dicts by :func:`publish_health`, never mirrored by hand.  Exposition
+formats live in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -40,31 +42,13 @@ SHARD_TASK_SECONDS = "syslogdigest_shard_task_seconds"
 #: LPT plan imbalance: heaviest shard / mean shard load (gauge, >= 1).
 SHARD_IMBALANCE = "syslogdigest_shard_imbalance"
 
-#: DigestStream health gauges/counters (updated at every finalize sweep).
-STREAM_OPEN_MESSAGES = "syslogdigest_stream_open_messages"
-STREAM_SPLITTERS = "syslogdigest_stream_splitters"
-STREAM_WINDOW_ENTRIES = "syslogdigest_stream_window_entries"
-STREAM_WATERMARK_LAG = "syslogdigest_stream_watermark_lag_seconds"
-STREAM_EVICTED = "syslogdigest_stream_evicted_splitters_total"
-STREAM_PRUNED = "syslogdigest_stream_pruned_entries_total"
-STREAM_SKEW_CLAMPED = "syslogdigest_stream_skew_clamped_total"
-STREAM_SKEW_REJECTED = "syslogdigest_stream_skew_rejected_total"
-STREAM_FINALIZED = "syslogdigest_stream_finalized_events_total"
-
-#: Load shedding (bounded-memory streaming): force-finalized groups and
-#: the messages inside them.
-STREAM_SHED_EVENTS = "syslogdigest_stream_shed_events_total"
-STREAM_SHED_MESSAGES = "syslogdigest_stream_shed_messages_total"
-#: Checkpointing: snapshots written, plus the stream-clock age of the
-#: newest one (gauge; -1 before the first checkpoint).
+#: Checkpointing: snapshots written and the size of the newest one.
 CHECKPOINT_WRITES = "syslogdigest_checkpoint_writes_total"
-CHECKPOINT_AGE = "syslogdigest_checkpoint_age_seconds"
 CHECKPOINT_BYTES = "syslogdigest_checkpoint_bytes"
 
-#: Quarantine (dead-letter queue for unparseable/rejected input).
+#: Quarantine (dead-letter queue for unparseable/rejected input):
+#: inputs quarantined, by ``kind=``.  Depth and totals are health keys.
 QUARANTINED = "syslogdigest_quarantined_total"
-QUARANTINE_DEPTH = "syslogdigest_quarantine_depth"
-QUARANTINE_OVERFLOW = "syslogdigest_quarantine_overflow_total"
 
 #: Sharded engine fault recovery: worker tasks retried after an
 #: exception and tasks that fell back to in-process serial execution.
@@ -72,25 +56,10 @@ SHARD_RETRIES = "syslogdigest_shard_retries_total"
 SHARD_FALLBACKS = "syslogdigest_shard_fallbacks_total"
 
 #: Streaming worker processes (DESIGN.md §12): parent <-> worker
-#: round-trips (``cmd=`` is the ShardState method requested), their
-#: fan-out wall time, and how many worker processes are currently alive.
+#: round-trips (``cmd=`` is the ShardState method requested) and their
+#: fan-out wall time.
 STREAM_WORKER_ROUNDTRIPS = "syslogdigest_stream_worker_roundtrips_total"
 STREAM_WORKER_RTT_SECONDS = "syslogdigest_stream_worker_roundtrip_seconds"
-STREAM_WORKER_PROCS = "syslogdigest_stream_worker_processes"
-
-#: Multi-source ingest front-end (DESIGN.md §10).  Per-source series
-#: carry a ``source=`` label; the breaker-state gauge encodes
-#: closed=0, half_open=1, open=2.
-INGEST_BUFFERED = "syslogdigest_ingest_buffered_messages"
-INGEST_WATERMARK_LAG = "syslogdigest_ingest_watermark_lag_seconds"
-INGEST_ADMITTED = "syslogdigest_ingest_admitted_total"
-INGEST_LATE_DROPPED = "syslogdigest_ingest_late_dropped_total"
-INGEST_DEDUPLICATED = "syslogdigest_ingest_deduplicated_total"
-INGEST_FORCED_FLUSHES = "syslogdigest_ingest_forced_flushes_total"
-INGEST_ADMISSION_SHED = "syslogdigest_ingest_admission_shed_total"
-BREAKER_STATE = "syslogdigest_ingest_breaker_state"
-BREAKER_TRANSITIONS = "syslogdigest_ingest_breaker_transitions_total"
-BREAKER_REJECTED = "syslogdigest_ingest_breaker_rejected_total"
 
 #: Fault-injection harness: faults applied, labelled by kind.
 FAULTS_INJECTED = "syslogdigest_faults_injected_total"
@@ -120,45 +89,27 @@ KB_ROLLBACKS = "syslogdigest_kb_rollbacks_total"
 KB_RULE_CHURN = "syslogdigest_kb_rule_churn"
 KB_QUALITY = "syslogdigest_kb_canary_quality"
 
-#: Live hot-swap of a promoted knowledge base into a running stream:
-#: completed epoch-boundary swaps, plus whether one is still deferred.
-STREAM_KB_SWAPS = "syslogdigest_stream_kb_swaps_total"
-STREAM_KB_SWAP_PENDING = "syslogdigest_stream_kb_swap_pending"
-
 #: Serve daemon (DESIGN.md §13): per-tenant supervision and HTTP API.
 #: ``SERVE_TENANT_STATE`` is a gauge holding the supervisor state as an
-#: index into ``repro.serve.supervisor.STATES`` (same idiom as
-#: ``BREAKER_STATE``); transitions are counted per target state.
+#: index into ``repro.serve.supervisor.STATES`` (the source rows'
+#: breaker ``state`` is published the same way); transitions are
+#: counted per target state.
 SERVE_TENANT_STATE = "syslogdigest_serve_tenant_state"
 SERVE_TRANSITIONS = "syslogdigest_serve_transitions_total"
 SERVE_RESTARTS = "syslogdigest_serve_restarts_total"
-SERVE_ARRIVALS = "syslogdigest_serve_arrivals_total"
-SERVE_EVENTS = "syslogdigest_serve_events_total"
 SERVE_HTTP_REQUESTS = "syslogdigest_serve_http_requests_total"
 
-#: Live tailing (byte-offset cursors over rotating source logs) and
-#: disk-fault degradation.  Rotations/truncations count per source;
-#: lag is a gauge of unread bytes behind the cursor; durable-write
-#: failures count degrade-don't-crash events per tenant and site.
-TAIL_ROTATIONS = "syslogdigest_tail_rotations_total"
-TAIL_TRUNCATIONS = "syslogdigest_tail_truncations_total"
-TAIL_LAG_BYTES = "syslogdigest_tail_lag_bytes"
+#: Disk-fault degradation: durable-write failures count
+#: degrade-don't-crash events per tenant and site.
 DURABLE_WRITE_FAILURES = "syslogdigest_durable_write_failures_total"
 
-#: Bulkhead tenant placement (DESIGN.md §15): per-tenant worker
-#: processes and resource budgets.  ``BUDGET_LIMIT``/``BUDGET_USED``
-#: are gauge pairs per ``{tenant, budget}`` (0 limit = unbounded);
-#: breaches count deterministic budget violations that degraded — not
-#: killed — the tenant.  Deaths of a tenant's life (either placement)
-#: count per ``{tenant, reason}`` (``exit`` | ``stuck`` | ``rpc-deadline``
-#: | ``spawn``); the workers gauge is 1 while a tenant has a live life.
+#: Bulkhead tenant placement (DESIGN.md §15).  Deaths of a tenant's
+#: life (either placement) count per ``{tenant, reason}`` (``exit`` |
+#: ``stuck`` | ``rpc-deadline`` | ``spawn``); the workers gauge is 1
+#: while a tenant has a live life.
 #: HTTP rejections count hardening refusals per ``{reason}``
 #: (``deadline`` | ``headers`` | ``body`` | ``waiters``); the long-poll
 #: gauge holds blocked event subscribers per tenant.
-BUDGET_LIMIT = "syslogdigest_tenant_budget_limit"
-BUDGET_USED = "syslogdigest_tenant_budget_used"
-BUDGET_BREACHES = "syslogdigest_tenant_budget_breaches_total"
-OVER_BUDGET = "syslogdigest_tenant_over_budget"
 PLACEMENT_WORKERS = "syslogdigest_placement_workers"
 PLACEMENT_WORKER_DEATHS = "syslogdigest_placement_worker_deaths_total"
 SERVE_HTTP_REJECTED = "syslogdigest_http_rejected_total"
@@ -423,3 +374,23 @@ def stage_timer(stage: str, registry: MetricsRegistry | None = None):
     """Time one pipeline stage into ``syslogdigest_stage_seconds{stage=}``."""
     reg = registry if registry is not None else _REGISTRY
     return reg.timer(STAGE_SECONDS, stage=stage)
+
+
+def publish_health(
+    registry: MetricsRegistry, section: str, values: dict, **labels: str
+) -> None:
+    """Set one gauge ``syslogdigest_<section>_<key>`` per health value.
+
+    A number is published as is, a bool as 0/1 and a list as its
+    length; any other value (a string, ``None``, a nested dict) is
+    skipped.  Every live-state series comes from a documented health
+    dict this way (``HEALTH_KEYS``, ``INGEST_HEALTH_KEYS``,
+    ``BUDGET_HEALTH_KEYS``), so a counter is kept once — in its owner —
+    and its series cannot drift from what ``health()`` reports.
+    """
+    for key, value in values.items():
+        if isinstance(value, list):
+            value = len(value)
+        elif not isinstance(value, (int, float)):  # a bool is an int
+            continue
+        registry.set_gauge(f"syslogdigest_{section}_{key}", value, **labels)

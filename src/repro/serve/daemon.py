@@ -46,10 +46,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.obs import (
-    BUDGET_BREACHES,
-    BUDGET_LIMIT,
-    BUDGET_USED,
-    OVER_BUDGET,
     PLACEMENT_WORKER_DEATHS,
     PLACEMENT_WORKERS,
     SERVE_LONGPOLL_WAITERS,
@@ -65,15 +61,6 @@ from .supervisor import Supervisor
 from .tenant import SUPERVISOR_FILE, TenantSpec, reject_unknown_keys
 
 PORT_FILE = "http.port"
-
-#: ``{gauge label: (limit key, usage key)}`` into a tenant's
-#: ``budget_health()`` dict — what :meth:`ServeDaemon.publish_budgets`
-#: mirrors into the BUDGET_LIMIT / BUDGET_USED gauge pairs.
-BUDGET_GAUGES = {
-    "open_messages": ("max_open_messages", "open_messages"),
-    "journal_bytes": ("journal_max_bytes", "journal_bytes"),
-    "quarantine_bytes": ("quarantine_max_bytes", "quarantine_records"),
-}
 
 
 #: The nested config blocks: ``{key in the block: ServeConfig field}``.
@@ -178,7 +165,6 @@ class ServeDaemon:
         self.draining = False
         self._n_arrivals = 0
         self._event_waiters: dict[str, list[asyncio.Future]] = {}
-        self._breach_counts: dict[str, int] = {}
 
     # --------------------------------------------------------- lifecycle
 
@@ -229,39 +215,6 @@ class ServeDaemon:
             len(self._event_waiters.get(name, [])),
             tenant=name,
         )
-
-    # ------------------------------------------------------ budget mirror
-
-    def publish_budgets(self, name: str, budgets: dict) -> None:
-        """Mirror one tenant's ``budget_health()`` into the registry.
-
-        Runs parent-side for *both* placements (a worker's own registry
-        is invisible here), so ``/metrics`` always carries the budget
-        series.  Breaches arrive as the tenant's cumulative breach
-        list; the counter is bumped by the delta since last publish.
-        """
-        registry = get_registry()
-        for label, (limit_key, used_key) in BUDGET_GAUGES.items():
-            registry.set_gauge(
-                BUDGET_LIMIT, budgets[limit_key], tenant=name, budget=label
-            )
-            registry.set_gauge(
-                BUDGET_USED, budgets[used_key], tenant=name, budget=label
-            )
-        registry.set_gauge(
-            OVER_BUDGET, budgets["over_budget"], tenant=name
-        )
-        breached = budgets.get("breached", [])
-        seen = self._breach_counts.get(name, 0)
-        if len(breached) > seen:
-            registry.inc(
-                BUDGET_BREACHES, len(breached) - seen, tenant=name
-            )
-            self._breach_counts[name] = len(breached)
-        elif len(breached) < seen:
-            # A restart reset the tenant's per-life breach list; track
-            # the new life so its re-breaches count again.
-            self._breach_counts[name] = len(breached)
 
     async def run(self) -> int:
         """Serve until drained; returns the process exit code (0).
@@ -397,7 +350,6 @@ class ServeDaemon:
                 if total != handle.events_total:
                     handle.events_total = total
                     self.notify_events(name)
-                self.publish_budgets(name, note["budgets"])
             elif kind == "budget":
                 supervisor.note_budget_degraded(
                     list(note.get("breached", []))

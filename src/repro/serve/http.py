@@ -17,7 +17,8 @@ Every refusal increments ``syslogdigest_http_rejected_total{reason=}``
 Endpoints (all JSON unless noted):
 
     GET  /healthz                       liveness + per-tenant states
-    GET  /metrics                       Prometheus text format
+    GET  /metrics                       Prometheus text format: event
+                                        series + every tenant's health
     GET  /tenants                       tenant list with state summary
     GET  /tenants/{t}/health            stream + ingest + budget health
     GET  /tenants/{t}/events            cursor-paginated finalized events;
@@ -39,11 +40,13 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs import (
     SERVE_HTTP_REJECTED,
     SERVE_HTTP_REQUESTS,
+    MetricsRegistry,
     get_registry,
     to_prom_text,
 )
 
 from .rpc import RpcClosed, RpcTimeout
+from .tenant import publish_tenant_health
 
 MAX_EVENTS_PAGE = 500
 
@@ -264,7 +267,7 @@ class HttpApi:
                     },
                 }
             if path == ["metrics"]:
-                return to_prom_text(get_registry())
+                return await self.metrics_text()
             if path == ["tenants"]:
                 rows = []
                 for name, handle in daemon.handles.items():
@@ -311,6 +314,25 @@ class HttpApi:
                 if path[2] == "requeue":
                     return await handle.request("requeue")
         raise HttpError(404, f"no route for {method} /{'/'.join(path)}")
+
+    async def metrics_text(self) -> str:
+        """The ``/metrics`` body: the daemon's event series, then every
+        tenant's health as ``tenant=``-labelled gauges.
+
+        The health comes from :meth:`TenantHandle.health` — the reply
+        ``/tenants/<id>/health`` serves, for either placement, stale
+        fallback included — and is published into a registry of this
+        scrape's own, so a key a later life stops reporting (a dead
+        life's ``worker_pid``) leaves no gauge behind.
+        """
+        handles = self._daemon.handles
+        healths = await asyncio.gather(
+            *(handle.health() for handle in handles.values())
+        )
+        scrape = MetricsRegistry()
+        for name, health in zip(handles, healths):
+            publish_tenant_health(scrape, health, tenant=name)
+        return to_prom_text(get_registry()) + to_prom_text(scrape)
 
     def _handle_for(self, name: str):
         handle = self._daemon.handles.get(name)

@@ -101,7 +101,6 @@ class TenantLife:
                     "n": n,
                     "pending": runtime.pending,
                     "events_total": len(runtime.events),
-                    "budgets": runtime.budget_health(),
                 }
             )
             if len(runtime.budget_breached) > self._breaches_seen:

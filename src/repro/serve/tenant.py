@@ -41,14 +41,9 @@ from repro.core.config import DigestConfig, IngestConfig
 from repro.core.knowledge import KnowledgeBase
 from repro.core.modelstore import KnowledgeStore
 from repro.core.stream import DigestStream
-from repro.obs import (
-    DURABLE_WRITE_FAILURES,
-    SERVE_ARRIVALS,
-    SERVE_EVENTS,
-    get_registry,
-)
+from repro.obs import DURABLE_WRITE_FAILURES, get_registry, publish_health
 from repro.syslog.collector import interleave_arrivals
-from repro.syslog.ingest import MultiSourceIngest
+from repro.syslog.ingest import BREAKER_STATES, MultiSourceIngest
 from repro.syslog.resilient import (
     Quarantine,
     quarantine_files,
@@ -83,6 +78,32 @@ BUDGET_HEALTH_KEYS: dict[str, str] = {
     "breached": "budget names breached so far, in breach order",
     "over_budget": "1.0 while any budget stands breached",
 }
+
+
+def publish_tenant_health(registry, health: dict, **labels: str) -> None:
+    """Publish a :meth:`TenantRuntime.health` dict (or any part of one)
+    as gauges, through :func:`~repro.obs.publish_health`.
+
+    The top level goes under ``tenant`` (its nested dicts are skipped
+    there), ``stream``/``ingest``/``budgets`` under
+    ``stream``/``ingest``/``budget``, and every ``sources`` row under
+    ``source`` with a ``source=`` label and its breaker ``state`` as its
+    :data:`~repro.syslog.ingest.BREAKER_STATES` index.
+    """
+    top = {k: v for k, v in health.items() if k != "sources"}
+    publish_health(registry, "tenant", top, **labels)
+    for key, section in (
+        ("stream", "stream"), ("ingest", "ingest"), ("budgets", "budget")
+    ):
+        publish_health(registry, section, health.get(key, {}), **labels)
+    for row in health.get("sources", []):
+        publish_health(
+            registry,
+            "source",
+            dict(row, state=BREAKER_STATES.index(row["state"])),
+            source=row["source"],
+            **labels,
+        )
 
 
 def reject_unknown_keys(data: dict, known, where: str) -> None:
@@ -420,7 +441,6 @@ class TenantRuntime:
         The ``tenant.arrival`` injection point is read once per batch.
         """
         limit = PUMP_BATCH if limit is None else limit
-        registry = get_registry()
         poison = inject.hook(inject.TENANT_ARRIVAL)
         n = 0
         while self._arrivals and n < limit:
@@ -434,15 +454,11 @@ class TenantRuntime:
             self.tails.note_pushed(source)
             if events:
                 self.events.append(events)
-                registry.inc(
-                    SERVE_EVENTS, len(events), tenant=self.spec.name
-                )
             n += 1
             self._since_checkpoint += 1
             if self._since_checkpoint >= self.spec.checkpoint_every:
                 self.checkpoint()
         if n:
-            registry.inc(SERVE_ARRIVALS, n, tenant=self.spec.name)
             self.n_batches += 1
             self.check_budgets()
         return n
@@ -538,9 +554,6 @@ class TenantRuntime:
         tail = self.ingest.close()
         if tail:
             self.events.append(tail)
-            get_registry().inc(
-                SERVE_EVENTS, len(tail), tenant=self.spec.name
-            )
         self.checkpoint()
         if len(self.quarantine):
             try:

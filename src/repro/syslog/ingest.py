@@ -51,19 +51,6 @@ import heapq
 from typing import TYPE_CHECKING
 
 from repro.core.config import IngestConfig
-from repro.obs import (
-    BREAKER_REJECTED,
-    BREAKER_STATE,
-    BREAKER_TRANSITIONS,
-    INGEST_ADMISSION_SHED,
-    INGEST_ADMITTED,
-    INGEST_BUFFERED,
-    INGEST_DEDUPLICATED,
-    INGEST_FORCED_FLUSHES,
-    INGEST_LATE_DROPPED,
-    INGEST_WATERMARK_LAG,
-    get_registry,
-)
 from repro.syslog.message import SyslogMessage
 from repro.syslog.parse import SyslogParseError, format_line, parse_line
 from repro.syslog.resilient import Quarantine, QuarantineRecord, RetryPolicy
@@ -78,8 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (``"tails"``) so byte-offset resume rides inside checkpoints.
 INGEST_SNAPSHOT_VERSION = 2
 
-#: Breaker states, in escalation order; the state gauge encodes them as
-#: their index (closed=0, half_open=1, open=2).
+#: Breaker states, in escalation order; a source row's ``state`` is
+#: published as its index (closed=0, half_open=1, open=2).
 BREAKER_STATES = ("closed", "half_open", "open")
 
 #: Consecutive unparseable lines that trip a source from closed to open.
@@ -219,7 +206,6 @@ class MultiSourceIngest:
         self._dedup_evicted_at: float | None = None
         self._peak_buffered = 0
         self._forced_flushes = 0
-        self._last_metrics_clock: float | None = None
         self._tails = None
         self._restored_tails: dict | None = None
         self.last_outcome = ""
@@ -395,7 +381,6 @@ class MultiSourceIngest:
         """Drain the reorder buffer, close the stream, return the rest."""
         events = self._flush(force_all=True)
         events.extend(self._stream.close())
-        self.record_metrics()
         return events
 
     # -------------------------------------------------------------- breaker
@@ -444,12 +429,6 @@ class MultiSourceIngest:
         src.state = to
         src.transitions += 1
         self._journal.append(entry)
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc(BREAKER_TRANSITIONS, source=src.name, to=to)
-            registry.set_gauge(
-                BREAKER_STATE, BREAKER_STATES.index(to), source=src.name
-            )
 
     # ---------------------------------------------------------------- flush
 
@@ -496,9 +475,7 @@ class MultiSourceIngest:
             self._emitted_key = last_key
         if not ready:
             return []
-        events = self._stream.push_many(ready)
-        self._maybe_record_metrics()
-        return events
+        return self._stream.push_many(ready)
 
     def _evict_dedup(self, watermark: float) -> None:
         window = self._config.dedup_window
@@ -648,43 +625,3 @@ class MultiSourceIngest:
             "tail_truncations": tail_total("truncations"),
             "tail_lag_bytes": tail_total("lag_bytes"),
         }
-
-    def _maybe_record_metrics(self) -> None:
-        # Sweep-granularity flushing, mirroring the stream's own policy:
-        # the ingest hot path must not pay a registry write per arrival.
-        if self._clock is None:
-            return
-        if (
-            self._last_metrics_clock is not None
-            and self._clock - self._last_metrics_clock < 300.0
-        ):
-            return
-        self._last_metrics_clock = self._clock
-        self.record_metrics()
-
-    def record_metrics(self) -> None:
-        """Flush ingest gauges/counters into the metrics registry."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        registry.set_gauge(INGEST_BUFFERED, len(self._buffer))
-        registry.set_gauge(INGEST_WATERMARK_LAG, self.watermark_lag)
-        for src in self._sources.values():
-            registry.set_gauge(
-                BREAKER_STATE,
-                BREAKER_STATES.index(src.state),
-                source=src.name,
-            )
-            for name, value in (
-                (INGEST_ADMITTED, src.admitted),
-                (INGEST_LATE_DROPPED, src.late_dropped),
-                (INGEST_DEDUPLICATED, src.deduplicated),
-                (INGEST_ADMISSION_SHED, src.admission_shed),
-                (BREAKER_REJECTED, src.breaker_rejected),
-            ):
-                current = registry.counter_value(name, source=src.name)
-                if value > current:
-                    registry.inc(name, value - current, source=src.name)
-        current = registry.counter_value(INGEST_FORCED_FLUSHES)
-        if self._forced_flushes > current:
-            registry.inc(INGEST_FORCED_FLUSHES, self._forced_flushes - current)

@@ -25,12 +25,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import (
-    QUARANTINE_DEPTH,
-    QUARANTINE_OVERFLOW,
-    QUARANTINED,
-    get_registry,
-)
+from repro.obs import QUARANTINED, get_registry
 from repro.syslog.message import SyslogMessage
 from repro.syslog.parse import SyslogParseError, parse_line
 from repro.syslog.stream import log_lines
@@ -99,9 +94,6 @@ class Quarantine:
         registry = get_registry()
         if registry.enabled:
             registry.inc(QUARANTINED, kind=record.kind)
-            if self._overflow:
-                registry.set_gauge(QUARANTINE_OVERFLOW, self._overflow)
-            registry.set_gauge(QUARANTINE_DEPTH, len(self._records))
 
     def add_parse_error(
         self, line: str, error: SyslogParseError
@@ -179,9 +171,6 @@ class Quarantine:
         """
         records = list(self._records)
         self._records.clear()
-        registry = get_registry()
-        if registry.enabled:
-            registry.set_gauge(QUARANTINE_DEPTH, 0)
         return records
 
     def summary(self) -> dict[str, int]:

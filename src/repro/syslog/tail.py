@@ -52,12 +52,6 @@ import os
 from collections import deque
 from pathlib import Path
 
-from repro.obs import (
-    TAIL_LAG_BYTES,
-    TAIL_ROTATIONS,
-    TAIL_TRUNCATIONS,
-    get_registry,
-)
 from repro.syslog.stream import decode_line
 from repro.utils import inject
 from repro.utils.timeutils import parse_ts
@@ -169,9 +163,6 @@ class SourceTailer:
                 self._carry = b""
             self._read_lines(old_path, live=False)
         self.rotations += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc(TAIL_ROTATIONS, source=self.name)
         self._read_inode = new_inode
         self._read_offset = 0
         self._carry = b""
@@ -213,9 +204,6 @@ class SourceTailer:
     def _restart_truncated(self) -> None:
         """The live file shrank under the read cursor: start over at 0."""
         self.truncations += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.inc(TAIL_TRUNCATIONS, source=self.name)
         generation = self._read_inode
         kept: deque[TailEntry] = deque()
         for i, entry in enumerate(self._pending):
@@ -340,16 +328,12 @@ class SourceTailer:
 
     def status(self) -> dict:
         """One operator-facing row (the ``sources`` table/endpoint)."""
-        lag = self.lag_bytes()
-        registry = get_registry()
-        if registry.enabled:
-            registry.set_gauge(TAIL_LAG_BYTES, lag, source=self.name)
         return {
             "tail_offset": self.offset,
             "tail_inode": self.inode,
             "rotations": self.rotations,
             "truncations": self.truncations,
-            "lag_bytes": lag,
+            "lag_bytes": self.lag_bytes(),
             "carry_bytes": len(self._carry),
             "pending_lines": len(self._pending),
             "io_errors": self.io_errors,

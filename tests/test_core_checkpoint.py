@@ -288,6 +288,36 @@ class TestParentFormatCheckpoint:
         assert stream_fingerprint(events) == stream_fingerprint(full)
         assert not (tmp_path / "periodic.ckpt").exists()
 
+    def test_registry_mirror_watermarks_are_ignored(
+        self, system_a, ordered_a, tmp_path, monkeypatch
+    ):
+        """v6 checkpoints written while the stream mirrored its counters
+        into the metrics registry carry the mirror's ``emitted``
+        watermarks; restore ignores them and finishes unchanged."""
+        full = _run(DigestStream(system_a.kb, system_a.config), ordered_a)
+        half = len(ordered_a) // 2
+        first = DigestStream(system_a.kb, system_a.config)
+        events = []
+        for message in ordered_a[:half]:
+            events.extend(first.push(message))
+        state = first.snapshot()
+        assert "emitted" not in state
+        state["emitted"] = {
+            "syslogdigest_stream_finalized_events_total": float(
+                first.health()["finalized_events"]
+            )
+        }
+        monkeypatch.setattr(first, "snapshot", lambda: state)
+        path = tmp_path / "emitted.ckpt"
+        info = write_checkpoint(path, first)
+        assert read_checkpoint(path)["emitted"] == state["emitted"]
+
+        resumed = restore_stream(path, system_a.kb)
+        for message in ordered_a[info.n_admitted :]:
+            events.extend(resumed.push(message))
+        events.extend(resumed.close())
+        assert stream_fingerprint(events) == stream_fingerprint(full)
+
     @pytest.mark.parametrize("lane", ["serial", "threads", "processes"])
     def test_flat_windows_with_crowded_buckets_restore(
         self, burst_mix, tmp_path, monkeypatch, lane

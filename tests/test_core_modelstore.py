@@ -8,11 +8,8 @@ import os
 import pytest
 
 from repro.core.knowledge import KnowledgeFormatError
-from repro.core.modelstore import (
-    KnowledgeStore,
-    KnowledgeStoreError,
-    _atomic_write_text,
-)
+from repro.core.modelstore import KnowledgeStore, KnowledgeStoreError
+from repro.utils.fsio import atomic_write_text
 
 pytestmark = pytest.mark.lifecycle
 
@@ -49,7 +46,7 @@ class TestCommitAndLoad:
             store._kb_path(info.version).read_text(encoding="utf-8")
         )
         payload["history_days"] = payload["history_days"] + 1
-        _atomic_write_text(
+        atomic_write_text(
             store._kb_path(info.version), json.dumps(payload)
         )
         with pytest.raises(KnowledgeStoreError, match="fingerprint"):
@@ -73,7 +70,7 @@ class TestCommitAndLoad:
         info = store.versions()[0]
         payload = json.loads(system_a.kb.to_json())
         payload["format_version"] = 99
-        _atomic_write_text(
+        atomic_write_text(
             store._kb_path(info.version), json.dumps(payload)
         )
         with pytest.raises(KnowledgeFormatError) as err:
@@ -85,7 +82,7 @@ class TestCommitAndLoad:
         meta = store._meta_path(1)
         payload = json.loads(meta.read_text(encoding="utf-8"))
         payload["store_format"] = 99
-        _atomic_write_text(meta, json.dumps(payload))
+        atomic_write_text(meta, json.dumps(payload))
         with pytest.raises(KnowledgeStoreError, match="store format"):
             store.load(1)
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.stream import DigestStream
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, publish_health
 from repro.syslog.message import SyslogMessage
 from repro.utils.timeutils import HOUR
 
@@ -173,7 +173,8 @@ class TestStateBounds:
 class TestDiagnostics:
     def test_health_and_metrics_read_shard_counts_once(self, system_a):
         """``counts`` is a pipe round trip per shard on the process
-        lane: one broadcast per health read and per metrics flush."""
+        lane: one broadcast per health read, and publishing the metrics
+        is one more health read."""
         stream = DigestStream(system_a.kb, system_a.config.with_workers(2))
         broadcast = stream._exec.broadcast
         calls = []
@@ -188,7 +189,7 @@ class TestDiagnostics:
         assert health["splitters"] == stream.n_splitters
         assert health["window_entries"] == stream.n_window_entries
         calls.clear()
-        stream.record_metrics(MetricsRegistry())
+        publish_health(MetricsRegistry(), "stream", stream.health())
         assert calls == ["counts"]
 
 

@@ -12,6 +12,8 @@ mid-outage) survives the round trip.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.checkpoint import (
@@ -172,6 +174,19 @@ class TestRetiredIngestFields:
         assert resumed.pushed_counts() == ingest.pushed_counts()
         events.extend(_replay_tail(resumed, arrivals_a))
         assert stream_fingerprint(events) == stream_fingerprint(full)
+
+
+    def test_unpickled_config_drops_retired_fields(self):
+        config = IngestConfig()
+        for name, value in self.CONFIG.items():
+            object.__setattr__(config, name, value)
+        blob = pickle.dumps(config)
+        assert b"stall_timeout" in blob
+        restored = pickle.loads(blob)
+        assert "stall_timeout" not in restored.__dict__
+        assert not set(self.CONFIG) & set(vars(restored))
+        assert restored == IngestConfig()
+        assert b"stall_timeout" not in pickle.dumps(restored)
 
 
 class TestBreakerSurvivesRestore:

@@ -28,13 +28,7 @@ from repro.obs import (
     SHARD_SECONDS,
     SHARD_TASK_SECONDS,
     STAGE_SECONDS,
-    STREAM_FINALIZED,
-    STREAM_OPEN_MESSAGES,
-    STREAM_PRUNED,
-    STREAM_SKEW_CLAMPED,
-    STREAM_SPLITTERS,
-    STREAM_WATERMARK_LAG,
-    STREAM_WINDOW_ENTRIES,
+    publish_health,
     scoped_registry,
 )
 from repro.syslog.collector import CollectorProfile, degrade_stream
@@ -127,17 +121,24 @@ class TestStreamHealth:
         health = stream.health()
         assert health["finalized_events"] > 0
         assert health["open_messages"] == 0
-        assert registry.gauge_value(STREAM_OPEN_MESSAGES) == 0
-        assert registry.gauge_value(STREAM_SPLITTERS) is not None
-        assert registry.gauge_value(STREAM_WINDOW_ENTRIES) is not None
-        assert registry.gauge_value(STREAM_WATERMARK_LAG) is not None
+        # The stream keeps its counts; it mirrors none into the registry.
+        assert not [
+            name for name, _ in registry.gauges()
+            if name.startswith("syslogdigest_stream_")
+        ]
+        publish_health(registry, "stream", health)
+        assert {
+            name: value
+            for (name, _), value in registry.gauges().items()
+            if name.startswith("syslogdigest_stream_")
+        } == {
+            f"syslogdigest_stream_{key}": value
+            for key, value in health.items()
+        }
+        assert registry.gauge_value("syslogdigest_stream_open_messages") == 0
         assert (
-            registry.counter_value(STREAM_FINALIZED)
+            registry.gauge_value("syslogdigest_stream_finalized_events")
             == health["finalized_events"]
-        )
-        assert (
-            registry.counter_value(STREAM_PRUNED)
-            == health["pruned_entries"]
         )
 
     def test_watermark_lag_tracks_oldest_open(self, system_a, live_a):
@@ -180,20 +181,9 @@ class TestStreamHealth:
         health = stream.health()
         assert health["skew_clamped"] == 1
         assert health["skew_rejected"] == 1
-        stream.record_metrics()
-        assert registry.counter_value(STREAM_SKEW_CLAMPED) == 1
-
-    def test_record_metrics_deltas_stay_monotonic(
-        self, registry, system_a, live_a
-    ):
-        stream = DigestStream(system_a.kb, system_a.config)
-        for m in live_a.messages[:400]:
-            stream.push(m.message)
-        stream.close()
-        once = registry.counter_value(STREAM_FINALIZED)
-        stream.record_metrics()
-        stream.record_metrics()
-        assert registry.counter_value(STREAM_FINALIZED) == once
+        publish_health(registry, "stream", health)
+        assert registry.gauge_value("syslogdigest_stream_skew_clamped") == 1
+        assert registry.gauge_value("syslogdigest_stream_skew_rejected") == 1
 
 
 class TestCollectorCounters:

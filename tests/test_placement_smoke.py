@@ -15,8 +15,9 @@ pins the bulkhead contract from both sides:
 
 Both tenants take a turn as the kill target (and as the survivor;
 ``t-serial`` and ``t-procs`` are labels, not stream lanes — a tenant
-always runs the default stream), and the per-tenant budget series are
-asserted present in ``/metrics``.  Every step gates on HTTP-observed
+always runs the default stream), and each tenant's stream, ingest,
+source and budget series are asserted present, ``tenant``-labelled, in
+``/metrics``.  Every step gates on HTTP-observed
 state (pushed counts, worker pids) — no sleeps decide correctness; see
 ``repro.netsim.chaos``.
 
@@ -25,6 +26,7 @@ Run via ``make placement-smoke`` (wired into ``make check``).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -48,11 +50,18 @@ PHASE1 = 400
 PHASE1_PER_SOURCE = PHASE1 // 2
 FULL_PER_SOURCE = N_MESSAGES // 2
 
-#: Every budget metric the parent must surface for process tenants.
-BUDGET_METRICS = (
-    "syslogdigest_tenant_budget_limit",
-    "syslogdigest_tenant_budget_used",
-    "syslogdigest_tenant_over_budget",
+#: Series the parent's ``/metrics`` must carry for every process
+#: tenant, each with ``tenant="<name>"``: health published from the
+#: worker's reply, and the parent's own placement gauge.
+TENANT_METRICS = (
+    "syslogdigest_stream_open_messages",
+    "syslogdigest_stream_finalized_events",
+    "syslogdigest_ingest_admitted",
+    "syslogdigest_ingest_tail_lag_bytes",
+    "syslogdigest_source_admitted",
+    "syslogdigest_budget_open_messages",
+    "syslogdigest_budget_max_open_messages",
+    "syslogdigest_budget_over_budget",
     "syslogdigest_placement_workers",
 )
 
@@ -172,8 +181,11 @@ def _kill_one_worker(farm, label: str, victim: str, survivor: str,
             )
         if check_metrics:
             metrics = daemon.metrics_text()
-            for metric in BUDGET_METRICS:
-                assert metric in metrics, f"{metric} missing from /metrics"
+            for name in TENANTS:
+                for metric in TENANT_METRICS:
+                    assert re.search(
+                        rf'^{metric}{{[^}}]*tenant="{name}"', metrics, re.M
+                    ), f"{metric}{{tenant={name}}} missing from /metrics"
         daemon.drain()
         assert daemon.wait_exit() == 0, daemon.stderr
     finally:

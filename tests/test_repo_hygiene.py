@@ -22,6 +22,10 @@ and docs that only cite evidence that exists.
 * One way to read a log: ``syslog/`` decodes bytes in exactly one place,
   ``cli.py`` opens no file itself, and the retired readers and feed merge
   stay gone from code and docs.
+* Live state is counted once: no metric-name constant in
+  ``obs/registry.py`` names a series ``publish_health`` derives from the
+  documented health keys, so a hand-written registry mirror cannot
+  come back beside the health dict it would copy.
 """
 
 from __future__ import annotations
@@ -37,8 +41,12 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.config import DigestConfig, IngestConfig
+from repro.core.stream import HEALTH_KEYS
+from repro.obs import MetricsRegistry, publish_health
+from repro.obs import registry as obs_registry
 from repro.serve import ServeConfig
-from repro.serve.tenant import TenantBudget, TenantSpec
+from repro.serve.tenant import BUDGET_HEALTH_KEYS, TenantBudget, TenantSpec
+from repro.syslog.ingest import INGEST_HEALTH_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -419,7 +427,8 @@ RETIRED_KNOBS = re.compile(
     r"|durable_fault_from_dict|stream_fault_hook"
     r"|max_stream_procs|stream_procs|stall_timeout|record_failure"
     r"|probe_base_delay|probe_max_retries|breaker_failure_threshold"
-    r"|seq_gaps|sequence_gaps|budget-clamped)\b"
+    r"|seq_gaps|sequence_gaps|budget-clamped"
+    r"|record_metrics|publish_budgets|BUDGET_GAUGES)\b"
 )
 
 
@@ -459,6 +468,32 @@ def test_retired_knobs_stay_gone():
         if RETIRED_KNOBS.search(line)
     ]
     assert not hits, "\n".join(hits)
+
+
+def test_no_metric_constant_mirrors_a_health_key():
+    derived = MetricsRegistry()
+    for section, keys in (
+        ("stream", HEALTH_KEYS),
+        ("ingest", INGEST_HEALTH_KEYS),
+        ("budget", BUDGET_HEALTH_KEYS),
+    ):
+        publish_health(derived, section, dict.fromkeys(keys, 0))
+    names = {name for name, _ in derived.gauges()}
+    assert len(names) == (
+        len(HEALTH_KEYS) + len(INGEST_HEALTH_KEYS) + len(BUDGET_HEALTH_KEYS)
+    )
+    constants = {
+        attr: value
+        for attr, value in vars(obs_registry).items()
+        if attr.isupper() and isinstance(value, str)
+    }
+    assert "STAGE_SECONDS" in constants
+    mirrors = sorted(
+        attr
+        for attr, value in constants.items()
+        if value in names or value.removesuffix("_total") in names
+    )
+    assert not mirrors, f"health keys mirrored by hand: {mirrors}"
 
 
 def test_one_way_to_read_a_log():

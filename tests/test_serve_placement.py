@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import time
 
@@ -40,17 +41,18 @@ from repro.netsim.chaos import (
     tenant_fingerprint,
     transition_kinds,
 )
-from repro.obs import (
-    BUDGET_BREACHES,
-    BUDGET_USED,
-    OVER_BUDGET,
-    SERVE_HTTP_REJECTED,
-    get_registry,
-)
+from repro.obs import SERVE_HTTP_REJECTED, get_registry
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.placement import InlineLife
 from repro.serve.rpc import decode_payload, encode_frame
-from repro.serve.tenant import PLACEMENTS, TenantRuntime, TenantSpec
+from repro.core.stream import HEALTH_KEYS
+from repro.serve.tenant import (
+    BUDGET_HEALTH_KEYS,
+    PLACEMENTS,
+    TenantRuntime,
+    TenantSpec,
+)
+from repro.syslog.ingest import BREAKER_STATES, INGEST_HEALTH_KEYS
 from repro.syslog.parse import format_line
 from repro.syslog.stream import write_log
 
@@ -311,11 +313,20 @@ class TestWorkerDeath:
         _reaped(daemon.handles["net-a"])
 
 
+def _budget_series(text: str, tenant: str) -> dict[str, float]:
+    """``{series: value}`` of one tenant's ``syslogdigest_budget_*``
+    lines in a ``/metrics`` body."""
+    label = f'{{tenant="{tenant}"}}'
+    series = {}
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if name.startswith("syslogdigest_budget_") and name.endswith(label):
+            series[name[: -len(label)]] = float(value)
+    return series
+
+
 class TestBudgets:
     def test_breach_sheds_deterministically_never_kills(self, farm):
-        registry = get_registry()
-        before = registry.counter_value(BUDGET_BREACHES, tenant="net-a")
-
         def one_run(placement: str) -> tuple:
             tenant = _tenant(
                 farm, f"budget-{placement}", "net-a", 300,
@@ -334,23 +345,117 @@ class TestBudgets:
             assert daemon.supervisors["net-a"].total_restarts == 0
             assert len(daemon.handles["net-a"].lives) == 1
             _reaped(daemon.handles["net-a"])
-            return _outcome(tenant)
+            # /metrics after the drain: the drained life's last health.
+            metrics = asyncio.run(daemon.api.metrics_text())
+            return _outcome(tenant), _budget_series(metrics, "net-a")
 
-        first = one_run("inline")
-        # Budget metrics are published parent-side, for both placements.
-        assert (
-            registry.counter_value(BUDGET_BREACHES, tenant="net-a") > before
-        )
-        assert registry.gauge_value(OVER_BUDGET, tenant="net-a") == 1.0
-        assert (
-            registry.gauge_value(
-                BUDGET_USED, tenant="net-a", budget="journal_bytes"
-            )
-            > 2048
-        )
+        first, budgets = one_run("inline")
+        # The budget series come from the tenant's health, published
+        # parent-side for both placements.
+        assert budgets["syslogdigest_budget_breached"] == 1
+        assert budgets["syslogdigest_budget_over_budget"] == 1
+        assert budgets["syslogdigest_budget_journal_max_bytes"] == 2048
+        assert budgets["syslogdigest_budget_journal_bytes"] > 2048
         # Deterministic shed: same input, same breach, same bytes out —
         # on the other placement too.
-        assert one_run("process") == first
+        assert one_run("process") == (first, budgets)
+
+
+def _labelled_series(text: str) -> dict[tuple[str, str, str], float]:
+    """``{(name, tenant, source): value}`` of every ``tenant=``-labelled
+    line of a ``/metrics`` body (``source`` is ``""`` when absent)."""
+    series = {}
+    for line in text.splitlines():
+        match = re.fullmatch(r"(\w+)\{(.*)\} (\S+)", line)
+        if match is None:
+            continue
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', match[2]))
+        if "tenant" in labels:
+            key = (match[1], labels["tenant"], labels.get("source", ""))
+            series[key] = float(match[3])
+    return series
+
+
+class TestMetrics:
+    def test_both_placements_publish_the_same_health_series(self, farm):
+        """``/metrics`` carries one ``tenant=``-labelled health series
+        set per tenant, whatever its placement, and once the daemon is
+        quiescent every value is the one ``/tenants/<id>/health``
+        reports."""
+        tenants = [
+            _tenant(farm, "metrics", "net-in", 300, placement="inline"),
+            _tenant(farm, "metrics", "net-proc", 300, placement="process"),
+        ]
+        daemon = ServeDaemon(_config(farm, "metrics", tenants, once=False))
+
+        async def scenario():
+            run = asyncio.create_task(daemon.run())
+            for name in ("net-in", "net-proc"):
+                await _wait(
+                    lambda: _pushed(daemon.handles[name], 300),
+                    f"{name} consumed", run,
+                )
+            request = b"GET /metrics HTTP/1.0\r\n\r\n"
+            status, metrics, _ = await daemon.api._dispatch(request)
+            assert status == 200
+            healths = {}
+            for name in ("net-in", "net-proc"):
+                request = f"GET /tenants/{name}/health HTTP/1.0\r\n\r\n"
+                _, body, _ = await daemon.api._dispatch(request.encode())
+                healths[name] = json.loads(body)
+            daemon.request_drain()
+            return await run, metrics, healths
+
+        code, metrics, healths = asyncio.run(scenario())
+        assert code == 0
+        series = _labelled_series(metrics)
+        sections = {
+            "stream": HEALTH_KEYS,
+            "ingest": INGEST_HEALTH_KEYS,
+            "budget": BUDGET_HEALTH_KEYS,
+        }
+        names = {}
+        for name, health in healths.items():
+            assert health["placement"] == daemon.handles[name].placement
+            assert health["pending_arrivals"] == 0
+            mine = {
+                key: value for key, value in series.items()
+                if key[1] == name
+            }
+            names[name] = {
+                metric for metric, _, _ in mine
+                if metric.split("_")[1] in (*sections, "source")
+            }
+            for section, table in sections.items():
+                assert {
+                    metric for metric in names[name]
+                    if metric.startswith(f"syslogdigest_{section}_")
+                } == {f"syslogdigest_{section}_{key}" for key in table}
+            want = {}
+            for section, key in (
+                ("stream", "stream"), ("ingest", "ingest"),
+                ("budget", "budgets"),
+            ):
+                for field, value in health[key].items():
+                    if isinstance(value, list):
+                        value = len(value)
+                    want[(f"syslogdigest_{section}_{field}", name, "")] = value
+            for row in health["sources"]:
+                for field, value in row.items():
+                    if field == "state":
+                        value = BREAKER_STATES.index(value)
+                    if isinstance(value, (int, float)):
+                        metric = f"syslogdigest_source_{field}"
+                        want[(metric, name, row["source"])] = value
+            # Read on the monotonic clock at each request: never equal.
+            age = ("syslogdigest_stream_checkpoint_age_seconds", name, "")
+            assert mine.pop(age) >= 0 and want.pop(age) >= 0
+            assert {
+                key: value for key, value in mine.items() if key in want
+            } == want
+            assert any(metric == "syslogdigest_source_admitted"
+                       for metric, _, _ in want)
+        assert names["net-in"] == names["net-proc"]
 
 
 class TestDrain:
