@@ -133,8 +133,9 @@ def _run_health(stream, ingest=None) -> dict:
     """A streaming run's final health, shaped like a serve tenant's."""
     health = {"stream": stream.health()}
     if ingest is not None:
-        health["ingest"] = ingest.health()
-        health["sources"] = ingest.source_summaries()
+        tail_status = ingest.tail_status()
+        health["ingest"] = ingest.health(tail_status)
+        health["sources"] = ingest.source_summaries(tail_status)
     return health
 
 
@@ -303,20 +304,21 @@ def _cmd_digest(args: argparse.Namespace) -> int:
         stream, ingest, events, quarantine, interrupted = _run_ingest(
             args, kb, kb_version
         )
-        health = ingest.health()
+        health = _run_health(stream, ingest)
+        counts = health["ingest"]
         n_messages = sum(ingest.pushed_counts().values())
         partial = " (interrupted)" if interrupted else ""
         print(
-            f"# {n_messages} arrivals over {health['sources']} sources -> "
-            f"{len(events)} events{partial} (late {health['late_dropped']}, "
-            f"dedup {health['deduplicated']}, "
-            f"breaker-rejected {health['breaker_rejected']})"
+            f"# {n_messages} arrivals over {counts['sources']} sources -> "
+            f"{len(events)} events{partial} (late {counts['late_dropped']}, "
+            f"dedup {counts['deduplicated']}, "
+            f"breaker-rejected {counts['breaker_rejected']})"
         )
         events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
         print(present_digest(events, top=args.top))
         if args.quarantine is not None:
             _dump_quarantine(quarantine, args.quarantine)
-        _maybe_write_metrics(args.metrics, _run_health(stream, ingest))
+        _maybe_write_metrics(args.metrics, health)
         return 0
     if args.log is None:
         print("digest needs --log (or --source feeds)", file=sys.stderr)
@@ -535,17 +537,18 @@ def _cmd_sources(args: argparse.Namespace) -> int:
     stream, ingest, events, _quarantine, _interrupted = _run_ingest(
         args, kb, kb_version
     )
-    summaries = ingest.source_summaries()
+    health = _run_health(stream, ingest)
+    summaries = health["sources"]
     rows = [list(summary.values()) for summary in summaries]
     headers = list(summaries[0]) if summaries else []
     print(
         render_table(headers, rows, title="per-source ingest health")
     )
-    health = ingest.health()
+    counts = health["ingest"]
     print(
         f"# {sum(ingest.pushed_counts().values())} arrivals -> "
-        f"{len(events)} events; peak buffer {health['peak_buffered']}, "
-        f"{health['breaker_transitions']} breaker transitions"
+        f"{len(events)} events; peak buffer {counts['peak_buffered']}, "
+        f"{counts['breaker_transitions']} breaker transitions"
     )
     if args.journal:
         for entry in ingest.journal():
@@ -553,7 +556,7 @@ def _cmd_sources(args: argparse.Namespace) -> int:
                 f"# {entry['clock']}: {entry['source']} "
                 f"{entry['from']} -> {entry['to']} ({entry['reason']})"
             )
-    _maybe_write_metrics(args.metrics, _run_health(stream, ingest))
+    _maybe_write_metrics(args.metrics, health)
     return 0
 
 

@@ -27,8 +27,9 @@ with :meth:`DigestStream.snapshot` and rebuilt with
 :meth:`DigestStream.restore` — the process lane's worker states ride
 through the same snapshot, so checkpoints restore across lanes.  *When*
 to checkpoint is the driver's policy, not the stream's: the CLI cuts on
-a stream-clock cadence and on signal, a serve tenant every
-``checkpoint_every`` arrivals (atomic writes in
+a stream-clock cadence and on signal, a serve tenant once its arrivals
+since the last cut reach max(``checkpoint_every``, half its open
+state) (atomic writes in
 :mod:`repro.core.checkpoint`).  A shard whose step raises mid-batch is
 retried once and then resumed hook-free, always from *exactly* the first
 unapplied message (:func:`~repro.core.shards.run_ladder`).

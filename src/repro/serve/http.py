@@ -322,8 +322,8 @@ class HttpApi:
         The health comes from :meth:`TenantHandle.health` — the reply
         ``/tenants/<id>/health`` serves, for either placement, stale
         fallback included — and is published into a registry of this
-        scrape's own, so a key a later life stops reporting (a dead
-        life's ``worker_pid``) leaves no gauge behind.
+        scrape's own, so a key a later life stops reporting leaves no
+        gauge behind.
         """
         handles = self._daemon.handles
         healths = await asyncio.gather(

@@ -64,6 +64,17 @@ PLACEMENTS = ("inline", "process")
 #: Arrivals one :meth:`TenantRuntime.process_batch` pushes by default.
 PUMP_BATCH = 64
 
+#: A tenant cuts a checkpoint once its arrivals since the last cut reach
+#: this share of its in-flight messages (reorder buffer plus open
+#: messages, :attr:`MultiSourceIngest.n_inflight`), never fewer than
+#: ``checkpoint_every``.  A cut re-pickles all open state, so this keeps
+#: checkpoint cost proportional to ingest cost: a backlog in which
+#: nothing finalizes cuts at 200, 400, 800, ... arrivals, not every 200.
+#: It must stay below 1 — open state grows by one per backlog arrival,
+#: so at 1 or above the count would never catch up and restart replay
+#: would have no bound.
+CHECKPOINT_OPEN_RATIO = 0.5
+
 #: Every key of :meth:`TenantRuntime.budget_health`, documented — the
 #: budget half of the health contract (DESIGN.md §15), same idiom as
 #: ``repro.core.stream.HEALTH_KEYS``.  Limits of 0 mean *unbounded*.
@@ -80,6 +91,13 @@ BUDGET_HEALTH_KEYS: dict[str, str] = {
 }
 
 
+#: Health keys that name a thing instead of measuring it: the worker's
+#: pid, the tail file's inode, and the knowledge version (already the
+#: ``syslogdigest_kb_active_version`` series).  The health JSON carries
+#: them; ``/metrics`` does not make them gauges.
+IDENTIFIER_KEYS = frozenset({"worker_pid", "tail_inode", "kb_version"})
+
+
 def publish_tenant_health(registry, health: dict, **labels: str) -> None:
     """Publish a :meth:`TenantRuntime.health` dict (or any part of one)
     as gauges, through :func:`~repro.obs.publish_health`.
@@ -89,14 +107,19 @@ def publish_tenant_health(registry, health: dict, **labels: str) -> None:
     ``stream``/``ingest``/``budget``, and every ``sources`` row under
     ``source`` with a ``source=`` label and its breaker ``state`` as its
     :data:`~repro.syslog.ingest.BREAKER_STATES` index.
+    :data:`IDENTIFIER_KEYS` are left out.
     """
-    top = {k: v for k, v in health.items() if k != "sources"}
+    top = {
+        k: v for k, v in health.items()
+        if k != "sources" and k not in IDENTIFIER_KEYS
+    }
     publish_health(registry, "tenant", top, **labels)
     for key, section in (
         ("stream", "stream"), ("ingest", "ingest"), ("budgets", "budget")
     ):
         publish_health(registry, section, health.get(key, {}), **labels)
     for row in health.get("sources", []):
+        row = {k: v for k, v in row.items() if k not in IDENTIFIER_KEYS}
         publish_health(
             registry,
             "source",
@@ -150,9 +173,12 @@ class TenantSpec:
     :meth:`~repro.mining.knowledge.KnowledgeBase.save` file) or
     ``store_dir`` (a :class:`KnowledgeStore` directory, whose *active*
     version is served and whose versions back promote/rollback) must be
-    set.  ``checkpoint_every`` counts *arrivals* between checkpoints —
-    a deterministic cadence, unlike wall time.  The stream always runs
-    the default :class:`~repro.core.config.DigestConfig`.
+    set.  ``checkpoint_every`` is the floor, in *arrivals*, between
+    checkpoints; above it a tenant waits for
+    :data:`CHECKPOINT_OPEN_RATIO` × its in-flight messages (see
+    :meth:`TenantRuntime.process_batch`) — a deterministic cadence,
+    unlike wall time.  The stream always runs the default
+    :class:`~repro.core.config.DigestConfig`.
     """
 
     name: str
@@ -436,8 +462,12 @@ class TenantRuntime:
         """Push up to ``limit`` pending arrivals; returns how many.
 
         Finalized events are appended to the event journal as they
-        emerge; a checkpoint is cut every ``checkpoint_every`` arrivals
-        (journal fsync first — the crash-safety ordering invariant).
+        emerge; a checkpoint is cut once the arrivals since the last cut
+        reach max(``checkpoint_every``, :data:`CHECKPOINT_OPEN_RATIO` ×
+        in-flight messages) (journal fsync first — the crash-safety
+        ordering invariant).  A restart replays exactly the arrivals
+        since the last cut, so the schedule bounds replay time, never
+        correctness.
         The ``tenant.arrival`` injection point is read once per batch.
         """
         limit = PUMP_BATCH if limit is None else limit
@@ -456,7 +486,10 @@ class TenantRuntime:
                 self.events.append(events)
             n += 1
             self._since_checkpoint += 1
-            if self._since_checkpoint >= self.spec.checkpoint_every:
+            if self._since_checkpoint >= max(
+                self.spec.checkpoint_every,
+                self.ingest.n_inflight * CHECKPOINT_OPEN_RATIO,
+            ):
                 self.checkpoint()
         if n:
             self.n_batches += 1
@@ -658,6 +691,7 @@ class TenantRuntime:
 
     def health(self) -> dict:
         """Everything an operator asks a tenant, JSON-serializable."""
+        tail_status = self.ingest.tail_status()  # one stat per source
         return {
             "tenant": self.spec.name,
             "placement": self.spec.placement,
@@ -669,7 +703,7 @@ class TenantRuntime:
             "n_batches": self.n_batches,
             "kb_version": self.stream.kb_version,
             "stream": self.stream.health(),
-            "ingest": self.ingest.health(),
-            "sources": self.ingest.source_summaries(),
+            "ingest": self.ingest.health(tail_status),
+            "sources": self.ingest.source_summaries(tail_status),
             "budgets": self.budget_health(),
         }

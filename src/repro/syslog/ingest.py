@@ -248,14 +248,22 @@ class MultiSourceIngest:
         checkpointed run was not tailing)."""
         return self._restored_tails
 
-    def source_summaries(self) -> list[dict]:
+    def tail_status(self) -> dict[str, dict]:
+        """The attached tail set's per-source status rows ({} when none
+        is attached).  Each read stats every source once: a caller that
+        wants both :meth:`health` and :meth:`source_summaries` reads it
+        once and hands it to both."""
+        return self._tails.status() if self._tails is not None else {}
+
+    def source_summaries(
+        self, tail_status: dict[str, dict] | None = None
+    ) -> list[dict]:
         """Per-source health rows, merged with live-tail status columns
         (offset, inode, rotation/truncation counts, lag) when a tail
         set is attached — the ``sources`` CLI table and the
         ``/tenants/<id>/sources`` endpoint render exactly these."""
-        tail_status = (
-            self._tails.status() if self._tails is not None else {}
-        )
+        if tail_status is None:
+            tail_status = self.tail_status()
         rows = []
         for src in self.sources():
             row = src.summary()
@@ -317,7 +325,7 @@ class MultiSourceIngest:
 
         # Admission control runs on the state *at arrival* — a probing
         # or recently-failing source is shed first under pressure.
-        inflight = len(self._buffer) + self._stream.n_open_messages
+        inflight = self.n_inflight
         cfg = self._config
         if cfg.admit_hard_limit and inflight >= cfg.admit_hard_limit:
             src.admission_shed += 1
@@ -586,6 +594,12 @@ class MultiSourceIngest:
         return len(self._buffer)
 
     @property
+    def n_inflight(self) -> int:
+        """Messages admitted but not yet in an event: the reorder buffer
+        plus the stream's open messages."""
+        return len(self._buffer) + self._stream.n_open_messages
+
+    @property
     def watermark_lag(self) -> float:
         """Ingest clock minus the global watermark (0.0 before both)."""
         watermark = self.watermark()
@@ -593,16 +607,18 @@ class MultiSourceIngest:
             return 0.0
         return self._clock - watermark
 
-    def health(self) -> dict[str, float]:
+    def health(
+        self, tail_status: dict[str, dict] | None = None
+    ) -> dict[str, float]:
         """One-call health snapshot; keys are exactly
-        :data:`INGEST_HEALTH_KEYS`."""
+        :data:`INGEST_HEALTH_KEYS`.  ``tail_status`` is a
+        :meth:`tail_status` read to reuse instead of a fresh one."""
         states = [src.state for src in self._sources.values()]
         total = lambda field: sum(  # noqa: E731 - tiny local reducer
             getattr(src, field) for src in self._sources.values()
         )
-        tail_status = (
-            self._tails.status() if self._tails is not None else {}
-        )
+        if tail_status is None:
+            tail_status = self.tail_status()
         tail_total = lambda key: sum(  # noqa: E731 - tiny local reducer
             row[key] for row in tail_status.values()
         )

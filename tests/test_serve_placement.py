@@ -444,6 +444,8 @@ class TestMetrics:
                 for field, value in row.items():
                     if field == "state":
                         value = BREAKER_STATES.index(value)
+                    if field == "tail_inode":
+                        continue  # an identifier, not a gauge
                     if isinstance(value, (int, float)):
                         metric = f"syslogdigest_source_{field}"
                         want[(metric, name, row["source"])] = value
@@ -456,6 +458,15 @@ class TestMetrics:
             assert any(metric == "syslogdigest_source_admitted"
                        for metric, _, _ in want)
         assert names["net-in"] == names["net-proc"]
+        # Identifiers stay in the health JSON and out of /metrics.
+        assert healths["net-proc"]["worker_pid"] > 0
+        assert healths["net-proc"]["sources"][0]["tail_inode"] > 0
+        for metric in (
+            "syslogdigest_tenant_worker_pid",
+            "syslogdigest_tenant_kb_version",
+            "syslogdigest_source_tail_inode",
+        ):
+            assert metric not in metrics
 
 
 class TestDrain:

@@ -12,19 +12,32 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import os
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import hotpath
 from repro.cli import main as cli_main
 from repro.core.checkpoint import read_checkpoint
 from repro.core.config import DigestConfig, IngestConfig
+from repro.core.pipeline import SyslogDigest
 from repro.core.stream import HEALTH_KEYS
+from repro.netsim.chaos import tenant_fingerprint
+from repro.netsim.scale import ScaleGenerator, ScaleSpec
 from repro.serve.daemon import ServeConfig
 from repro.serve.journal import EventJournal
 from repro.serve.placement import TenantLife
-from repro.serve.tenant import TenantRuntime, TenantSpec
+from repro.serve.tenant import (
+    CHECKPOINT_OPEN_RATIO,
+    TenantRuntime,
+    TenantSpec,
+)
 from repro.syslog.ingest import INGEST_HEALTH_KEYS
+from repro.syslog.parse import format_line
 from repro.syslog.stream import write_log
 
 pytestmark = pytest.mark.serve
@@ -45,6 +58,48 @@ def source_logs(live_a, tmp_path_factory):
     write_log(root / "s1.log", [m for i, m in enumerate(messages) if i % 2 == 0])
     write_log(root / "s2.log", [m for i, m in enumerate(messages) if i % 2 == 1])
     return (str(root / "s1.log"), str(root / "s2.log"))
+
+
+#: Lines in the dense backlog: minutes of a million-a-day backbone, far
+#: inside ``DigestConfig.idle_flush``, so no event finalizes before drain.
+BACKLOG_LINES = 5000
+
+
+@pytest.fixture(scope="module")
+def backlog(tmp_path_factory):
+    """``(kb_path, log_path)``: a dense backbone backlog on disk."""
+    root = tmp_path_factory.mktemp("backlog")
+    gen = ScaleGenerator(ScaleSpec())
+    SyslogDigest.learn(
+        gen.learning_messages(5000),
+        gen.configs(),
+        DigestConfig(window=120.0),
+        fit_temporal=False,
+    ).kb.save(root / "kb.json")
+    lines = [format_line(m) for m in islice(gen.stream(), BACKLOG_LINES)]
+    (root / "s.log").write_text("".join(line + "\n" for line in lines))
+    return str(root / "kb.json"), str(root / "s.log")
+
+
+def _backlog_spec(backlog, workdir):
+    kb_path, log = backlog
+    return TenantSpec(
+        name="t1", sources=(log,), workdir=str(workdir), kb_path=kb_path
+    )
+
+
+def _record_cuts(runtime: TenantRuntime) -> list[tuple[int, int]]:
+    """Wrap ``runtime.checkpoint``; the returned list fills with the
+    ``(arrival index, in-flight messages)`` of every cut."""
+    cuts = []
+    cut = runtime.checkpoint
+
+    def recorded():
+        cuts.append((runtime._arrivals_life, runtime.ingest.n_inflight))
+        cut()
+
+    runtime.checkpoint = recorded
+    return cuts
 
 
 def _spec(sources, workdir, kb_file, **overrides):
@@ -233,6 +288,28 @@ class TestHealthContract:
             for key, doc in keys.items():
                 assert isinstance(doc, str) and doc, key
 
+    def test_one_stat_per_source_per_read(
+        self, source_logs, kb_file, tmp_path, monkeypatch
+    ):
+        """``health()`` reads the tail status once: the ingest section
+        and the ``sources`` rows share it."""
+        runtime = TenantRuntime(_spec(source_logs, tmp_path, kb_file))
+        runtime.start()
+        runtime.process_batch(limit=100)
+        stats = []
+        real_stat = os.stat
+
+        def counted(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counted)
+        runtime.health()
+        monkeypatch.undo()
+        runtime.halt()
+        for source in source_logs:
+            assert stats.count(source) == 1
+
     def test_payload_json_round_trips(self, health):
         assert json.loads(json.dumps(health, sort_keys=True)) == json.loads(
             json.dumps(health, sort_keys=True)
@@ -328,6 +405,88 @@ class TestResumeIdentity:
         assert not runtime.resumed
         assert runtime.pending > 0
         runtime.drain()
+
+
+class TestCheckpointCadence:
+    """A cut re-pickles all open state, so cuts come once the arrivals
+    since the last one reach half the in-flight messages: O(log n) cuts
+    for a backlog, never closer than ``checkpoint_every``."""
+
+    def _backlog_schedule(self, backlog, workdir):
+        runtime = TenantRuntime(_backlog_spec(backlog, workdir))
+        runtime.start()
+        cuts = _record_cuts(runtime)
+        while runtime.pending:
+            runtime.process_batch()
+        assert runtime.stream.health()["finalized_events"] == 0
+        runtime.halt()
+        return [arrival for arrival, _inflight in cuts]
+
+    def test_backlog_cuts_double(self, backlog, tmp_path):
+        schedule = self._backlog_schedule(backlog, tmp_path / "a")
+        floor = TenantSpec.checkpoint_every
+        assert schedule == [floor * 2**k for k in range(len(schedule))]
+        assert schedule[-1] * 2 > BACKLOG_LINES
+        assert len(schedule) <= math.ceil(
+            math.log2(BACKLOG_LINES / floor)
+        ) + 2
+        # Count form, not a timer: a second run cuts at the same arrivals.
+        assert self._backlog_schedule(backlog, tmp_path / "b") == schedule
+
+    def test_sparse_feed_never_cuts_below_the_floor(
+        self, source_logs, kb_file, tmp_path
+    ):
+        spec = _spec(source_logs, tmp_path, kb_file)
+        runtime = TenantRuntime(spec)
+        runtime.start()
+        cuts = _record_cuts(runtime)
+        while runtime.pending:
+            runtime.process_batch()
+        assert runtime.stream.health()["finalized_events"] > 0
+        runtime.halt()
+        assert len(cuts) > 2
+        for (prev, _), (now, inflight) in zip(cuts, cuts[1:]):
+            assert now - prev >= max(
+                spec.checkpoint_every, inflight * CHECKPOINT_OPEN_RATIO
+            )
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, backlog, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("uninterrupted")
+        runtime = TenantRuntime(_backlog_spec(backlog, workdir))
+        runtime.start()
+        while runtime.pending:
+            runtime.process_batch()
+        runtime.drain()
+        runtime.events.close()
+        return tenant_fingerprint(workdir)
+
+    @settings(max_examples=4, deadline=None)
+    @given(halt_at=st.integers(1, BACKLOG_LINES - 1))
+    def test_restart_at_any_arrival_is_exact(
+        self, backlog, uninterrupted, tmp_path_factory, halt_at
+    ):
+        """Halt anywhere, restart on the same workdir, run to drain: the
+        journal serves what an uninterrupted run serves, and the replay
+        is the arrivals since the last cut, under the cadence bound."""
+        spec = _backlog_spec(backlog, tmp_path_factory.mktemp("halt"))
+        first = TenantRuntime(spec)
+        first.start()
+        first.process_batch(limit=halt_at)
+        bound = max(spec.checkpoint_every, first.ingest.n_inflight / 2)
+        unreflected = first._since_checkpoint
+        first.halt()
+        first.events.close()
+
+        second = TenantRuntime(spec)
+        second.start()
+        replayed = second.pending - (BACKLOG_LINES - halt_at)
+        assert replayed == unreflected < bound
+        while second.pending:
+            second.process_batch()
+        second.drain()
+        second.events.close()
+        assert tenant_fingerprint(spec.workdir) == uninterrupted
 
 
 class TestCheckpointFallback:
