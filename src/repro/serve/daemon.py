@@ -89,6 +89,9 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     workdir: str = "."
+    # A tenant's idle poll: how often a tenant with no input looks at its
+    # sources.  While its feed flows it polls every placement.LIVE_POLL
+    # instead (TenantLife.idle_wait owns the rule for both placements).
     poll_interval: float = 0.2
     once: bool = False
     max_restarts: int = 3

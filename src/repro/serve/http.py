@@ -346,7 +346,9 @@ class HttpApi:
         A request that finds its cursor at the journal's end parks on a
         wake-on-append future (bounded daemon-wide — past the bound the
         request is refused with 429, counted ``reason="waiters"``) and
-        re-reads its page when woken or timed out.  Works identically
+        re-reads its page when woken or timed out; a read during which
+        the journal grew is retried before it parks, so an append noted
+        mid-read is never slept past.  Works identically
         for both placements: the parent owns the waiters, journal
         growth is observed from the tenant's ``batch`` notes.
         """
@@ -358,22 +360,29 @@ class HttpApi:
         except ValueError:
             raise HttpError(400, "cursor, limit and wait must be numeric")
         if cursor < 0 or limit < 1 or wait < 0:
-            raise HttpError(400, "cursor must be >= 0 and limit >= 1")
+            raise HttpError(
+                400, "cursor and wait must be >= 0 and limit >= 1"
+            )
         limit = min(limit, MAX_EVENTS_PAGE)
-        page = await handle.events_page(cursor, limit)
-        if wait > 0 and not page["events"] and not daemon.draining:
-            future = daemon.register_event_waiter(name)
-            if future is None:
-                get_registry().inc(SERVE_HTTP_REJECTED, reason="waiters")
-                raise HttpError(429, "long-poll waiter budget exhausted")
-            try:
-                await asyncio.wait_for(
-                    future,
-                    timeout=min(wait, daemon.config.longpoll_max_wait),
-                )
-            except asyncio.TimeoutError:
-                pass
-            finally:
-                daemon.unregister_event_waiter(name, future)
+        while True:
+            seen = handle.events_total
             page = await handle.events_page(cursor, limit)
-        return page
+            if not wait or page["events"] or daemon.draining:
+                return page
+            # From this check to the registration nothing yields, so a
+            # note handled after it wakes the waiter.
+            if handle.events_total == seen:
+                break
+        future = daemon.register_event_waiter(name)
+        if future is None:
+            get_registry().inc(SERVE_HTTP_REJECTED, reason="waiters")
+            raise HttpError(429, "long-poll waiter budget exhausted")
+        try:
+            await asyncio.wait_for(
+                future, timeout=min(wait, daemon.config.longpoll_max_wait)
+            )
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            daemon.unregister_event_waiter(name, future)
+        return await handle.events_page(cursor, limit)

@@ -23,6 +23,7 @@ are ``stream_fingerprint``-byte-identical between them.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import signal
 import sys
@@ -59,6 +60,14 @@ def _fatal(exc: Exception) -> dict:
     return {"id": 0, "kind": "fatal", "error": f"{type(exc).__name__}: {exc}"}
 
 
+#: A live tenant's idle wait (:meth:`TenantLife.idle_wait`), capped at
+#: ``poll_interval``: a flowing feed is read every 10 ms, not up to
+#: ``poll_interval`` late, while an idle tenant still wakes only once per
+#: ``poll_interval`` — a feed that stops costs ~``poll_interval /
+#: LIVE_POLL`` extra wakes, not 100 wakes/s for ever.
+LIVE_POLL = 0.01
+
+
 # ------------------------------------------------------------ the loop
 
 
@@ -73,6 +82,10 @@ class TenantLife:
         self.init = init
         self.runtime = TenantRuntime(TenantSpec.from_dict(init["spec"]))
         self.poll_interval = float(init["poll_interval"])
+        # Live for this many consecutive empty steps after one that
+        # found input: ~poll_interval of LIVE_POLL waits, no clock read.
+        self._live_steps = math.ceil(self.poll_interval / LIVE_POLL)
+        self._empty_steps = self._live_steps  # boot idle
         #: Set by the ``drain`` command: the life is over, stop stepping.
         self.drained = False
         self._emit = emit
@@ -89,8 +102,25 @@ class TenantLife:
         """One batch, or one refill when nothing is pending.
 
         Returns ``False`` when the step found no input: the transport
-        then waits up to ``poll_interval`` before the next one.
+        then waits up to :meth:`idle_wait` before the next one.
         """
+        found = self._step()
+        self._empty_steps = 0 if found else self._empty_steps + 1
+        return found
+
+    def idle_wait(self) -> float:
+        """How long a transport waits after a step that found no input.
+
+        :data:`LIVE_POLL` while the tenant is live — a step found input
+        (a batch or a non-empty refill) within the last
+        ⌈``poll_interval`` / ``LIVE_POLL``⌉ steps — else
+        ``poll_interval``.  The one idle-wait rule of both transports.
+        """
+        if self._empty_steps < self._live_steps:
+            return min(LIVE_POLL, self.poll_interval)
+        return self.poll_interval
+
+    def _step(self) -> bool:
         runtime = self.runtime
         n = runtime.process_batch()
         if n:
@@ -178,8 +208,9 @@ def worker_main(in_fh, out_fh) -> int:
 
     The first frame on stdin is the life's ``init`` dict; everything
     after is RPC commands, interleaved with pipeline steps — polled with
-    a zero timeout while the last step found work, so admin calls never
-    stall the pipeline and the pipeline never starves admin calls.  The
+    a zero timeout while the last step found work, else for
+    :meth:`TenantLife.idle_wait`, so admin calls never stall the
+    pipeline and the pipeline never starves admin calls.  The
     init's ``faults`` block (:func:`repro.utils.inject.from_dict`) is
     armed for the whole life.
     """
@@ -192,9 +223,7 @@ def worker_main(in_fh, out_fh) -> int:
             life.boot()
             busy = True
             while True:
-                frame = poll_frame(
-                    in_fh, 0.0 if busy else life.poll_interval
-                )
+                frame = poll_frame(in_fh, 0.0 if busy else life.idle_wait())
                 if frame is not None:
                     reply = life.execute(
                         frame.get("cmd"), frame.get("args") or {}
@@ -204,7 +233,7 @@ def worker_main(in_fh, out_fh) -> int:
                     if life.drained:
                         return 0
                     # Fall through to the pipeline: an idle tenant polled
-                    # faster than poll_interval must still reach refill().
+                    # faster than its idle wait must still reach refill().
                 busy = life.step()
     except (EOFError, FrameError):
         # Parent gone (its death closed our stdin): die right here with
@@ -321,7 +350,7 @@ class InlineLife:
             busy = True
             while True:
                 if not busy:
-                    await asyncio.sleep(self.life.poll_interval)
+                    await asyncio.sleep(self.life.idle_wait())
                 # Two loop turns: a drain asked for during boot, and the
                 # watch taking the last note + the reader it wakes, go first.
                 await asyncio.sleep(0)

@@ -128,7 +128,8 @@ def poll_frame(fh, timeout: float):
 
     Returns ``None`` on timeout.  The worker's main loop calls this
     between batches: 0.0 while arrivals are pending (drain the command
-    queue without stalling the pipeline), ``poll_interval`` when idle.
+    queue without stalling the pipeline), the life's
+    :meth:`~repro.serve.placement.TenantLife.idle_wait` when idle.
     Once ``select`` reports readability the frame is completed with
     blocking reads — the parent writes whole frames at once, so any
     residual wait is bounded by one pipe write.

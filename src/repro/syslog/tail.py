@@ -23,6 +23,8 @@ read cursor:
 * **same inode, size grew** — read the appended bytes; complete lines
   become pending entries, a trailing fragment is carried over and
   completed by a later poll.
+* **same inode, same size** — nothing was appended: an idle poll costs
+  one ``stat`` and opens nothing.
 * **different inode** — the file was rotated.  The old file is found
   among its numbered siblings by inode match, its remainder is drained
   (a trailing fragment becomes the old file's final line — rotation
@@ -148,7 +150,8 @@ class SourceTailer:
             else:
                 if st.st_size < self._read_offset:
                     self._restart_truncated()
-                self._read_lines(self.path, live=True)
+                if st.st_size > self._read_offset:
+                    self._read_lines(self.path, live=True)
         except OSError:
             self.io_errors += 1
         return len(self._pending) - before

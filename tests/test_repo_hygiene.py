@@ -7,7 +7,9 @@ and docs that only cite evidence that exists.
   ``repro/hotpath.py`` — imported by everything — holds no module state.
 * One tenant protocol: under ``src/repro/serve/`` placement is compared
   to a literal in exactly one place — where a life's transport is
-  chosen — and the retired per-placement paths stay gone.
+  chosen — and the retired per-placement paths stay gone; likewise only
+  ``TenantLife`` reads ``poll_interval``, so both transports share one
+  idle-wait rule.
 * The docs may name a results file, a bench node, a make target or a
   ``src/repro`` module only if it is there to be opened or run.
 * Reachability ratchet: every ``src/repro`` module is in the static
@@ -131,6 +133,61 @@ def test_placement_is_read_in_one_place():
         if RETIRED_TENANT_PATHS.search(line)
     ]
     assert not retired, "\n".join(retired)
+
+
+#: Calls that wait: a transport's idle wait goes through one of these.
+WAITS = {"sleep", "poll_frame", "select", "wait_for"}
+
+
+def _called_name(call: ast.Call) -> str:
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", "")
+
+
+def _poll_interval_reads(tree: ast.Module):
+    """``(enclosing class, node)`` for every read of ``poll_interval``:
+    an attribute load or a ``["poll_interval"]`` subscript."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "poll_interval"
+                and isinstance(child.ctx, ast.Load)
+            ) or (
+                isinstance(child, ast.Subscript)
+                and isinstance(child.slice, ast.Constant)
+                and child.slice.value == "poll_interval"
+            ):
+                yield owner, child
+            yield from walk(child, inner)
+
+    yield from walk(tree, None)
+
+
+def test_one_idle_wait_rule():
+    """How long an idle tenant waits is decided in one place for both
+    transports: only ``TenantLife`` reads ``poll_interval`` (the daemon
+    hands its config value to a life's init, once), and no sleep or
+    frame poll is handed ``poll_interval`` directly."""
+    outside = []
+    direct = []
+    for file in sorted((ROOT / "src/repro/serve").glob("*.py")):
+        tree = ast.parse(file.read_text())
+        where = file.relative_to(ROOT)
+        for owner, node in _poll_interval_reads(tree):
+            if owner != "TenantLife":
+                outside.append((f"{where}", ast.unparse(node)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and _called_name(node) in WAITS
+                and "poll_interval" in ast.unparse(node)
+            ):
+                direct.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert outside == [
+        ("src/repro/serve/daemon.py", "self.config.poll_interval")
+    ], outside
+    assert not direct, "\n".join(direct)
 
 
 def _make_targets() -> set[str]:

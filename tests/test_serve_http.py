@@ -183,6 +183,50 @@ class TestEventsPagination:
         assert status == 400
 
 
+    def test_negative_wait_is_400_naming_wait(self, daemon):
+        status, body, _ = _get(daemon, "/tenants/net-a/events?wait=-1")
+        assert status == 400
+        assert "wait" in json.loads(body)["error"]
+
+
+class TestLongPollWakeup:
+    def test_append_noted_during_the_page_read_is_not_slept_past(
+        self, farm
+    ):
+        """The watch can handle a ``batch`` note while ``_events`` awaits
+        its page read (an RPC on a process placement): the append is
+        then noted before any waiter is parked.  The request must see
+        the event at once, not sleep out its whole ``wait``."""
+        daemon = _daemon(farm, "lost-wakeup", "inline", once=False)
+
+        class AppendingHandle:
+            """A journal that grows by one event during the first read."""
+
+            events_total = 0
+
+            async def events_page(self, cursor, limit):
+                page = {"events": [], "next_cursor": None, "total": 0}
+                if self.events_total == 0:
+                    await asyncio.sleep(0)  # the read's RPC round trip
+                    self.events_total = 1
+                    daemon.notify_events("net-a")
+                    return page
+                event = {"cursor": 0}
+                return dict(page, events=[event], total=1)
+
+        async def scenario():
+            start = time.monotonic()
+            page = await daemon.api._events(
+                "net-a", AppendingHandle(), {"wait": "3"}
+            )
+            return page, time.monotonic() - start
+
+        page, elapsed = asyncio.run(scenario())
+        assert page["events"] == [{"cursor": 0}]
+        assert elapsed < 1.0, elapsed
+        assert not daemon._event_waiters.get("net-a")
+
+
 class TestErrors:
     def test_unknown_tenant_404(self, daemon):
         status, body, _ = _get(daemon, "/tenants/nope/health")

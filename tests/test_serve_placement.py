@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import re
 import signal
@@ -43,7 +44,7 @@ from repro.netsim.chaos import (
 )
 from repro.obs import SERVE_HTTP_REJECTED, get_registry
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.placement import InlineLife
+from repro.serve.placement import LIVE_POLL, InlineLife, TenantLife
 from repro.serve.rpc import decode_payload, encode_frame
 from repro.core.stream import HEALTH_KEYS
 from repro.serve.tenant import (
@@ -548,6 +549,79 @@ class TestControlPlane:
 
         code, advanced = asyncio.run(scenario())
         assert advanced, "polled tenant never picked up appended lines"
+        assert code == 0
+        _reaped(daemon.handles["net-a"])
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_idle_wait_is_live_poll_while_input_flows(self, farm, placement):
+        """The one idle-wait rule: ``poll_interval`` from boot on an empty
+        source, :data:`LIVE_POLL` after a step that found input, and
+        ``poll_interval`` again after ⌈poll_interval / LIVE_POLL⌉ empty
+        steps — counted in steps, so it needs no clock."""
+        label = f"idle-wait-{placement}"
+        tenant = _tenant(farm, label, "net-a", 0, placement=placement)
+        poll_interval = 0.05
+        init = {
+            "spec": tenant, "degraded": False, "once": False,
+            "poll_interval": poll_interval, "faults": None,
+        }
+        life = TenantLife(init, lambda note: None, pid=None)
+        life.boot()
+        try:
+            assert life.idle_wait() == poll_interval
+            assert not life.step()
+            assert life.idle_wait() == poll_interval
+            with open(tenant["sources"][0], "a", encoding="utf-8") as fh:
+                for message in farm["messages"][:100]:
+                    fh.write(format_line(message) + "\n")
+            assert life.step()
+            assert life.idle_wait() == LIVE_POLL
+            while life.step():  # the whole feed, then one empty step
+                assert life.idle_wait() == LIVE_POLL
+            empty_steps = 1
+            while empty_steps < math.ceil(poll_interval / LIVE_POLL):
+                assert life.idle_wait() == LIVE_POLL
+                assert not life.step()
+                empty_steps += 1
+            assert life.idle_wait() == poll_interval
+        finally:
+            life.runtime.halt()
+            life.runtime.events.close()
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_live_tenant_reads_an_appended_line_at_once(
+        self, farm, placement
+    ):
+        """A tenant whose source holds lines at boot is live: a line
+        appended once it has pushed them and found its source quiet is
+        pushed within ~LIVE_POLL, not after the 30 s ``poll_interval``.
+        Progress is read from the batch notes, so no request wakes the
+        worker early."""
+        messages = farm["messages"]
+        label = f"live-{placement}"
+        tenant = _tenant(farm, label, "net-a", 100, placement=placement)
+        daemon = ServeDaemon(
+            _config(farm, label, [tenant], once=False, poll_interval=30.0)
+        )
+
+        async def scenario():
+            run = asyncio.create_task(daemon.run())
+            await _wait(
+                lambda: daemon._n_arrivals >= 100, "boot lines pushed", run
+            )
+            await asyncio.sleep(0.1)  # the tenant finds nothing, waits
+            with open(tenant["sources"][0], "a", encoding="utf-8") as fh:
+                fh.write(format_line(messages[100]) + "\n")
+            appended = time.monotonic()
+            deadline = appended + 2.0
+            while daemon._n_arrivals < 101 and time.monotonic() < deadline:
+                await asyncio.sleep(0.005)
+            pushed = daemon._n_arrivals
+            daemon.request_drain()
+            return await run, pushed
+
+        code, pushed = asyncio.run(scenario())
+        assert pushed == 101, (placement, pushed)
         assert code == 0
         _reaped(daemon.handles["net-a"])
 

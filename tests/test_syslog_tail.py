@@ -107,6 +107,30 @@ class TestFollow:
         assert stamped[2][0] > stamped[0][0]
         assert stamped[1][1] == "### garbage ###"
 
+    def test_idle_poll_opens_nothing(self, tmp_path, monkeypatch):
+        """A file that did not grow costs its poll one ``stat``: no open,
+        no seek, no read — and the next appended line is still seen."""
+        path = tmp_path / "s.log"
+        _write(path, [1, 2])
+        tailer = SourceTailer(path)
+        assert _drain(tailer) == [_line(1), _line(2)]
+        opens = []
+
+        def counting_open(*args, **kwargs):
+            opens.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.syslog.tail.open", counting_open, raising=False
+        )
+        for _ in range(100):
+            assert tailer.poll() == 0
+            assert tailer.take_new() == []
+        assert opens == []
+        _write(path, [3], mode="a")
+        assert _drain(tailer) == [_line(3)]
+        assert opens == [path]
+
     def test_missing_file_is_a_quiet_zero(self, tmp_path):
         tailer = SourceTailer(tmp_path / "not-there.log")
         assert tailer.poll() == 0
