@@ -12,37 +12,33 @@ a shell::
 registry next to their normal output (JSON when the path ends in
 ``.json``, Prometheus text otherwise); ``stats`` digests a log and
 prints the registry itself.  A streaming run publishes its final
-stream / ingest / per-source health into the registry once, just
-before it is written (the same series a serve tenant's ``/metrics``
-carries, without the ``tenant`` label).
+tenant health (stream, ingest, per-source and budget sections) into
+the registry once, just before it is written (the same series a serve
+tenant's ``/metrics`` carries, without the ``tenant`` label).
 
 Fault tolerance (DESIGN.md §8): every subcommand reads a log one way —
 bad bytes decode with replacement, unparseable lines are quarantined,
 messages come back time-sorted, and a missing path is one
 ``<command>: <error>`` line and exit 2.  ``digest``/``stats`` take
-``--quarantine <path>`` to dump the quarantine as JSONL,
-``stats --stream`` takes ``--checkpoint <path>`` to write
-periodic state snapshots, and ``resume`` restarts a streaming digest
-from such a checkpoint plus the log tail::
+``--quarantine <path>`` to dump the quarantine as JSONL.
 
-    syslogdigest stats --log work/online.log --kb work/kb.json \
-        --stream --checkpoint work/digest.ckpt --quarantine work/bad.jsonl
-    syslogdigest resume --checkpoint work/digest.ckpt \
-        --log work/online.log --kb work/kb.json --top 20
-
-Multi-source ingest (DESIGN.md §10): ``digest --ingest`` (or one
-``--source`` per feed) pushes through the resilient front-end —
-watermark reordering, per-source circuit breakers, optional
-``--dedup-window`` — ``sources`` prints the per-source health table,
-and ``requeue`` replays a dumped quarantine JSONL back through the
-digester::
+Streaming runs (``digest --ingest``/``--source``, ``sources``,
+``stats --stream``) drive a one-tenant serve runtime to the end of its
+feeds (DESIGN.md §13) — watermark reordering, per-source circuit
+breakers, optional ``--dedup-window`` — so they admit in arrival order
+and drop a line later than the reorder delay.  ``digest``/``stats`` take
+``--workdir <dir>`` to keep its tail cursors, event journal and
+checkpoint: SIGTERM/SIGINT checkpoints and stops, and rerunning on the
+same workdir resumes and prints the whole run's digest.  ``sources``
+prints the per-source health table, and ``requeue`` replays a dumped
+quarantine JSONL back through the digester::
 
     syslogdigest digest --kb work/kb.json --source feedA.log \
-        --source feedB.log --max-reorder-delay 60
+        --source feedB.log --max-reorder-delay 60 --workdir work/run
     syslogdigest sources --kb work/kb.json --log feedA.log --log feedB.log
     syslogdigest requeue --kb work/kb.json --quarantine work/bad.jsonl
 
-Knowledge lifecycle (DESIGN.md §9): ``learn``/``digest``/``resume``
+Knowledge lifecycle (DESIGN.md §9): ``learn``/``digest``/``stats``
 accept ``--store <dir>`` (a versioned model store) in place of a bare
 ``--kb`` file, and the offline refresh loop runs through its own
 validation-gated subcommands — a refresh only becomes the active
@@ -59,8 +55,11 @@ version when canary quality stays inside the promotion gate::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 from repro.core.checkpoint import CheckpointFormatError
 from repro.core.config import DigestConfig
@@ -129,21 +128,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_health(stream, ingest=None) -> dict:
-    """A streaming run's final health, shaped like a serve tenant's."""
-    health = {"stream": stream.health()}
-    if ingest is not None:
-        tail_status = ingest.tail_status()
-        health["ingest"] = ingest.health(tail_status)
-        health["sources"] = ingest.source_summaries(tail_status)
-    return health
-
-
 def _maybe_write_metrics(
     path: str | None, health: dict | None = None
 ) -> None:
     """Write the registry to ``path``, publishing ``health`` into it
-    first (a :func:`_run_health` dict; ``None`` for batch runs)."""
+    first (a :meth:`TenantRuntime.health` dict; ``None`` for batch
+    runs)."""
     if path is None:
         return
     from repro.obs import get_registry, write_metrics
@@ -172,11 +162,11 @@ def _kb_from_args(
     """Resolve (kb, version) from --kb or --store (active version).
 
     The version is None for a bare --kb file; store-served knowledge
-    carries its version so streaming checkpoints can record it.
+    carries its version so a stream can record it.
     """
-    if getattr(args, "kb", None) is not None:
+    if args.kb is not None:
         return KnowledgeBase.load(args.kb), None
-    if getattr(args, "store", None) is not None:
+    if args.store is not None:
         from repro.core.modelstore import KnowledgeStore
 
         kb, info = KnowledgeStore(args.store).load_active()
@@ -189,140 +179,125 @@ def _kb_from_args(
     raise SystemExit("need --kb or --store")
 
 
-def _run_ingest(args: argparse.Namespace, kb, kb_version=None):
-    """Drive a streaming digest through the ingest front-end.
+def _run_tenant(args: argparse.Namespace, sources: list[str], report) -> int:
+    """Digest ``sources`` to their end as a one-tenant runtime.
 
-    Returns ``(stream, ingest, events, quarantine, interrupted)``.
-    Normally the stream is closed with all events finalized; under
-    SIGTERM/SIGINT the run instead stops cleanly mid-feed with
-    ``interrupted`` True.
+    The run is the life ``serve --once`` gives a tenant, stepped here
+    until it notes ``exhausted``, then drained; ``report`` gets the
+    drained :class:`~repro.serve.tenant.TenantRuntime` and returns the
+    exit code.  ``--workdir`` keeps the tail cursors, event journal and
+    checkpoint, so rerunning on it resumes (and prints the whole run's
+    digest), and SIGTERM/SIGINT cuts a checkpoint between steps and
+    stops.  Without one the run lives in a temporary directory and cuts
+    no checkpoint before the drain: a cut that is deleted at exit buys
+    nothing.
     """
-    from repro.core.config import IngestConfig
-    from repro.core.stream import DigestStream
+    from repro.obs import stage_timer
     from repro.serve.drain import GracefulShutdown
-    from repro.syslog.collector import interleave_arrivals
-    from repro.syslog.ingest import MultiSourceIngest
-    from repro.syslog.resilient import Quarantine
-    from repro.syslog.tail import TailSet
+    from repro.serve.placement import TenantLife
+    from repro.serve.tenant import TenantSpec
 
-    paths = list(args.source) if args.source else [args.log]
-    if paths == [None]:
-        raise SystemExit("need --log or at least one --source")
-    config = DigestConfig(n_workers=args.workers)
-    ingest_config = IngestConfig(
-        max_reorder_delay=args.max_reorder_delay,
-        dedup_window=args.dedup_window,
-    )
-    stream = DigestStream(kb, config, kb_version=kb_version)
-    quarantine = Quarantine()
-    stream.attach_quarantine(quarantine)
-    ingest = MultiSourceIngest(
-        stream, ingest_config, quarantine=quarantine
-    )
-    # The one-shot CLI reads through the same byte-offset tailers the
-    # serve daemon follows live files with (one poll of a static file
-    # reads it whole, the flush ends its input), so `syslogdigest
-    # sources` reports tail cursors.
-    tails = TailSet(paths)
-    ingest.attach_tails(tails)
-    events = []
-    tails.poll()
-    tails.flush()
-    arrivals = interleave_arrivals(
-        tails.take_new(), key=lambda pair: pair[0]
-    )
-    with GracefulShutdown() as stop:
-        for source, (_ts, line) in arrivals:
-            if stop:
-                _checkpoint_on_signal(stream, None, stop)
-                return stream, ingest, events, quarantine, True
-            events.extend(ingest.push_line(source, line))
-            tails.note_pushed(source)
-    events.extend(ingest.close())
-    return stream, ingest, events, quarantine, False
+    for source in sources:
+        os.stat(source)  # a feed that is not there is exit 2, not 0 events
+    if args.kb is None and args.store is None:
+        raise SystemExit("need --kb or --store")
+    with ExitStack() as stack:
+        workdir = args.workdir or stack.enter_context(TemporaryDirectory())
+        spec = TenantSpec(
+            name=args.command,
+            sources=tuple(sources),
+            workdir=str(workdir),
+            kb_path=args.kb,
+            store_dir=args.store,
+            checkpoint_every=(
+                TenantSpec.checkpoint_every if args.workdir else 10**9
+            ),
+            **{
+                knob: getattr(args, knob)
+                for knob in ("max_reorder_delay", "dedup_window")
+                if hasattr(args, knob)
+            },
+        )
+        notes: list[str] = []
+        life = TenantLife(
+            {"spec": spec.to_dict(), "once": True, "poll_interval": 0.0},
+            lambda note: notes.append(note["kind"]),
+            pid=None,
+        )
+        runtime = life.runtime
+        stack.callback(runtime.close)
+        stop = stack.enter_context(GracefulShutdown())
+        with stage_timer("stream_push"):
+            life.boot()
+            if args.store is not None:
+                print(
+                    f"# serving store version v{runtime.stream.kb_version}",
+                    file=sys.stderr,
+                )
+            while "exhausted" not in notes[-1:]:
+                if stop:
+                    return _stop_on_signal(runtime, args.workdir, stop)
+                life.step()
+        with stage_timer("stream_close"):
+            runtime.drain()
+        return report(runtime)
 
 
-def _checkpoint_on_signal(stream, checkpoint_path, stop) -> None:
-    """Checkpoint-then-exit on SIGTERM/SIGINT (long-running CLI paths)."""
-    if checkpoint_path is not None:
-        from repro.core.checkpoint import write_checkpoint
-
-        info = write_checkpoint(checkpoint_path, stream)
+def _stop_on_signal(runtime, workdir, stop) -> int:
+    """SIGTERM/SIGINT between steps: cut a checkpoint into ``workdir``
+    (when there is one to keep) and stop cleanly."""
+    if workdir is None:
         print(
-            f"# {stop.signal_name}: checkpointed {info.n_admitted} "
-            f"admitted / {info.n_open} open messages to "
-            f"{checkpoint_path}; resume with `syslogdigest resume`",
+            f"# {stop.signal_name}: stopped; no --workdir, so the run's "
+            "state is discarded",
             file=sys.stderr,
         )
-    else:
-        print(
-            f"# {stop.signal_name}: stopping cleanly (no checkpoint, "
-            "state discarded)",
-            file=sys.stderr,
-        )
+        return 0
+    runtime.checkpoint()
+    print(
+        f"# {stop.signal_name}: checkpointed to {workdir}; rerun with "
+        f"--workdir {workdir} to resume",
+        file=sys.stderr,
+    )
+    return 0
 
 
-def _push_interruptible(
-    stream, messages, checkpoint_path, interval=0.0, chunk: int = 2048
-) -> tuple[list, bool]:
-    """Push sorted ``messages`` in chunks, honoring SIGTERM/SIGINT between
-    them.
+def _print_ingest_digest(args: argparse.Namespace, runtime) -> int:
+    """``digest --ingest/--source``: the drained run's whole digest."""
+    from repro.core.present import present_digest
 
-    Returns ``(events, interrupted)``; on interrupt the stream is
-    checkpointed (when a path is configured) instead of dying mid-batch.
-    A positive ``interval`` also cuts a checkpoint after the first chunk
-    and then whenever the stream clock has advanced that many seconds.
-    """
-    from repro.core.checkpoint import write_checkpoint
-    from repro.serve.drain import GracefulShutdown
-
-    events: list = []
-    last_cut = None
-    with GracefulShutdown() as stop:
-        for i in range(0, len(messages), chunk):
-            if stop:
-                _checkpoint_on_signal(stream, checkpoint_path, stop)
-                return events, True
-            part = messages[i : i + chunk]
-            events.extend(stream.push_many(part))
-            clock = part[-1].timestamp
-            if (
-                checkpoint_path is not None
-                and interval > 0
-                and (last_cut is None or clock - last_cut >= interval)
-            ):
-                write_checkpoint(checkpoint_path, stream)
-                last_cut = clock
-    return events, False
+    health = runtime.health()
+    counts = health["ingest"]
+    events = runtime.events.read_all()
+    print(
+        f"# {sum(runtime.ingest.pushed_counts().values())} arrivals over "
+        f"{counts['sources']} sources -> {len(events)} events "
+        f"(late {counts['late_dropped']}, dedup {counts['deduplicated']}, "
+        f"breaker-rejected {counts['breaker_rejected']})"
+    )
+    events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
+    print(present_digest(events, top=args.top))
+    if args.quarantine is not None:
+        _dump_quarantine(runtime.quarantine, args.quarantine)
+    _maybe_write_metrics(args.metrics, health)
+    return 0
 
 
 def _cmd_digest(args: argparse.Namespace) -> int:
-    kb, kb_version = _kb_from_args(args)
     if args.ingest or args.source:
-        from repro.core.present import present_digest
-
-        stream, ingest, events, quarantine, interrupted = _run_ingest(
-            args, kb, kb_version
+        sources = args.source or [args.log]
+        if sources == [None]:
+            raise SystemExit("need --log or at least one --source")
+        return _run_tenant(
+            args, sources, lambda runtime: _print_ingest_digest(args, runtime)
         )
-        health = _run_health(stream, ingest)
-        counts = health["ingest"]
-        n_messages = sum(ingest.pushed_counts().values())
-        partial = " (interrupted)" if interrupted else ""
-        print(
-            f"# {n_messages} arrivals over {counts['sources']} sources -> "
-            f"{len(events)} events{partial} (late {counts['late_dropped']}, "
-            f"dedup {counts['deduplicated']}, "
-            f"breaker-rejected {counts['breaker_rejected']})"
-        )
-        events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
-        print(present_digest(events, top=args.top))
-        if args.quarantine is not None:
-            _dump_quarantine(quarantine, args.quarantine)
-        _maybe_write_metrics(args.metrics, health)
-        return 0
+    if args.workdir is not None:
+        print("digest: --workdir needs --ingest or --source", file=sys.stderr)
+        return 2
     if args.log is None:
         print("digest needs --log (or --source feeds)", file=sys.stderr)
         return 1
+    kb, _version = _kb_from_args(args)
     system = SyslogDigest(kb, DigestConfig(n_workers=args.workers))
     result = system.digest_lines(log_lines(args.log), source=str(args.log))
     if args.quarantine is not None:
@@ -333,77 +308,6 @@ def _cmd_digest(args: argparse.Namespace) -> int:
     )
     print(result.render(top=args.top))
     _maybe_write_metrics(args.metrics)
-    return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """Resume a streaming digest from a checkpoint plus log-tail replay.
-
-    The checkpoint records how many messages had been admitted; replay
-    skips exactly that many from the (sorted) log and pushes the rest,
-    which makes the resumed output identical to an uninterrupted run —
-    the property ``tests/test_core_checkpoint.py`` pins.  A checkpoint
-    carrying ingest state is refused (exit 2): its arrivals were
-    reordered, deduplicated and late-dropped, so skipping lines of one
-    sorted log would not replay the same feed.
-    """
-    from repro.core.checkpoint import (
-        CheckpointInfo,
-        read_checkpoint,
-        restore_stream_snapshot,
-    )
-    from repro.core.present import present_digest
-
-    snapshot = read_checkpoint(args.checkpoint)
-    info = CheckpointInfo.of(
-        args.checkpoint, snapshot, Path(args.checkpoint).stat().st_size
-    )
-    if info.has_ingest:
-        print(
-            f"resume: {args.checkpoint} carries ingest state "
-            f"({info.n_buffered} buffered arrivals); it resumes only "
-            "through its ingest front-end",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kb is not None:
-        stream = restore_stream_snapshot(
-            snapshot, KnowledgeBase.load(args.kb)
-        )
-    elif args.store is not None:
-        from repro.core.modelstore import KnowledgeStore
-
-        stream = restore_stream_snapshot(
-            snapshot, store=KnowledgeStore(args.store)
-        )
-        print(
-            f"# resumed under store version v{stream.kb_version}",
-            file=sys.stderr,
-        )
-    else:
-        print("resume needs --kb or --store", file=sys.stderr)
-        return 1
-    ordered = read_log(args.log)
-    tail = ordered[info.n_admitted :]
-    print(
-        f"# checkpoint {args.checkpoint}: {info.n_admitted} messages "
-        f"already digested, {info.n_open} open; replaying "
-        f"{len(tail)} of {len(ordered)}",
-        file=sys.stderr,
-    )
-    events, interrupted = _push_interruptible(
-        stream, tail, args.checkpoint
-    )
-    if interrupted:
-        print(
-            f"# resumed digest interrupted: {len(events)} events so far"
-        )
-    else:
-        events.extend(stream.close())
-        events.sort(key=lambda e: (-e.score, e.start_ts, e.indices))
-        print(f"# resumed digest: {len(events)} newly finalized events")
-    print(present_digest(events, top=args.top))
-    _maybe_write_metrics(args.metrics, _run_health(stream))
     return 0
 
 
@@ -531,33 +435,31 @@ def _cmd_sources(args: argparse.Namespace) -> int:
     """Digest multi-source feeds and report per-source ingest health."""
     from repro.utils.textable import render_table
 
-    kb, kb_version = _kb_from_args(args)
-    args.source = list(args.log)
-    args.log = None
-    stream, ingest, events, _quarantine, _interrupted = _run_ingest(
-        args, kb, kb_version
-    )
-    health = _run_health(stream, ingest)
-    summaries = health["sources"]
-    rows = [list(summary.values()) for summary in summaries]
-    headers = list(summaries[0]) if summaries else []
-    print(
-        render_table(headers, rows, title="per-source ingest health")
-    )
-    counts = health["ingest"]
-    print(
-        f"# {sum(ingest.pushed_counts().values())} arrivals -> "
-        f"{len(events)} events; peak buffer {counts['peak_buffered']}, "
-        f"{counts['breaker_transitions']} breaker transitions"
-    )
-    if args.journal:
-        for entry in ingest.journal():
-            print(
-                f"# {entry['clock']}: {entry['source']} "
-                f"{entry['from']} -> {entry['to']} ({entry['reason']})"
-            )
-    _maybe_write_metrics(args.metrics, health)
-    return 0
+    def report(runtime) -> int:
+        health = runtime.health()
+        summaries = health["sources"]
+        rows = [list(summary.values()) for summary in summaries]
+        headers = list(summaries[0]) if summaries else []
+        print(
+            render_table(headers, rows, title="per-source ingest health")
+        )
+        counts = health["ingest"]
+        print(
+            f"# {sum(runtime.ingest.pushed_counts().values())} arrivals -> "
+            f"{len(runtime.events)} events; peak buffer "
+            f"{counts['peak_buffered']}, "
+            f"{counts['breaker_transitions']} breaker transitions"
+        )
+        if args.journal:
+            for entry in runtime.ingest.journal():
+                print(
+                    f"# {entry['clock']}: {entry['source']} "
+                    f"{entry['from']} -> {entry['to']} ({entry['reason']})"
+                )
+        _maybe_write_metrics(args.metrics, health)
+        return 0
+
+    return _run_tenant(args, list(args.log), report)
 
 
 def _cmd_requeue(args: argparse.Namespace) -> int:
@@ -653,43 +555,45 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Digest a log and print the pipeline metrics registry."""
-    from repro.core.stream import DigestStream
-    from repro.obs import get_registry, stage_timer, to_json, to_prom_text
+    from repro.obs import get_registry, to_json, to_prom_text
     from repro.serve.tenant import publish_tenant_health
     from repro.syslog.resilient import Quarantine
 
     registry = get_registry()
     registry.reset()
-    kb, kb_version = _kb_from_args(args)
-    config = DigestConfig(n_workers=args.workers)
+
+    def report(quarantine, n_messages: int, n_events: int) -> int:
+        if args.quarantine is not None:
+            _dump_quarantine(quarantine, args.quarantine)
+        print(
+            f"# {n_messages} messages -> {n_events} events",
+            file=sys.stderr,
+        )
+        if args.format == "json":
+            print(to_json(registry))
+        else:
+            print(to_prom_text(registry), end="")
+        return 0
+
+    if args.stream:
+        def drained(runtime) -> int:
+            publish_tenant_health(registry, runtime.health())
+            return report(
+                runtime.quarantine, runtime.stream.n_admitted,
+                len(runtime.events),
+            )
+
+        return _run_tenant(args, [args.log], drained)
+    if args.workdir is not None:
+        print("stats: --workdir needs --stream", file=sys.stderr)
+        return 2
+    kb, _version = _kb_from_args(args)
     quarantine = Quarantine()
     messages = read_log(args.log, quarantine)
-    if args.stream:
-        stream = DigestStream(kb, config, kb_version=kb_version)
-        stream.attach_quarantine(quarantine)
-        with stage_timer("stream_push"):
-            events, interrupted = _push_interruptible(
-                stream, messages, args.checkpoint, args.checkpoint_interval
-            )
-        if not interrupted:
-            with stage_timer("stream_close"):
-                events.extend(stream.close())
-        publish_tenant_health(registry, _run_health(stream))
-        n_events = len(events)
-    else:
-        result = SyslogDigest(kb, config).digest(messages)
-        n_events = result.n_events
-    if args.quarantine is not None:
-        _dump_quarantine(quarantine, args.quarantine)
-    print(
-        f"# {len(messages)} messages -> {n_events} events",
-        file=sys.stderr,
+    result = SyslogDigest(kb, DigestConfig(n_workers=args.workers)).digest(
+        messages
     )
-    if args.format == "json":
-        print(to_json(registry))
-    else:
-        print(to_prom_text(registry), end="")
-    return 0
+    return report(quarantine, len(messages), result.n_events)
 
 
 def _augmented(kb_path: str, log_path: str):
@@ -758,20 +662,24 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags several subcommands share, each declared (with its help) once
     # here and inherited through ``parents=``.
     knowledge = argparse.ArgumentParser(add_help=False)
-    knowledge.add_argument("--kb", default=None, help="learned kb JSON file")
-    knowledge.add_argument(
+    kb_or_store = knowledge.add_mutually_exclusive_group()
+    kb_or_store.add_argument("--kb", default=None, help="learned kb JSON file")
+    kb_or_store.add_argument(
         "--store",
         default=None,
         metavar="DIR",
         help="serve the active version of this model store instead of "
-        "--kb (a checkpoint records the version for resume --store)",
+        "--kb (a checkpoint records the version, so a resumed --workdir "
+        "run keeps serving it)",
     )
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard grouping by router over N shards (0 = all cores)",
+        help="shard grouping by router over N shards (0 = all cores); "
+        "the batch path's knob: digest --ingest/--source and "
+        "stats --stream run the tenant runtime's default config",
     )
     metrics = argparse.ArgumentParser(add_help=False)
     metrics.add_argument(
@@ -845,6 +753,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="quarantine unparseable lines to this JSONL file instead "
         "of aborting on the first bad line",
     )
+    p.add_argument(
+        "--workdir",
+        default=None,
+        metavar="DIR",
+        help="with --ingest/--source: keep the run's tail cursors, "
+        "event journal and checkpoint here; rerunning on DIR resumes, "
+        "SIGTERM/SIGINT checkpoints and stops",
+    )
     p.set_defaults(fn=_cmd_digest)
 
     p = sub.add_parser(
@@ -881,24 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
-        "resume",
-        help="resume a streaming digest from a checkpoint + log tail",
-        parents=[metrics],
-    )
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--top", type=int, default=20)
-    p.add_argument("--log", required=True)
-    p.add_argument("--kb", default=None)
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="reload the exact store version the checkpoint was taken "
-        "under instead of passing --kb",
-    )
-    p.set_defaults(fn=_cmd_resume)
-
-    p = sub.add_parser(
         "report",
         help="daily/per-router digest report",
         parents=[workers, metrics],
@@ -917,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream",
         action="store_true",
-        help="run the streaming digester instead of batch "
-        "(adds DigestStream health metrics)",
+        help="run the log through a one-tenant streaming runtime "
+        "instead of batch (adds stream, ingest and tenant health "
+        "metrics)",
     )
     p.add_argument(
         "--format", choices=["prom", "json"], default="prom"
@@ -931,17 +830,12 @@ def build_parser() -> argparse.ArgumentParser:
         "JSONL file",
     )
     p.add_argument(
-        "--checkpoint",
+        "--workdir",
         default=None,
-        metavar="PATH",
-        help="with --stream: write periodic checkpoints here, and one "
-        "on SIGTERM/SIGINT (resume later with `syslogdigest resume`)",
-    )
-    p.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=3600.0,
-        help="stream-clock seconds between checkpoints (default 3600)",
+        metavar="DIR",
+        help="with --stream: keep the run's tail cursors, event "
+        "journal and checkpoint here; rerunning on DIR resumes, "
+        "SIGTERM/SIGINT checkpoints and stops",
     )
     p.set_defaults(fn=_cmd_stats)
 
@@ -949,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sources",
         help="digest multi-source feeds through the ingest front-end "
         "and report per-source health (breakers, late drops, dedup)",
-        parents=[knowledge, workers, metrics, ingest],
+        parents=[knowledge, metrics, ingest],
     )
     p.add_argument(
         "--log",
@@ -963,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print every breaker transition",
     )
-    p.set_defaults(fn=_cmd_sources)
+    p.set_defaults(fn=_cmd_sources, workdir=None)
 
     p = sub.add_parser(
         "requeue",

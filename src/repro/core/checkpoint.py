@@ -7,13 +7,14 @@ directory, is fsynced, then renamed over the target — so a crash during
 checkpointing can never leave a truncated checkpoint behind; the
 previous one survives intact.
 
-Crash recovery is checkpoint + tail replay: the snapshot records how
-many messages of the (deterministically sorted) feed were admitted, so
-``resume`` skips exactly that many and pushes the rest.  The resumed
-stream's output is byte-identical to an uninterrupted run — a test pins
-that for every executor lane (serial, threads, and worker processes),
-including killing the worker processes mid-stream and resuming on a
-fresh set.
+Crash recovery is checkpoint + tail replay, and its driver is the serve
+tenant (:mod:`repro.serve.tenant`, which every streaming CLI run is
+too): the snapshot carries the ingest front-end's tail byte cursors, so
+a restart re-reads each source from just past its last pushed line.  A
+restored stream's output is byte-identical to an uninterrupted run — a
+test pins that for every executor lane (serial, threads, and worker
+processes), including killing the worker processes mid-stream and
+resuming on a fresh set.
 """
 
 from __future__ import annotations
@@ -61,30 +62,6 @@ class CheckpointInfo:
     # Model-store version the stream served when checkpointed (None when
     # the stream was built from a bare KnowledgeBase).
     kb_version: int | str | None = None
-    # Ingest front-end state, when one was attached: whether the
-    # checkpoint carries it, and how many messages its reorder buffer
-    # held at capture time.
-    has_ingest: bool = False
-    n_buffered: int = 0
-
-    @classmethod
-    def of(
-        cls, path: str | Path, snapshot: dict, n_bytes: int
-    ) -> CheckpointInfo:
-        """The header of ``snapshot``, stored at ``path`` in ``n_bytes``."""
-        ingest_state = snapshot.get("ingest")
-        return cls(
-            path=str(path),
-            format=CHECKPOINT_FORMAT,
-            snapshot_version=snapshot["version"],
-            stream_clock=snapshot["last_ts"],
-            n_admitted=snapshot["n_admitted"],
-            n_open=len(snapshot["open"]),
-            n_bytes=n_bytes,
-            kb_version=snapshot["kb_version"],
-            has_ingest=ingest_state is not None,
-            n_buffered=len(ingest_state["buffer"]) if ingest_state else 0,
-        )
 
 
 def write_checkpoint(
@@ -129,11 +106,21 @@ def write_checkpoint(
     if registry.enabled:
         registry.inc(CHECKPOINT_WRITES)
         registry.set_gauge(CHECKPOINT_BYTES, len(blob))
-    return CheckpointInfo.of(path, snapshot, len(blob))
+    return CheckpointInfo(
+        path=str(path),
+        format=CHECKPOINT_FORMAT,
+        snapshot_version=snapshot["version"],
+        stream_clock=snapshot["last_ts"],
+        n_admitted=snapshot["n_admitted"],
+        n_open=len(snapshot["open"]),
+        n_bytes=len(blob),
+        kb_version=snapshot["kb_version"],
+    )
 
 
 class CheckpointFormatError(ValueError):
-    """A file that is not a checkpoint this build can read."""
+    """A file that is not a checkpoint this build can read, or one that
+    lacks the ingest state a resume needs."""
 
 
 def read_checkpoint(path: str | Path) -> dict:
@@ -207,12 +194,6 @@ def load_resume_state(
     raise FileNotFoundError(f"no checkpoint at {path} (or {prev})")
 
 
-def checkpoint_info(path: str | Path) -> CheckpointInfo:
-    """Header summary of a checkpoint without restoring it."""
-    snapshot = read_checkpoint(path)
-    return CheckpointInfo.of(path, snapshot, Path(path).stat().st_size)
-
-
 def restore_stream(
     path: str | Path,
     kb: KnowledgeBase | None = None,
@@ -250,11 +231,9 @@ def restore_stream_snapshot(
 ) -> DigestStream:
     """:func:`restore_stream` for an already-loaded snapshot dict.
 
-    Used by callers that resolve the snapshot themselves — e.g. the
-    serve tenant, which loads via :func:`load_resume_state` so a
-    corrupt newest checkpoint falls back to the ``.prev`` generation,
-    and ``syslogdigest resume``, which reads the header from the same
-    snapshot.
+    Used by callers that resolve the snapshot themselves — the serve
+    tenant loads via :func:`load_resume_state`, so a corrupt newest
+    checkpoint falls back to the ``.prev`` generation.
     """
     kb_version = snapshot["kb_version"]
     if kb is None:
@@ -285,10 +264,10 @@ def restore_ingest(stream: DigestStream, quarantine=None):
     Call after :func:`restore_stream` when the checkpointed run pushed
     through a :class:`~repro.syslog.ingest.MultiSourceIngest`; returns a
     front-end with its reorder buffer, source breakers, and counters
-    exactly as captured, attached to ``stream``.  Raises if the
-    checkpoint carried no ingest state (check
-    :attr:`CheckpointInfo.has_ingest` first when unsure).  Resume replay
-    then skips, per source, the :meth:`~MultiSourceIngest.pushed_counts`
+    exactly as captured, attached to ``stream``.  Raises
+    :class:`CheckpointFormatError` if the checkpoint carries no ingest
+    state (the stream was pushed to directly).  Resume replay then
+    skips, per source, the :meth:`~MultiSourceIngest.pushed_counts`
     arrivals already consumed.
     """
     # Imported lazily: core must stay importable without the syslog
@@ -297,7 +276,7 @@ def restore_ingest(stream: DigestStream, quarantine=None):
 
     state = stream.restored_ingest_state()
     if state is None:
-        raise ValueError(
+        raise CheckpointFormatError(
             "checkpoint carries no ingest state: the checkpointed "
             "stream was pushed to directly, not through an ingest "
             "front-end"

@@ -1,7 +1,7 @@
 """Cooperative SIGTERM/SIGINT handling for long-running processes.
 
-Both the serve daemon and the streaming CLI paths (``digest``/``resume``
-with ``--checkpoint``) want the same contract: a termination signal does
+Both the serve daemon and the streaming CLI paths (``digest``/``stats``
+with ``--workdir``) want the same contract: a termination signal does
 not kill the process mid-batch, it raises a flag that the work loop
 checks at its next safe boundary, after which the process checkpoints
 and exits 0.  :class:`GracefulShutdown` packages that contract as a

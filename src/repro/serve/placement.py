@@ -377,10 +377,7 @@ class InlineLife:
         """Wait for the task to end, then tear the runtime down without
         draining (a no-op after a drain) and close its journal."""
         await asyncio.wait({self._task})
-        runtime = self.life.runtime
-        runtime.halt()
-        if runtime.events is not None:
-            runtime.events.close()
+        self.life.runtime.close()
 
 
 # ------------------------------------------------------------ the handle

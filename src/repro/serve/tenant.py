@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.checkpoint import (
+    CheckpointFormatError,
     load_resume_state,
     previous_checkpoint_path,
     restore_ingest,
@@ -396,8 +397,11 @@ class TenantRuntime:
                 error=str(fallback_error),
             )
         self.stream.attach_quarantine(self.quarantine)
-        self.ingest = restore_ingest(self.stream, self.quarantine)
-        self._restore_tails()
+        try:
+            self.ingest = restore_ingest(self.stream, self.quarantine)
+            self._restore_tails()
+        except CheckpointFormatError as exc:  # name the file refused
+            raise CheckpointFormatError(f"{used_path}: {exc}") from exc
         # Resume consistency: cut the journal back to exactly what the
         # checkpoint accounts for — everything past it re-emerges from
         # the tail replay (see repro.serve.journal).
@@ -420,7 +424,7 @@ class TenantRuntime:
                 state, sources=self.spec.sources
             )
         elif any(self.ingest.pushed_counts().values()):
-            raise ValueError(
+            raise CheckpointFormatError(
                 f"tenant {self.spec.name}: checkpoint records consumed "
                 "arrivals but no tail cursors; it cannot be resumed "
                 "without re-reading its sources"
@@ -612,6 +616,13 @@ class TenantRuntime:
         self._arrivals.clear()
         if self.stream is not None:
             self.stream.shutdown_workers()
+
+    def close(self) -> None:
+        """End this life: :meth:`halt` (a no-op after a drain), then
+        close the event journal."""
+        self.halt()
+        if self.events is not None:
+            self.events.close()
 
     # ------------------------------------------------------------- admin
 

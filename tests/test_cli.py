@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.utils import inject
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -252,54 +255,48 @@ class TestFaultToleranceCli:
         assert bad.read_text().count("\n") == 1
 
     def test_stream_checkpoint_then_resume(self, workdir, capsys, tmp_path):
+        """``stats --stream --workdir`` checkpoints at the tenant's
+        cadence; rerunning on the workdir resumes the finished run and
+        reports the same counts."""
         self._ensure_kb(workdir, capsys)
-        ckpt = tmp_path / "digest.ckpt"
-        rc = main(
-            [
-                "stats",
-                "--log", str(workdir / "syslog.log"),
-                "--kb", str(workdir / "kb.json"),
-                "--stream",
-                "--checkpoint", str(ckpt),
-                "--checkpoint-interval", "3600",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert ckpt.exists()
-        assert "syslogdigest_checkpoint_writes_total" in out
+        run = tmp_path / "run"
+        argv = [
+            "stats",
+            "--log", str(workdir / "syslog.log"),
+            "--kb", str(workdir / "kb.json"),
+            "--stream",
+            "--workdir", str(run),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert (run / "checkpoint.ckpt").exists()
+        assert "syslogdigest_checkpoint_writes_total" in first.out
+        assert "syslogdigest_tenant_resumed 0" in first.out
 
-        rc = main(
-            [
-                "resume",
-                "--checkpoint", str(ckpt),
-                "--log", str(workdir / "syslog.log"),
-                "--kb", str(workdir / "kb.json"),
-                "--top", "5",
-            ]
-        )
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "replaying" in captured.err
-        assert "resumed digest" in captured.out
+        assert main(argv) == 0
+        again = capsys.readouterr()
+        assert again.err == first.err
+        assert "syslogdigest_tenant_resumed 1" in again.out
 
     def test_resume_reads_its_checkpoint_once(
         self, workdir, capsys, tmp_path, monkeypatch
     ):
-        """The header ``resume`` prints and the stream it restores come
-        from one read of the checkpoint file."""
+        """A rerun on a workdir restores from one read of its
+        checkpoint, and prints the first run's digest."""
         from repro.core import checkpoint
-        from repro.core.knowledge import KnowledgeBase
-        from repro.core.stream import DigestStream
-        from repro.syslog.stream import read_log, write_log
 
         self._ensure_kb(workdir, capsys)
         log = tmp_path / "short.log"
-        write_log(log, read_log(workdir / "syslog.log")[:400])
-        stream = DigestStream(KnowledgeBase.load(workdir / "kb.json"))
-        stream.push_many(read_log(log)[:200])
-        ckpt = tmp_path / "digest.ckpt"
-        checkpoint.write_checkpoint(ckpt, stream)
+        lines = (workdir / "syslog.log").read_bytes().splitlines(True)
+        log.write_bytes(b"".join(lines[:400]))
+        argv = [
+            "digest",
+            "--source", str(log),
+            "--kb", str(workdir / "kb.json"),
+            "--workdir", str(tmp_path / "run"),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
 
         reads = []
         real = checkpoint.read_checkpoint
@@ -308,52 +305,9 @@ class TestFaultToleranceCli:
             "read_checkpoint",
             lambda path: reads.append(path) or real(path),
         )
-        rc = main(
-            [
-                "resume",
-                "--checkpoint", str(ckpt),
-                "--log", str(log),
-                "--kb", str(workdir / "kb.json"),
-            ]
-        )
-        assert rc == 0
+        assert main(argv) == 0
         assert len(reads) == 1
-        assert "200 messages already digested" in capsys.readouterr().err
-
-    def test_resume_refuses_an_ingest_checkpoint(
-        self, workdir, capsys, tmp_path
-    ):
-        """An ingest checkpoint (what a serve tenant writes) cannot be
-        resumed by skipping lines of one sorted log: the front-end
-        reorders, deduplicates and drops late arrivals."""
-        from repro.core.checkpoint import write_checkpoint
-        from repro.core.knowledge import KnowledgeBase
-        from repro.core.stream import DigestStream
-        from repro.syslog.ingest import MultiSourceIngest
-
-        self._ensure_kb(workdir, capsys)
-        log = workdir / "syslog.log"
-        stream = DigestStream(KnowledgeBase.load(workdir / "kb.json"))
-        ingest = MultiSourceIngest(stream)
-        for line in log.read_text().splitlines()[:200]:
-            ingest.push_line("feed", line)
-        ckpt = tmp_path / "ingest.ckpt"
-        info = write_checkpoint(ckpt, stream)
-        assert info.has_ingest and info.n_buffered > 0
-
-        rc = main(
-            [
-                "resume",
-                "--checkpoint", str(ckpt),
-                "--log", str(log),
-                "--kb", str(workdir / "kb.json"),
-            ]
-        )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert f"({info.n_buffered} buffered arrivals)" in captured.err
+        assert capsys.readouterr().out == first
 
 
 class TestIngestCli:
@@ -670,8 +624,11 @@ def messy_logs(workdir, tmp_path_factory):
 MATRIX = {
     "digest": ["digest"],
     "digest --quarantine": ["digest", "--quarantine", "{tmp}/q.jsonl"],
+    "digest --ingest": ["digest", "--ingest"],
     "stats": ["stats"],
     "stats --quarantine": ["stats", "--quarantine", "{tmp}/q.jsonl"],
+    "stats --stream": ["stats", "--stream"],
+    "sources": ["sources"],
     "report": ["report"],
     "trends": ["trends"],
     "rhythms": ["rhythms"],
@@ -711,15 +668,18 @@ def test_messy_log_matrix(
 def test_resume_on_a_file_that_is_not_a_checkpoint(
     content, kb_path, messy_logs, tmp_path, capsys
 ):
-    """Garbage, a truncated file and a foreign pickle are one typed
-    error: one stderr line naming the file, exit 2, no traceback."""
-    ckpt = tmp_path / "bogus.ckpt"
+    """A workdir whose checkpoint is garbage, truncated or a foreign
+    pickle is one typed error on rerun: one stderr line naming the
+    file, exit 2, no traceback."""
+    run = tmp_path / "run"
+    run.mkdir()
+    ckpt = run / "checkpoint.ckpt"
     ckpt.write_bytes(content)
     log = str(messy_logs / "sorted.log")
-    argv = ["resume", "--checkpoint", str(ckpt), "--log", log]
+    argv = ["digest", "--source", log, "--workdir", str(run)]
     assert main(argv + ["--kb", str(kb_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"resume: {ckpt} ") and err.count("\n") == 1
+    assert err.startswith(f"digest: {ckpt} ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["report", "trends", "rhythms"])
@@ -773,3 +733,192 @@ def test_requeue_counts_an_undecodable_record_as_failed(
     assert "requeued 1 of 2 quarantined inputs (1 failed again)" in (
         capsys.readouterr().out
     )
+
+
+def test_kb_and_store_are_exclusive(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["digest", "--kb", "a", "--store", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["digest", "stats"])
+def test_workdir_needs_a_streaming_run(
+    command, kb_path, messy_logs, tmp_path, capsys
+):
+    """A batch run has no tenant to keep: ``--workdir`` without
+    ``--ingest``/``--source`` (``--stream`` for stats) is refused."""
+    log = str(messy_logs / "sorted.log")
+    argv = [command, "--log", log, "--kb", str(kb_path)]
+    assert main(argv + ["--workdir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: --workdir needs ")
+    assert err.count("\n") == 1 and not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def feed(workdir, tmp_path_factory):
+    """The first 1 500 lines of the generated log, as one feed."""
+    path = tmp_path_factory.mktemp("feed") / "feed.log"
+    lines = (workdir / "syslog.log").read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1500]))
+    return path
+
+
+def _digest_feed(feed, kb_path, capsys, *extra) -> tuple[int, str, str]:
+    rc = main(["digest", "--source", str(feed), "--kb", str(kb_path), *extra])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(feed, kb_path):
+    """stdout of one uninterrupted ``digest --source`` over the feed."""
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    argv = ["digest", "--source", str(feed), "--kb", str(kb_path)]
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _sigterm_at(at: int):
+    """``tenant.arrival`` hook: SIGTERM this process at arrival ``at``."""
+
+    def hook(_tenant, position, _degraded):
+        if position == at:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    return hook
+
+
+class TestWorkdirResume:
+    """A ``--workdir`` run stopped anywhere and rerun prints exactly the
+    uninterrupted run's digest.  The tenant cuts at 200 arrivals, then
+    at half its in-flight messages, so the halt counts land before the
+    first cut, just past it, and far past it."""
+
+    @pytest.mark.parametrize("at", [0, 150, 230, 900, 1490])
+    @pytest.mark.parametrize("halt", ["sigterm", "crash"])
+    def test_halted_run_resumes_exactly(
+        self, halt, at, feed, kb_path, uninterrupted, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        hook = (
+            _sigterm_at(at) if halt == "sigterm"
+            else inject.PumpPoison(at=at)
+        )
+        with inject.arm({inject.TENANT_ARRIVAL: hook}):
+            if halt == "sigterm":
+                rc, out, err = _digest_feed(
+                    feed, kb_path, capsys, "--workdir", str(run)
+                )
+                assert (rc, out) == (0, "")
+                assert err == (
+                    f"# SIGTERM: checkpointed to {run}; rerun with "
+                    f"--workdir {run} to resume\n"
+                )
+            else:
+                with pytest.raises(inject.InjectedWorkerFault):
+                    main(["digest", "--source", str(feed), "--kb",
+                          str(kb_path), "--workdir", str(run)])
+        # A SIGTERM always cuts; a crash leaves the last cadence cut,
+        # none yet before 200 arrivals.
+        cut = (run / "checkpoint.ckpt").exists()
+        assert cut == (halt == "sigterm" or at >= 200)
+        metrics = tmp_path / "rerun.prom"
+        rc, out, _err = _digest_feed(
+            feed, kb_path, capsys, "--workdir", str(run),
+            "--metrics", str(metrics),
+        )
+        assert rc == 0 and out == uninterrupted
+        assert f"syslogdigest_tenant_resumed {int(cut)}\n" in (
+            metrics.read_text()
+        )
+
+    def test_finished_workdir_prints_the_digest_again(
+        self, feed, kb_path, uninterrupted, tmp_path, capsys
+    ):
+        run = str(tmp_path / "run")
+        for _ in range(2):
+            rc, out, _err = _digest_feed(
+                feed, kb_path, capsys, "--workdir", run
+            )
+            assert rc == 0 and out == uninterrupted
+
+    def test_sigterm_without_workdir_keeps_nothing(
+        self, feed, kb_path, capsys
+    ):
+        with inject.arm({inject.TENANT_ARRIVAL: _sigterm_at(100)}):
+            rc, out, err = _digest_feed(feed, kb_path, capsys)
+        assert (rc, out) == (0, "")
+        assert err.startswith("# SIGTERM: stopped; no --workdir")
+
+    def test_real_process_sigterm_then_rerun(
+        self, feed, kb_path, uninterrupted, tmp_path
+    ):
+        """A real SIGTERM from outside: the child pauses once at arrival
+        300 (after touching a marker) so the signal lands mid-run."""
+        run, marker = tmp_path / "run", tmp_path / "paused"
+        child = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from repro.cli import main\n"
+            "from repro.utils import inject\n"
+            "def pause(_tenant, position, _degraded):\n"
+            "    if position == 300:\n"
+            f"        Path({str(marker)!r}).touch()\n"
+            "        time.sleep(1.0)\n"
+            "with inject.arm({inject.TENANT_ARRIVAL: pause}):\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["digest", "--source", str(feed), "--kb", str(kb_path),
+                "--workdir", str(run)]
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, *argv], cwd=str(ROOT), env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            for _ in range(600):
+                if marker.exists() or proc.poll() is not None:
+                    break
+                time.sleep(0.05)
+            assert marker.exists()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0 and out == ""
+        assert err.splitlines() == [
+            f"# SIGTERM: checkpointed to {run}; rerun with --workdir "
+            f"{run} to resume"
+        ]
+        rerun = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], cwd=str(ROOT),
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert rerun.returncode == 0 and rerun.stdout == uninterrupted
+
+    def test_stream_only_checkpoint_is_refused(
+        self, feed, kb_path, tmp_path, capsys
+    ):
+        """A workdir holding a checkpoint of a directly pushed stream
+        (no ingest state, no tail cursors) is one stderr line, exit 2."""
+        from repro.core.checkpoint import write_checkpoint
+        from repro.core.knowledge import KnowledgeBase
+        from repro.core.stream import DigestStream
+        from repro.syslog.stream import read_log
+
+        run = tmp_path / "run"
+        run.mkdir()
+        stream = DigestStream(KnowledgeBase.load(kb_path))
+        stream.push_many(read_log(feed)[:100])
+        write_checkpoint(run / "checkpoint.ckpt", stream)
+        rc, out, err = _digest_feed(
+            feed, kb_path, capsys, "--workdir", str(run)
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"digest: {run / 'checkpoint.ckpt'}: ")
+        assert "no ingest state" in err and err.count("\n") == 1

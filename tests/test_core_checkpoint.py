@@ -14,10 +14,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import _push_interruptible
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT,
-    checkpoint_info,
     load_resume_state,
     previous_checkpoint_path,
     read_checkpoint,
@@ -28,11 +26,6 @@ from repro.core.present import present_event
 from repro.core.shards import StepItem, WorkerProcessDied
 from repro.core.stream import SNAPSHOT_VERSION, DigestStream, _step_item
 from repro.hotpath import stream_fingerprint
-from repro.obs import (
-    CHECKPOINT_WRITES,
-    MetricsRegistry,
-    scoped_registry,
-)
 from repro.syslog.stream import sort_messages
 
 
@@ -497,9 +490,9 @@ class TestAtomicity:
         info = write_checkpoint(path, first)
         assert path.exists()
         assert not list(tmp_path.glob("*.tmp"))
-        again = checkpoint_info(path)
-        assert again.n_admitted == info.n_admitted == 50
-        assert again.snapshot_version == SNAPSHOT_VERSION
+        again = read_checkpoint(path)
+        assert again["n_admitted"] == info.n_admitted == 50
+        assert again["version"] == SNAPSHOT_VERSION
 
     def test_crashed_rewrite_preserves_previous(
         self, system_a, ordered_a, tmp_path, monkeypatch
@@ -538,7 +531,7 @@ class TestAtomicity:
             write_checkpoint(path, first)
         # The half-written temp never replaced the real checkpoint.
         assert path.read_bytes() == good
-        assert checkpoint_info(path).n_admitted == 50
+        assert read_checkpoint(path)["n_admitted"] == 50
 
 
 class TestPreviousGeneration:
@@ -562,8 +555,8 @@ class TestPreviousGeneration:
         path = self._two_generations(system_a, ordered_a, tmp_path)
         prev = previous_checkpoint_path(path)
         assert prev.exists()
-        assert checkpoint_info(path).n_admitted == 100
-        assert checkpoint_info(prev).n_admitted == 50
+        assert read_checkpoint(path)["n_admitted"] == 100
+        assert read_checkpoint(prev)["n_admitted"] == 50
 
     def test_load_prefers_the_newest_when_healthy(
         self, system_a, ordered_a, tmp_path
@@ -611,56 +604,6 @@ class TestPreviousGeneration:
         assert snapshot["n_admitted"] == 50
         # A vanished newest file is not corruption: nothing to journal.
         assert error is None
-
-
-class TestAutomaticCheckpoints:
-    """Periodic checkpoints are the CLI's cadence (``stats --stream
-    --checkpoint``): the stream itself never writes one."""
-
-    def test_stream_checkpoints_periodically(
-        self, system_a, ordered_a, tmp_path
-    ):
-        path = tmp_path / "auto.ckpt"
-        chunk, interval = 50, 1800.0
-        registry = MetricsRegistry()
-        with scoped_registry(registry):
-            stream = DigestStream(system_a.kb, system_a.config)
-            full, interrupted = _push_interruptible(
-                stream, ordered_a, str(path), interval, chunk=chunk
-            )
-        full.extend(stream.close())
-        assert not interrupted
-        # One cut after the first chunk, then one after each chunk that
-        # ends `interval` stream-clock seconds past the previous cut.
-        cuts = []
-        for end in range(chunk, len(ordered_a) + chunk, chunk):
-            clock = ordered_a[min(end, len(ordered_a)) - 1].timestamp
-            if not cuts or clock - cuts[-1] >= interval:
-                cuts.append(clock)
-        assert 2 <= len(cuts) < len(ordered_a) / chunk
-        assert registry.counter_value(CHECKPOINT_WRITES) == len(cuts)
-        info = checkpoint_info(path)
-        older = checkpoint_info(previous_checkpoint_path(path))
-        assert (older.stream_clock, info.stream_clock) == tuple(cuts[-2:])
-        assert stream.checkpoint_age >= 0.0
-
-        # The periodic checkpoint resumes like a manual one.  The prefix
-        # replay has a path but no interval: it checkpoints on signal
-        # only, as `resume` does.
-        signal_only = tmp_path / "signal-only.ckpt"
-        events, _ = _push_interruptible(
-            DigestStream(system_a.kb, system_a.config),
-            ordered_a[: info.n_admitted],
-            str(signal_only),
-            chunk=chunk,
-        )
-        assert not signal_only.exists()
-        resumed = restore_stream(path, system_a.kb)
-        tail = ordered_a[info.n_admitted :]
-        for i in range(0, len(tail), chunk):
-            events.extend(resumed.push_many(tail[i : i + chunk]))
-        events.extend(resumed.close())
-        assert stream_fingerprint(events) == stream_fingerprint(full)
 
 
 class TestCheckpointAgeClock:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.checkpoint import (
-    checkpoint_info,
+    read_checkpoint,
     restore_stream,
     write_checkpoint,
 )
@@ -319,7 +319,7 @@ class TestCheckpointInteraction:
         stream.push(ordered_a[0])
         path = tmp_path / "digest.ckpt"
         write_checkpoint(path, stream)
-        assert checkpoint_info(path).kb_version is None
+        assert read_checkpoint(path)["kb_version"] is None
         with pytest.raises(ValueError, match="version"):
             restore_stream(path, store=store)
 

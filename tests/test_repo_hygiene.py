@@ -455,18 +455,17 @@ CLI_OPTIONS = {
     "learn": "--configs --kb --log --no-fit --store",
     "digest": (
         "--dedup-window --ingest --kb --log --max-reorder-delay --metrics "
-        "--quarantine --source --store --top --workers"
+        "--quarantine --source --store --top --workdir --workers"
     ),
     "serve": "--config --once --placement --port",
-    "resume": "--checkpoint --kb --log --metrics --store --top",
     "report": "--kb --log --metrics --workers",
     "stats": (
-        "--checkpoint --checkpoint-interval --format --kb --log "
-        "--quarantine --store --stream --workers"
+        "--format --kb --log --quarantine --store --stream --workdir "
+        "--workers"
     ),
     "sources": (
         "--dedup-window --journal --kb --log --max-reorder-delay --metrics "
-        "--store --workers"
+        "--store"
     ),
     "requeue": "--kb --keep --quarantine --store --top --workers",
     "refresh": "--canary --configs --half-life --log --note --store",
@@ -485,7 +484,9 @@ RETIRED_KNOBS = re.compile(
     r"|max_stream_procs|stream_procs|stall_timeout|record_failure"
     r"|probe_base_delay|probe_max_retries|breaker_failure_threshold"
     r"|seq_gaps|sequence_gaps|budget-clamped"
-    r"|record_metrics|publish_budgets|BUDGET_GAUGES)\b"
+    r"|record_metrics|publish_budgets|BUDGET_GAUGES"
+    r"|checkpoint_interval|_push_interruptible|_checkpoint_on_signal"
+    r"|checkpoint_info|has_ingest)\b"
 )
 
 
